@@ -110,7 +110,7 @@ class EuclideanSpace(TargetSpace):
         pts, w = self._normalized_weights(points, weights)
         arr = np.array([self._coerce(p) for p in pts])
         x = w @ arr
-        for _ in range(10000):
+        for it in range(10000):
             d = np.linalg.norm(arr - x, axis=1)
             hit = np.flatnonzero(d < 1e-14)
             if hit.size:
@@ -126,10 +126,33 @@ class EuclideanSpace(TargetSpace):
                 continue
             coef = w / d
             x_new = (coef @ arr) / coef.sum()
+            if it >= 200:
+                # Near an anchor whose pull barely exceeds its weight,
+                # Weiszfeld contracts at a rate close to 1; finish with
+                # Newton steps while they lower the objective.
+                x_new = _newton_fermat_step(arr, w, x, d, x_new)
             if np.linalg.norm(x_new - x) < 1e-14:
                 return x_new
             x = x_new
         return x
+
+
+def _newton_fermat_step(arr, w, x, d, fallback):
+    """Newton step on sum_i w_i |x - a_i|, or `fallback` unless it lowers it.
+
+    The Hessian is sum_i w_i (I - u_i u_i^T) / d_i with u_i = (x - a_i) / d_i;
+    it is singular when all anchors are collinear with x.
+    """
+    U = (x - arr) / d[:, None]
+    grad = w @ U
+    hess = np.eye(len(x)) * np.sum(w / d) - (U.T * (w / d)) @ U
+    try:
+        x_newton = x - np.linalg.solve(hess, grad)
+    except np.linalg.LinAlgError:
+        return fallback
+    if w @ np.linalg.norm(arr - x_newton, axis=1) < w @ d:
+        return x_newton
+    return fallback
 
 
 class ModelSpace(TargetSpace):

@@ -16,9 +16,9 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import NonUniqueGeodesicError, TooLargeTriangleError
+from .errors import GeometryError, NonUniqueGeodesicError, TooLargeTriangleError
 from .mesh import MappedGraph
-from .model import Kappa, build_comparison_triangle, geodesic_point, model_distance
+from .model import Kappa, build_comparison_triangle
 from .spaces import EuclideanSpace, MetricTree, ModelSpace
 
 
@@ -114,24 +114,39 @@ class ThinnessSample:
     defect: float
 
 
-def _compare_distance(kappa: Kappa, sides, s: float, t: float) -> float:
-    """Model distance between the points at fractions s, t on sides AB, AC of
-    the comparison triangle with side lengths `sides` = (a, b, c)."""
+def _compared_distances(kappa: Kappa, sides, S, T) -> np.ndarray:
+    """Model distances between the points at fractions S[i] on side AB and
+    T[i] on side AC of the comparison triangle with side lengths
+    `sides` = (a, b, c); S and T are row-aligned."""
+    S = np.asarray(S, dtype=float)
+    T = np.asarray(T, dtype=float)
+    for F in (S, T):
+        outside = ~((F >= -1e-12) & (F <= 1.0 + 1e-12))
+        if outside.any():
+            raise ValueError(f"fraction {F[outside][0]} outside [0, 1]")
     tri = build_comparison_triangle(kappa, *sides)
-    a_pt, b_pt, c_pt = tri.vertices
-    x = geodesic_point(kappa, a_pt, b_pt, s)
-    y = geodesic_point(kappa, a_pt, c_pt, t)
-    return model_distance(kappa, x, y)
+    k = kappa.value
+    if k > 0 and max(tri.sides[1:]) > kappa.r_kappa - 1e-9:
+        raise NonUniqueGeodesicError("comparison side joins antipodal points")
+    A, B, C = (np.broadcast_to(v.coords, (len(S), 3)) for v in tri.vertices)
+    X = _batch_geodesic(k, A, B, np.clip(S, 0.0, 1.0))
+    Y = _batch_geodesic(k, A, C, np.clip(T, 0.0, 1.0))
+    return _batch_distance(k, X, Y)
 
 
 def recompare(samples, kappa: Kappa):
     """Re-evaluate stored thinness samples against a different kappa."""
-    out = []
-    for smp in samples:
-        compared = _compare_distance(kappa, smp.sides, smp.s, smp.t)
-        out.append(
-            replace(smp, compared=compared, defect=smp.measured - compared)
+    samples = list(samples)
+    groups: dict[tuple, list[int]] = {}
+    for i, smp in enumerate(samples):
+        groups.setdefault(smp.sides, []).append(i)
+    out = [None] * len(samples)
+    for sides, idx in groups.items():
+        compared = _compared_distances(
+            kappa, sides, [samples[i].s for i in idx], [samples[i].t for i in idx]
         )
+        for i, c in zip(idx, compared.tolist()):
+            out[i] = replace(samples[i], compared=c, defect=samples[i].measured - c)
     return out
 
 
@@ -157,6 +172,7 @@ def thinness_defect(space, kappa: Kappa, triple, grid: int = 16):
     dpq, dpr = _distance_row(space, p, [q, r])
     dqr = space.distance(q, r)
     sides = (float(dqr), float(dpr), float(dpq))
+    _require_finite(sides, "side", sides)
     if min(sides) < MIN_SIDE:
         return None
     # The three sides are independent upper bounds, so discretization error
@@ -179,28 +195,26 @@ def thinness_defect(space, kappa: Kappa, triple, grid: int = 16):
         ys = [space.geodesic(p, r, (j + 1) / (grid + 1)) for j in range(grid)]
     except NonUniqueGeodesicError:
         return None
-    arc_a = _distance_row(space, p, xs)
-    arc_b = _distance_row(space, p, ys)
-    measured_rows = _distance_rows(space, xs, ys)
-    samples = []
-    for i, x in enumerate(xs):
-        measured_row = measured_rows[i]
-        s = min(arc_a[i] / dpq, 1.0)
-        for j in range(grid):
-            t = min(arc_b[j] / dpr, 1.0)
-            compared = _compare_distance(kappa, sides, s, t)
-            m = float(measured_row[j])
-            samples.append(
-                ThinnessSample(
-                    s=float(s),
-                    t=float(t),
-                    sides=sides,
-                    measured=m,
-                    compared=float(compared),
-                    defect=float(m - compared),
-                )
-            )
-    return samples
+    arc_a = np.asarray(_distance_row(space, p, xs), dtype=float)
+    arc_b = np.asarray(_distance_row(space, p, ys), dtype=float)
+    measured = np.asarray(_distance_rows(space, xs, ys), dtype=float).ravel()
+    _require_finite(np.concatenate([arc_a, arc_b, measured]), "measured", sides)
+    S = np.repeat(np.minimum(arc_a / dpq, 1.0), grid)
+    T = np.tile(np.minimum(arc_b / dpr, 1.0), grid)
+    compared = _compared_distances(kappa, sides, S, T)
+    _require_finite(compared, "compared", sides)
+    return [
+        ThinnessSample(s=s, t=t, sides=sides, measured=m, compared=c, defect=m - c)
+        for s, t, m, c in zip(S.tolist(), T.tolist(), measured.tolist(),
+                              compared.tolist())
+    ]
+
+
+def _require_finite(values, what: str, sides):
+    if not np.isfinite(values).all():
+        raise GeometryError(
+            f"non-finite {what} distance in the triple with sides {sides}"
+        )
 
 
 @dataclass(frozen=True)

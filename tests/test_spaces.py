@@ -55,6 +55,38 @@ class TestEuclidean:
         f = sp.fermat_point(pts)
         assert np.linalg.norm(f) <= 1e-6
 
+    def test_fermat_near_weak_anchor_converges_fast(self, monkeypatch):
+        # The optimum sits 0.012 from the last point, whose pull barely
+        # exceeds its weight: plain Weiszfeld contracts at a rate close to 1
+        # there and needs 1,745 iterations to meet its 1e-14 step test.
+        pts = np.array([
+            [0.36113569, 0.62290506],
+            [0.22349094, 0.67601563],
+            [0.71089444, 0.83008565],
+            [0.53884418, 0.78094282],
+        ])
+        norm = np.linalg.norm
+        calls = []
+
+        def counting_norm(*args, **kwargs):
+            calls.append(1)
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        f = EuclideanSpace(2).fermat_point(list(pts))
+        monkeypatch.undo()
+        assert len(calls) <= 500
+        # Reference optimum: undamped Newton on sum |x - a_i| from a point
+        # near the minimizer.
+        x = np.array([0.5297, 0.7728])
+        for _ in range(50):
+            d = norm(pts - x, axis=1)
+            U = (x - pts) / d[:, None]
+            hess = sum((np.eye(2) - np.outer(u, u)) / di for u, di in zip(U, d))
+            x = x - np.linalg.solve(hess, U.sum(axis=0))
+        assert norm(U.sum(axis=0)) <= 1e-12
+        assert norm(f - x) <= 1e-12
+
     def test_dimension_checked(self):
         sp = EuclideanSpace(2)
         with pytest.raises(BackendMismatchError):

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from catdisc.errors import GeometryError
 from catdisc.mesh import MappedGraph, grid_mesh
-from catdisc.model import Kappa
+from catdisc.model import Kappa, build_comparison_triangle
 from catdisc.spaces import EuclideanSpace, FlatCone, MetricTree, ModelSpace
 from catdisc.verify import (
     InducedGraphSpace,
+    _compared_distances,
     certify_cat,
     certify_induced,
     recompare,
@@ -104,6 +106,122 @@ def test_recompare_defects_monotone_in_kappa():
         assert s_mid.compared <= s_high.compared + 1e-12
         assert s_high.defect <= s_mid.defect + 1e-12
         assert s_mid.defect <= s_low.defect + 1e-12
+
+
+def law_of_cosines_distance(k, sides, s, t):
+    """Distance between the points at fractions s on AB and t on AC of the
+    M_k triangle with sides (a, b, c): the third side of the triangle with
+    sides s*c and t*b enclosing the corner angle alpha at A."""
+    a, b, c = sides
+    x, y = s * c, t * b
+    clamp = lambda v: min(max(v, -1.0), 1.0)
+    if k == 0.0:
+        cos_alpha = clamp((b * b + c * c - a * a) / (2.0 * b * c))
+        return math.sqrt(max(x * x + y * y - 2.0 * x * y * cos_alpha, 0.0))
+    if k > 0.0:
+        cos_alpha = clamp(
+            (math.cos(a) - math.cos(b) * math.cos(c)) / (math.sin(b) * math.sin(c))
+        )
+        return math.acos(clamp(
+            math.cos(x) * math.cos(y) + math.sin(x) * math.sin(y) * cos_alpha
+        ))
+    cos_alpha = clamp(
+        (math.cosh(b) * math.cosh(c) - math.cosh(a))
+        / (math.sinh(b) * math.sinh(c))
+    )
+    return math.acosh(max(
+        math.cosh(x) * math.cosh(y) - math.sinh(x) * math.sinh(y) * cos_alpha,
+        1.0,
+    ))
+
+
+@pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize(
+    "sides, degeneracy",
+    [((0.9, 1.1, 0.7), None), ((1.0, 0.6, 0.4), "segment"),
+     ((0.5, 1.2, 0.7), "segment")],
+)
+def test_compared_distances_match_law_of_cosines(k, sides, degeneracy):
+    kappa = Kappa(k)
+    assert build_comparison_triangle(kappa, *sides).degeneracy == degeneracy
+    fracs = [0.0, 0.2, 0.5, 0.85, 1.0]
+    S = [s for s in fracs for _ in fracs]
+    T = [t for _ in fracs for t in fracs]
+    got = _compared_distances(kappa, sides, S, T)
+    for s, t, d in zip(S, T, got):
+        assert abs(d - law_of_cosines_distance(k, sides, s, t)) <= 1e-12
+
+
+def test_compared_distances_reject_fractions_outside_unit_interval():
+    kappa, sides = Kappa(1.0), (0.9, 1.1, 0.7)
+    edge = _compared_distances(kappa, sides, [1.0 + 1e-13, -1e-13], [0.5, 0.5])
+    assert np.array_equal(
+        edge, _compared_distances(kappa, sides, [1.0, 0.0], [0.5, 0.5])
+    )
+    for S, T in (([1.5], [0.5]), ([0.5], [-0.1]), ([0.2, math.nan], [0.5, 0.5])):
+        with pytest.raises(ValueError):
+            _compared_distances(kappa, sides, S, T)
+
+
+@pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
+def test_recompare_at_the_same_kappa_reproduces_compared(k):
+    _, samples = certify_cat(
+        ModelSpace(k), Kappa(k), triple_budget=8, grid=6, seed=4,
+        collect_samples=True,
+    )
+    again = recompare(samples, Kappa(k))
+    assert again == samples
+
+
+def test_recompare_of_a_non_grid_subset_matches_the_full_list():
+    _, samples = certify_cat(
+        EuclideanSpace(3), Kappa(0.0), triple_budget=10, grid=4, seed=7,
+        collect_samples=True,
+    )
+    subset = [
+        s for s in samples[::3] if sum(s.sides) < 0.9 * 2.0 * math.pi
+    ]
+    assert 0 < len(subset) < len(samples)
+    for k in (-1.0, 1.0):
+        full = dict(zip(map(id, samples), recompare(samples, Kappa(k))))
+        assert recompare(subset, Kappa(k)) == [full[id(s)] for s in subset]
+
+
+class NaNPairSpace(EuclideanSpace):
+    """The plane with one fixed triple; the distance between one pair of its
+    geodesic grid points is NaN."""
+
+    def __init__(self, triple, bad_pair):
+        super().__init__(2)
+        self.triple = [np.asarray(p, dtype=float) for p in triple]
+        self.bad_pair = bad_pair
+        self.drawn = 0
+
+    def random_point(self, rng):
+        self.drawn += 1
+        return self.triple[(self.drawn - 1) % 3]
+
+    def distance(self, p, q):
+        for u, v in (self.bad_pair, self.bad_pair[::-1]):
+            if np.array_equal(p, u) and np.array_equal(q, v):
+                return math.nan
+        return super().distance(p, q)
+
+
+def test_non_finite_measured_distance_is_an_error():
+    triple = ((0.0, 0.0), (1.0, 0.1), (0.2, 0.9))
+    flat = EuclideanSpace(2)
+    p, q, r = (np.asarray(v) for v in triple)
+    grid = 6
+    # A pair late in the first triple's grid, so a NaN is not the first defect.
+    bad = (flat.geodesic(p, q, 4 / (grid + 1)), flat.geodesic(p, r, 3 / (grid + 1)))
+    with pytest.raises(GeometryError, match="non-finite measured"):
+        certify_cat(NaNPairSpace(triple, bad), Kappa(0.0), triple_budget=3,
+                    grid=grid, seed=0)
+    assert certify_cat(
+        NaNPairSpace(triple, (p + 5.0, q + 5.0)), Kappa(0.0), triple_budget=3,
+        grid=grid, seed=0,
+    ).passed
 
 
 def test_degenerate_and_oversized_triples_skipped():
