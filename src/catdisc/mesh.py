@@ -22,6 +22,7 @@ class DiscMesh:
     triangles: np.ndarray
     edges: np.ndarray = field(init=False)
     boundary: np.ndarray = field(init=False)
+    _neighbors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float)
@@ -67,19 +68,21 @@ class DiscMesh:
         if len(seen) != int(boundary.sum()):
             raise ValueError("boundary is not a single cycle")
         object.__setattr__(self, "boundary", boundary)
+        nbrs: list[list[int]] = [[] for _ in coords]
+        for a, b in edges.tolist():
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        object.__setattr__(
+            self, "_neighbors", tuple(tuple(sorted(nb)) for nb in nbrs)
+        )
 
     @property
     def n_vertices(self) -> int:
         return len(self.coords)
 
     def neighbors(self, v: int) -> list[int]:
-        nbrs = set()
-        for a, b in self.edges:
-            if a == v:
-                nbrs.add(int(b))
-            elif b == v:
-                nbrs.add(int(a))
-        return sorted(nbrs)
+        """Neighbors of v in ascending order (a fresh list)."""
+        return list(self._neighbors[v])
 
     def cyclic_neighbors(self, v: int) -> list[int]:
         """Neighbors of v sorted counterclockwise around its disc coordinates."""
@@ -93,27 +96,6 @@ class DiscMesh:
 
     def interior_vertices(self) -> list[int]:
         return [v for v in range(self.n_vertices) if not self.boundary[v]]
-
-    def boundary_cycle(self) -> list[int]:
-        """Boundary vertices in cyclic order."""
-        bnd_adj: dict[int, list[int]] = {}
-        edge_count: dict[tuple[int, int], int] = {}
-        for tri in self.triangles:
-            for i in range(3):
-                e = tuple(sorted((int(tri[i]), int(tri[(i + 1) % 3]))))
-                edge_count[e] = edge_count.get(e, 0) + 1
-        for (u, v), c in edge_count.items():
-            if c == 1:
-                bnd_adj.setdefault(u, []).append(v)
-                bnd_adj.setdefault(v, []).append(u)
-        start = min(bnd_adj)
-        cycle, prev, cur = [start], None, start
-        while True:
-            nxt = [v for v in bnd_adj[cur] if v != prev]
-            prev, cur = cur, nxt[0]
-            if cur == start:
-                return cycle
-            cycle.append(cur)
 
 
 def grid_mesh(n_a: int, n_t: int | None = None) -> DiscMesh:

@@ -83,14 +83,15 @@ def _batch_distance(k: float, X, Y):
 
 
 def _batch_bary_interp(k: float, corners, B):
-    """Iterated-geodesic barycentric interpolation, vectorized over rows of B."""
+    """Iterated-geodesic barycentric interpolation, vectorized over rows of B.
+
+    `corners` (N, 3, d) holds each row's triangle corners: the point is taken
+    on the geodesic from corner 0 to corner 1, then toward corner 2.
+    """
     b0, b1, b2 = B[:, 0], B[:, 1], B[:, 2]
     denom = np.maximum(b0 + b1, 1e-15)
-    X = np.broadcast_to(corners[0], (len(B), corners.shape[1]))
-    Y = np.broadcast_to(corners[1], (len(B), corners.shape[1]))
-    Z = np.broadcast_to(corners[2], (len(B), corners.shape[1]))
-    M = _batch_geodesic(k, X, Y, b1 / denom)
-    return _batch_geodesic(k, M, Z, b2)
+    M = _batch_geodesic(k, corners[:, 0], corners[:, 1], b1 / denom)
+    return _batch_geodesic(k, M, corners[:, 2], b2)
 
 # Triples with a side below this are rejected as degenerate.
 MIN_SIDE = 1e-6
@@ -219,7 +220,11 @@ def _require_finite(values, what: str, sides):
 
 @dataclass(frozen=True)
 class CertReport:
-    """Aggregated thinness certification verdict for one space oracle."""
+    """Aggregated thinness certification verdict for one space oracle.
+
+    `verdict` is "pass" or "fail" against `tolerance`, or "inconclusive"
+    when no triple was evaluated; only "pass" counts as passed.
+    """
 
     kappa: float
     n_triples: int
@@ -272,6 +277,11 @@ def _aggregate(
     defects = [smp.defect for smp in all_samples]
     positive = [d for d in defects if d > 0.0]
     max_defect = max(defects, default=0.0)
+    # With every triple skipped there is no evidence either way.
+    if n_triples == 0:
+        verdict = "inconclusive"
+    else:
+        verdict = "pass" if max_defect <= tolerance else "fail"
     return CertReport(
         kappa=float(kappa.value),
         n_triples=n_triples,
@@ -280,7 +290,7 @@ def _aggregate(
         max_defect=float(max_defect),
         mean_positive_defect=float(np.mean(positive)) if positive else 0.0,
         tolerance=float(tolerance),
-        verdict="pass" if max_defect <= tolerance else "fail",
+        verdict=verdict,
         provenance=provenance,
         seed=int(seed),
         refinement=refinement,
@@ -338,23 +348,13 @@ class InducedGraphSpace:
     `geodesic(p, q, t)` returns the node nearest to arclength t along it.
     """
 
-    def __init__(
-        self,
-        mg: MappedGraph,
-        steiner: int = 6,
-        chord_samples: int = 4,
-        quad_chords: bool = True,
-        chord_stride: int = 1,
-    ):
+    def __init__(self, mg: MappedGraph, steiner: int = 6, chord_samples: int = 4):
         self.mg = mg
         self.space = mg.space
         self.steiner = int(steiner)
         self.chord_samples = int(chord_samples)
-        self.quad_chords = bool(quad_chords)
-        # Chords start/end only at every `chord_stride`-th boundary node:
-        # dense nodes give positional resolution, sparse chords keep the
-        # graph small; detours onto chord endpoints cost only second order.
-        self.chord_stride = max(1, int(chord_stride))
+        # Curvature of the array kernel, or None for per-point backends.
+        self._k = _batch_kappa(self.space)
         self._cache: dict = {}
         self._cache_order: list = []
         self._curves: dict = {}
@@ -386,12 +386,12 @@ class InducedGraphSpace:
         mesh = mg.mesh
         n = mesh.n_vertices
         k = self.steiner
+        self._build_tri_geometry(mesh)
         node_images = list(mg.images)
         # One subdivision chain per mesh edge; nodes shared between the two
         # incident triangles.
         edge_nodes: dict[tuple[int, int], list[int]] = {}
         edge_fracs: dict[tuple[int, int], list[float]] = {}
-        edge_breaks: dict[tuple[int, int], list[bool]] = {}
         rows, cols, weights = [], [], []
         node_xy = [np.asarray(c[:2], dtype=float) for c in mesh.coords]
         tree_target = isinstance(self.space, MetricTree)
@@ -406,7 +406,6 @@ class InducedGraphSpace:
                 fracs.extend(
                     self.space.geodesic_breakpoints(mg.images[u], mg.images[v])
                 )
-            uniform = set(fracs[:k])
             fracs = sorted(f for f in fracs if 1e-9 < f < 1.0 - 1e-9)
             kept = []
             for f in fracs:
@@ -420,7 +419,6 @@ class InducedGraphSpace:
             chain.append(v)
             edge_nodes[(u, v)] = chain
             edge_fracs[(u, v)] = [0.0] + kept + [1.0]
-            edge_breaks[(u, v)] = [False] + [f not in uniform for f in kept] + [False]
             for a, b in zip(chain, chain[1:]):
                 w = self.space.distance(node_images[a], node_images[b])
                 rows.append(a)
@@ -431,28 +429,21 @@ class InducedGraphSpace:
         # polyline of the interpolated map along the straight disc segment.
         def side_chain(a, b):
             key = (a, b) if a < b else (b, a)
-            chain, fr, br = edge_nodes[key], edge_fracs[key], edge_breaks[key]
+            chain, fr = edge_nodes[key], edge_fracs[key]
             if a < b:
-                return chain, fr, br
-            return chain[::-1], [1.0 - f for f in fr[::-1]], br[::-1]
+                return chain, fr
+            return chain[::-1], [1.0 - f for f in fr[::-1]]
 
-        m = self.chord_samples
         tri_boundaries = []  # per triangle: list of (node, barycentric)
-        for tri in mesh.triangles:
-            t0, t1, t2 = (int(x) for x in tri)
+        for ti, (t0, t1, t2) in enumerate(self._tris):
             boundary = []  # (node, barycentric coords)
             for a, b, corner_bary, step in (
                 (t0, t1, (1.0, 0.0, 0.0), (-1.0, 1.0, 0.0)),
                 (t1, t2, (0.0, 1.0, 0.0), (0.0, -1.0, 1.0)),
                 (t2, t0, (0.0, 0.0, 1.0), (1.0, 0.0, -1.0)),
             ):
-                chain, fr, br = side_chain(a, b)
-                for i, node in enumerate(chain[:-1]):
-                    # Stride-thin uniform nodes only; branch-point nodes are
-                    # the whole point of the adaptive placement.
-                    if i % self.chord_stride != 0 and not br[i]:
-                        continue
-                    frac = fr[i]
+                chain, fr = side_chain(a, b)
+                for node, frac in zip(chain[:-1], fr):
                     bary = tuple(
                         corner_bary[d] + frac * step[d] for d in range(3)
                     )
@@ -460,7 +451,7 @@ class InducedGraphSpace:
             tri_boundaries.append(boundary)
             same_side = set()
             for a, b in ((t0, t1), (t1, t2), (t2, t0)):
-                chain, _, _ = side_chain(a, b)
+                chain, _ = side_chain(a, b)
                 for x in chain:
                     for y in chain:
                         same_side.add((x, y))
@@ -475,23 +466,46 @@ class InducedGraphSpace:
                     ends.append(bj)
                     chord_nodes.append((ni, nj))
             if chord_nodes:
-                ws = self._chord_weights((t0, t1, t2), starts, ends)
+                ws = self._chord_weights(ti, starts, ends)
                 for (ni, nj), w in zip(chord_nodes, ws):
                     rows.append(ni)
                     cols.append(nj)
                     weights.append(float(w))
-
-        if self.quad_chords:
-            self._add_quad_chords(tri_boundaries, rows, cols, weights)
+        self._tri_boundaries = tri_boundaries
+        self._add_quad_chords(rows, cols, weights)
 
         n_nodes = len(node_images)
         self.node_images = node_images
         self.node_xy = np.array(node_xy)
         self.n_vertices = n
         self.n_nodes = n_nodes
-        # Geometry caches used when inserting temporary measurement points.
+        disc_l = [
+            float(np.linalg.norm(self.node_xy[int(a)] - self.node_xy[int(b)]))
+            for a, b in mesh.edges
+        ]
+        self._disc_h = max(disc_l) if disc_l else 1.0
+        self._temp: list = []
+        # Duplicate entries would sum in CSR; keep the minimum weight instead.
+        dedup: dict[tuple[int, int], float] = {}
+        for a, b, w in zip(rows, cols, weights):
+            key = (a, b) if a < b else (b, a)
+            if key not in dedup or w < dedup[key]:
+                dedup[key] = w
+        r2 = [k2[0] for k2 in dedup]
+        c2 = [k2[1] for k2 in dedup]
+        w2 = list(dedup.values())
+        self.graph = coo_matrix(
+            (
+                np.concatenate([w2, w2]),
+                (np.concatenate([r2, c2]), np.concatenate([c2, r2])),
+            ),
+            shape=(n_nodes, n_nodes),
+        ).tocsr()
+
+    def _build_tri_geometry(self, mesh):
+        """Per-triangle caches: barycentric solvers, adjacency, corner images
+        and the point locator."""
         self._tris = [tuple(int(x) for x in t) for t in mesh.triangles]
-        self._tri_boundaries = tri_boundaries
         inv_stack, p0_stack = [], []
         for tri in self._tris:
             c0, c1, c2 = (np.asarray(mesh.coords[v][:2], dtype=float) for v in tri)
@@ -511,230 +525,141 @@ class InducedGraphSpace:
                 nbrs[owners[1]].add(owners[0])
         self._tri_neighbors = {ti: sorted(s) for ti, s in nbrs.items()}
         self._edge_tris = {e: tuple(t) for e, t in owner.items()}
-        lengths = mg.edge_lengths()
-        pos = lengths[lengths > 1e-14]
-        self._mean_edge = float(pos.mean()) if pos.size else 1.0
-        disc_l = [
-            float(np.linalg.norm(self.node_xy[int(a)] - self.node_xy[int(b)]))
-            for a, b in mesh.edges
-        ]
-        self._disc_h = max(disc_l) if disc_l else 1.0
-        self._build_tri_buckets(mesh)
-        self._temp: list = []
-        # Duplicate entries would sum in CSR; keep the minimum weight instead.
-        dedup: dict[tuple[int, int], float] = {}
-        for a, b, w in zip(rows, cols, weights):
-            key = (a, b) if a < b else (b, a)
-            if key not in dedup or w < dedup[key]:
-                dedup[key] = w
-        r2 = [k2[0] for k2 in dedup]
-        c2 = [k2[1] for k2 in dedup]
-        w2 = list(dedup.values())
-        self.graph = coo_matrix(
-            (
-                np.concatenate([w2, w2]),
-                (np.concatenate([r2, c2]), np.concatenate([c2, r2])),
-            ),
-            shape=(n_nodes, n_nodes),
-        ).tocsr()
-
-    def _corner_coords(self, tri):
-        imgs = [self.mg.images[int(v)] for v in tri]
-        if isinstance(self.space, ModelSpace):
-            return np.array([p.coords for p in imgs])
-        return np.array([np.asarray(p, dtype=float) for p in imgs])
-
-    def _chord_weights(self, tri, start_barys, end_barys):
-        """Image polyline lengths of straight barycentric segments in `tri`."""
-        m = self.chord_samples
-        k = _batch_kappa(self.space)
-        if k is None:
-            S = np.asarray(start_barys, dtype=float)
-            E = np.asarray(end_barys, dtype=float)
-            lam = np.linspace(0.0, 1.0, m + 1)
-            B = (1.0 - lam)[None, :, None] * S[:, None, :] \
-                + lam[None, :, None] * E[:, None, :]
-            flat = np.clip(B.reshape(-1, 3), 0.0, None)
-            if hasattr(self.space, "barycenter_rows"):
-                imgs = [self.mg.images[int(v)] for v in tri]
-                pts_flat = self.space.barycenter_rows(imgs, flat)
+        # Corner images (n_tris, 3, d) for the array kernels.
+        self._corners = None
+        if self._k is not None:
+            if isinstance(self.space, ModelSpace):
+                verts = np.array([p.coords for p in self.mg.images])
             else:
-                pts_flat = [self._tri_point(tri, tuple(b)) for b in flat]
-            ws = []
-            for ci in range(len(S)):
-                chain = pts_flat[ci * (m + 1):(ci + 1) * (m + 1)]
-                ws.append(self.space.curve_length(chain))
-            return ws
+                verts = np.array([np.asarray(p, dtype=float) for p in self.mg.images])
+            self._corners = verts[np.array(self._tris)]
+        self._build_tri_buckets(mesh)
+
+    def _images_at(self, tri_idx, bary):
+        """Interpolant images of disc points given by triangle and barycentrics.
+
+        Array-kernel backends get one (N, d) array from a single corner
+        gather; other backends get a list, filled one triangle at a time.
+        """
+        if self._k is not None:
+            return _batch_bary_interp(self._k, self._corners[tri_idx], bary)
+        pts = [None] * len(bary)
+        rows_fn = getattr(self.space, "barycenter_rows", None)
+        for ti in np.unique(tri_idx):
+            idxs = np.flatnonzero(tri_idx == ti)
+            tri = self._tris[ti]
+            if rows_fn is not None:
+                group = rows_fn([self.mg.images[v] for v in tri], bary[idxs])
+            else:
+                group = [self._tri_point(tri, tuple(b)) for b in bary[idxs]]
+            for i, p in zip(idxs, group):
+                pts[i] = p
+        return pts
+
+    def _chain_lengths(self, pts, n_chains, m):
+        """Image polyline lengths of `n_chains` consecutive runs of m + 1
+        points."""
+        if self._k is not None:
+            P = pts.reshape(n_chains, m + 1, -1)
+            d = P.shape[2]
+            segs = _batch_distance(
+                self._k, P[:, :-1].reshape(-1, d), P[:, 1:].reshape(-1, d)
+            )
+            return segs.reshape(n_chains, m).sum(axis=1)
+        return np.array([
+            self.space.curve_length(pts[ci * (m + 1):(ci + 1) * (m + 1)])
+            for ci in range(n_chains)
+        ])
+
+    def _chord_weights(self, ti, start_barys, end_barys):
+        """Image polyline lengths of straight barycentric segments in
+        triangle ti."""
+        m = self.chord_samples
         S = np.asarray(start_barys, dtype=float)
         E = np.asarray(end_barys, dtype=float)
         lam = np.linspace(0.0, 1.0, m + 1)
         B = (1.0 - lam)[None, :, None] * S[:, None, :] + lam[None, :, None] * E[:, None, :]
-        corners = self._corner_coords(tri)
         flat = B.reshape(-1, 3)
-        pts = _batch_bary_interp(k, corners, flat).reshape(len(S), m + 1, -1)
-        segs = _batch_distance(
-            k, pts[:, :-1].reshape(-1, pts.shape[2]), pts[:, 1:].reshape(-1, pts.shape[2])
-        ).reshape(len(S), m)
-        return segs.sum(axis=1)
+        if self._k is None:
+            flat = np.clip(flat, 0.0, None)
+        pts = self._images_at(np.full(len(flat), ti), flat)
+        return self._chain_lengths(pts, len(S), m)
 
-    def _add_quad_chords(self, tri_boundaries, rows, cols, weights):
+    def _add_quad_chords(self, rows, cols, weights):
         """Chords spanning pairs of triangles that share an edge.
 
         The straight disc segment between boundary nodes of the two triangles
         crosses the shared edge continuously, so these chords avoid the
         Steiner snap error at every other triangle crossing.
         """
-        mesh = self.mg.mesh
-        tris = [tuple(int(x) for x in t) for t in mesh.triangles]
-        coords = mesh.coords
+        coords = self.mg.mesh.coords
+        tris = self._tris
         m = self.chord_samples
-        edge_tris: dict[tuple[int, int], list[int]] = {}
-        for ti, tri in enumerate(tris):
-            for i in range(3):
-                e = tuple(sorted((tri[i], tri[(i + 1) % 3])))
-                edge_tris.setdefault(e, []).append(ti)
-        # Precompute barycentric solvers (2x2 inverses) per triangle.
-        inv = []
-        for tri in tris:
-            p0, p1, p2 = (np.asarray(coords[v], dtype=float) for v in tri)
-            mat = np.column_stack([p1 - p0, p2 - p0])
-            inv.append((np.linalg.inv(mat), p0))
-
-        def bary_in(ti, xy):
-            a_inv, p0 = inv[ti]
-            st = a_inv @ (np.asarray(xy) - p0)
-            b = np.array([1.0 - st[0] - st[1], st[0], st[1]])
-            b = np.clip(b, 0.0, None)
-            return tuple(b / b.sum())
+        lam = np.linspace(0.0, 1.0, m + 1)
 
         def node_xy(ti, bary):
             p0, p1, p2 = (np.asarray(coords[v], dtype=float) for v in tris[ti])
             return bary[0] * p0 + bary[1] * p1 + bary[2] * p2
 
-        for e, owners in edge_tris.items():
+        def off_edge(ti, shared):
+            """Boundary nodes of ti that do not lie on the shared edge."""
+            return [
+                (node, node_xy(ti, bary))
+                for node, bary in self._tri_boundaries[ti]
+                if not (
+                    sum(bary[i] for i in range(3) if tris[ti][i] in shared)
+                    > 1.0 - 1e-12
+                )
+            ]
+
+        for e, owners in self._edge_tris.items():
             if len(owners) != 2:
                 continue
             ta, tb = owners
-            shared = set(e)
-            side_a = [
-                (node, bary, node_xy(ta, bary))
-                for node, bary in tri_boundaries[ta]
-                if not (
-                    sum(bary[i] for i in range(3) if tris[ta][i] in shared)
-                    > 1.0 - 1e-12
-                )
-            ]
-            side_b = [
-                (node, bary, node_xy(tb, bary))
-                for node, bary in tri_boundaries[tb]
-                if not (
-                    sum(bary[i] for i in range(3) if tris[tb][i] in shared)
-                    > 1.0 - 1e-12
-                )
-            ]
+            side_a = off_edge(ta, set(e))
+            side_b = off_edge(tb, set(e))
+            if not side_a or not side_b:
+                continue
+            XA = np.array([xy for _, xy in side_a])
+            XB = np.array([xy for _, xy in side_b])
+            # All chord sample points, chord by chord.
+            flat = (
+                (1.0 - lam)[None, None, :, None] * XA[:, None, None, :]
+                + lam[None, None, :, None] * XB[None, :, None, :]
+            ).reshape(-1, 2)
             # Orientation test against the shared edge line decides which
             # triangle's chart maps each sample point.
             pu, pv = (np.asarray(coords[v], dtype=float) for v in e)
             edge_dir = pv - pu
-
-            def side_sign(xy):
-                rel = np.asarray(xy) - pu
-                return edge_dir[0] * rel[1] - edge_dir[1] * rel[0]
-
-            if not side_a or not side_b:
-                continue
-            sign_a = side_sign(np.mean([xy for _, _, xy in side_a], axis=0))
-            k_batch = _batch_kappa(self.space)
-            if k_batch is None:
-                XA = np.array([xa for _, _, xa in side_a])
-                XB = np.array([xb for _, _, xb in side_b])
-                C = len(side_a) * len(side_b)
-                lam = np.linspace(0.0, 1.0, m + 1)
-                XY = (
-                    (1.0 - lam)[None, None, :, None] * XA[:, None, None, :]
-                    + lam[None, None, :, None] * XB[None, :, None, :]
-                ).reshape(C * (m + 1), 2)
-                rel = XY - pu
-                use_a = (
-                    edge_dir[0] * rel[:, 1] - edge_dir[1] * rel[:, 0]
-                ) * sign_a >= 0
-                pts_list = [None] * len(XY)
-                rows_fn = getattr(self.space, "barycenter_rows", None)
-                for ti, mask in ((ta, use_a), (tb, ~use_a)):
-                    if not mask.any():
-                        continue
-                    a_inv, p0 = inv[ti]
-                    st = (XY[mask] - p0) @ a_inv.T
-                    bary = np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
-                    bary = np.clip(bary, 0.0, None)
-                    bary /= bary.sum(axis=1, keepdims=True)
-                    if rows_fn is not None:
-                        imgs = [self.mg.images[int(v)] for v in tris[ti]]
-                        group = rows_fn(imgs, bary)
-                    else:
-                        group = [
-                            self._tri_point(tris[ti], tuple(b)) for b in bary
-                        ]
-                    for idx, p in zip(np.flatnonzero(mask), group):
-                        pts_list[idx] = p
-                ci = 0
-                for na, _, _ in side_a:
-                    for nb, _, _ in side_b:
-                        chain = pts_list[ci * (m + 1):(ci + 1) * (m + 1)]
-                        weights.append(self.space.curve_length(chain))
-                        rows.append(na)
-                        cols.append(nb)
-                        ci += 1
-                continue
-            XA = np.array([xa for _, _, xa in side_a])
-            XB = np.array([xb for _, _, xb in side_b])
-            C = len(side_a) * len(side_b)
-            lam = np.linspace(0.0, 1.0, m + 1)
-            # All chord sample points, shape (C, m+1, 2).
-            XY = (
-                (1.0 - lam)[None, None, :, None] * XA[:, None, None, :]
-                + lam[None, None, :, None] * XB[None, :, None, :]
-            ).reshape(C, m + 1, 2)
-            flat = XY.reshape(-1, 2)
+            rel = np.mean(XA, axis=0) - pu
+            sign_a = edge_dir[0] * rel[1] - edge_dir[1] * rel[0]
             rel = flat - pu
             use_a = (edge_dir[0] * rel[:, 1] - edge_dir[1] * rel[:, 0]) * sign_a >= 0
-            pts = np.empty((len(flat), self._corner_coords(tris[ta]).shape[1]))
+            bary = np.empty((len(flat), 3))
             for ti, mask in ((ta, use_a), (tb, ~use_a)):
-                if not mask.any():
-                    continue
-                a_inv, p0 = inv[ti]
-                st = (flat[mask] - p0) @ a_inv.T
-                bary = np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
-                bary = np.clip(bary, 0.0, None)
-                bary /= bary.sum(axis=1, keepdims=True)
-                pts[mask] = _batch_bary_interp(
-                    k_batch, self._corner_coords(tris[ti]), bary
-                )
-            pts = pts.reshape(C, m + 1, -1)
-            segs = _batch_distance(
-                k_batch,
-                pts[:, :-1].reshape(-1, pts.shape[2]),
-                pts[:, 1:].reshape(-1, pts.shape[2]),
-            ).reshape(C, m)
-            ws = segs.sum(axis=1)
-            idx = 0
-            for na, _, _ in side_a:
-                for nb, _, _ in side_b:
-                    weights.append(float(ws[idx]))
-                    rows.append(na)
-                    cols.append(nb)
-                    idx += 1
+                st = (flat[mask] - self._p0_stack[ti]) @ self._inv_stack[ti].T
+                bary[mask] = np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
+            bary = np.clip(bary, 0.0, None)
+            bary /= bary.sum(axis=1, keepdims=True)
+            pts = self._images_at(np.where(use_a, ta, tb), bary)
+            ws = self._chain_lengths(pts, len(side_a) * len(side_b), m)
+            pairs = ((na, nb) for na, _ in side_a for nb, _ in side_b)
+            for (na, nb), w in zip(pairs, ws):
+                rows.append(na)
+                cols.append(nb)
+                weights.append(float(w))
 
     def _build_tri_buckets(self, mesh):
         """Uniform-grid spatial index: disc cell -> candidate triangles.
 
-        Each triangle is filed under every cell its bounding box overlaps, so
-        a point's containing triangle is always among its cell's candidates.
+        Cells are sized for about one triangle each.  Each triangle is filed,
+        in index order, under every cell its bounding box overlaps, so a
+        point's containing triangle is always among its cell's candidates.
         """
         coords = np.asarray(mesh.coords, dtype=float)[:, :2]
         lo = coords.min(axis=0)
         hi = coords.max(axis=0)
-        cs = max(self._disc_h, 1e-12)
+        cs = max(math.sqrt(float(np.prod(hi - lo)) / len(self._tris)), 1e-12)
         nx = max(1, int(np.ceil((hi[0] - lo[0]) / cs)))
         ny = max(1, int(np.ceil((hi[1] - lo[1]) / cs)))
         cells: dict[tuple[int, int], list[int]] = {}
@@ -755,7 +680,11 @@ class InducedGraphSpace:
         self._bucket_table = table
 
     def _locate_many(self, pts):
-        """Containing triangle and barycentric coordinates for many points."""
+        """Containing triangle and barycentric coordinates for many points.
+
+        The triangle is the cell candidate with the largest smallest
+        barycentric coordinate, the first such in index order.
+        """
         pts = np.asarray(pts, dtype=float)
         ij = np.floor((pts - self._bucket_lo) / self._bucket_cs).astype(int)
         ix = np.clip(ij[:, 0], 0, self._bucket_shape[0] - 1)
@@ -766,8 +695,8 @@ class InducedGraphSpace:
         diff = pts[:, None, :] - self._p0_stack[safe]
         st = np.einsum("nkij,nkj->nki", self._inv_stack[safe], diff)
         bary = np.concatenate([1.0 - st.sum(axis=2, keepdims=True), st], axis=2)
-        score = np.where(valid, bary.min(axis=2), -np.inf)
-        best = np.argmax(score, axis=1)
+        low = np.minimum(np.minimum(bary[:, :, 0], bary[:, :, 1]), bary[:, :, 2])
+        best = np.argmax(np.where(valid, low, -np.inf), axis=1)
         rows = np.arange(len(pts))
         return cand[rows, best], bary[rows, best]
 
@@ -777,12 +706,6 @@ class InducedGraphSpace:
         """Triangle index whose barycentric coordinates of xy are largest."""
         tri_idx, _ = self._locate_many(np.asarray(xy, dtype=float)[None, :])
         return int(tri_idx[0])
-
-    def _bary_of(self, ti, xy):
-        st = self._inv_stack[ti] @ (np.asarray(xy) - self._p0_stack[ti])
-        b = np.array([1.0 - st[0] - st[1], st[0], st[1]])
-        b = np.clip(b, 0.0, None)
-        return b / b.sum()
 
     def _bnd_node_xy(self, ti, bary):
         tri = self._tris[ti]
@@ -796,46 +719,10 @@ class InducedGraphSpace:
         E = np.asarray(ends_xy, dtype=float)
         lam = np.linspace(0.0, 1.0, m + 1)
         XY = (1.0 - lam)[None, :, None] * S[:, None, :] + lam[None, :, None] * E[:, None, :]
-        flat = XY.reshape(-1, 2)
-        tri_idx, bary_sel = self._locate_many(flat)
-        k_batch = _batch_kappa(self.space)
-        n_pts = len(flat)
-        pts_out = None
-        for ti in np.unique(tri_idx):
-            mask = tri_idx == ti
-            bary = np.clip(bary_sel[mask], 0.0, None)
-            bary /= bary.sum(axis=1, keepdims=True)
-            if k_batch is not None:
-                group = _batch_bary_interp(k_batch, self._corner_coords(self._tris[ti]), bary)
-                if pts_out is None:
-                    pts_out = np.empty((n_pts, group.shape[1]))
-                pts_out[mask] = group
-            else:
-                if pts_out is None:
-                    pts_out = [None] * n_pts
-                idxs = np.flatnonzero(mask)
-                if hasattr(self.space, "barycenter_rows"):
-                    imgs = [self.mg.images[int(v)] for v in self._tris[ti]]
-                    for idx, p in zip(
-                        idxs, self.space.barycenter_rows(imgs, bary)
-                    ):
-                        pts_out[idx] = p
-                else:
-                    for idx, b in zip(idxs, bary):
-                        pts_out[idx] = self._tri_point(self._tris[ti], tuple(b))
-        if k_batch is not None:
-            pts = pts_out.reshape(len(S), m + 1, -1)
-            segs = _batch_distance(
-                k_batch,
-                pts[:, :-1].reshape(-1, pts.shape[2]),
-                pts[:, 1:].reshape(-1, pts.shape[2]),
-            ).reshape(len(S), m)
-            return segs.sum(axis=1)
-        ws = []
-        for ci in range(len(S)):
-            chain = pts_out[ci * (m + 1):(ci + 1) * (m + 1)]
-            ws.append(self.space.curve_length(chain))
-        return np.array(ws)
+        tri_idx, bary = self._locate_many(XY.reshape(-1, 2))
+        bary = np.clip(bary, 0.0, None)
+        bary /= bary.sum(axis=1, keepdims=True)
+        return self._chain_lengths(self._images_at(tri_idx, bary), len(S), m)
 
     # -- contour-following routes (tree targets) ---------------------------
 
@@ -1320,7 +1207,6 @@ def certify_induced(
     refinement: int | None = None,
     steiner: int = 6,
     chord_samples: int = 4,
-    chord_stride: int = 1,
     collect_samples: bool = False,
     probes=None,
 ):
@@ -1335,12 +1221,7 @@ def certify_induced(
     vertex.  Refinement sweeps certify the same geometric triples that way,
     so defect trends across refinements are not confounded by sampling.
     """
-    oracle = InducedGraphSpace(
-        mg,
-        steiner=steiner,
-        chord_samples=chord_samples,
-        chord_stride=chord_stride,
-    )
+    oracle = InducedGraphSpace(mg, steiner=steiner, chord_samples=chord_samples)
     probe_list = None
     if probes is not None:
         xy = np.asarray(mg.mesh.coords, dtype=float)[:, :2]

@@ -179,3 +179,31 @@ def test_unknown_construction_exits_2(tmp_path):
         },
     )
     assert main(["minimize-graph", cfg]) == 2
+
+
+def test_verify_harmonic_with_every_triple_skipped_is_not_a_pass(tmp_path):
+    # Tripod target; with this seed the one sampled triple is skipped.
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        "tripod.json",
+        {
+            "target": {
+                "backend": "tree",
+                "edges": [["o", "a", 1.0], ["o", "b", 1.0], ["o", "c", 1.0]],
+            },
+            "kappa": 0.0,
+            "trace_corners": [
+                ["o", "a", 1.0], ["o", "b", 1.0], ["o", "c", 1.0], ["o", "a", 0.0],
+            ],
+            "refinements": [4],
+            "budgets": {"triples": 1, "grid": 3},
+            "seed": 2,
+            "outdir": str(out),
+        },
+    )
+    assert main(["verify-harmonic", cfg]) != 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False
+    assert [r["n_triples"] for r in report["reports"]] == [0]
+    assert [r["verdict"] for r in report["reports"]] == ["inconclusive"]

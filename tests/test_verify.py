@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from catdisc.constructions import RuledDiscSpec, ruled_disc_map
 from catdisc.errors import GeometryError
-from catdisc.mesh import MappedGraph, grid_mesh
+from catdisc.mesh import MappedGraph, grid_mesh, triangle_fan
 from catdisc.model import Kappa, build_comparison_triangle
 from catdisc.spaces import EuclideanSpace, FlatCone, MetricTree, ModelSpace
 from catdisc.verify import (
     InducedGraphSpace,
+    _batch_distance,
+    _batch_geodesic,
     _compared_distances,
     certify_cat,
     certify_induced,
@@ -301,3 +304,112 @@ def test_certification_reports_bit_identical_across_reruns():
     s2 = certify_cat(ModelSpace(-1.0), Kappa(-1.0), triple_budget=10, grid=6,
                      seed=5)
     assert s1.to_json() == s2.to_json()
+
+
+def test_certification_without_evaluated_triples_is_inconclusive():
+    # Every triple breaks the kappa = 400 perimeter rule and is skipped.
+    report = certify_cat(ModelSpace(1.0), Kappa(400.0), triple_budget=20)
+    assert report.n_triples == 0 and report.n_samples == 0
+    assert report.verdict == "inconclusive"
+    assert not report.passed
+    # Probes that snap to a repeated vertex are skipped the same way.
+    report = certify_induced(
+        flat_identity_grid(2), Kappa(0.0), steiner=1,
+        probes=[[(0.0, 0.0), (0.01, 0.0), (1.0, 1.0)]],
+    )
+    assert (report.n_triples, report.n_skipped) == (0, 1)
+    assert report.verdict == "inconclusive"
+
+
+def brute_force_locate(oracle, pts):
+    """Barycentrics of every point in every triangle; the first triangle with
+    the largest smallest coordinate wins."""
+    inv, p0 = oracle._inv_stack, oracle._p0_stack
+    d0 = pts[:, None, 0] - p0[None, :, 0]
+    d1 = pts[:, None, 1] - p0[None, :, 1]
+    s = inv[None, :, 0, 0] * d0 + inv[None, :, 0, 1] * d1
+    t = inv[None, :, 1, 0] * d0 + inv[None, :, 1, 1] * d1
+    bary = np.stack([1.0 - (s + t), s, t], axis=2)
+    best = np.argmax(bary.min(axis=2), axis=1)
+    return best, bary[np.arange(len(pts)), best]
+
+
+@pytest.mark.parametrize("mesh", [grid_mesh(6), grid_mesh(16), triangle_fan(7)],
+                         ids=["grid6", "grid16", "fan7"])
+def test_point_locator_matches_brute_force(mesh):
+    oracle = InducedGraphSpace(
+        MappedGraph(mesh, EuclideanSpace(2), [np.array(c) for c in mesh.coords]),
+        steiner=1,
+    )
+    rng = np.random.default_rng(11)
+    xy = mesh.coords
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
+    pts = np.vstack([
+        rng.uniform(lo, hi, size=(5000, 2)),
+        xy,
+        0.5 * (xy[mesh.edges[:, 0]] + xy[mesh.edges[:, 1]]),
+        xy + 1e-10 * rng.normal(size=xy.shape),
+    ])
+    want_tri, want_bary = brute_force_locate(oracle, pts)
+    got_tri, got_bary = oracle._locate_many(pts)
+    inside = want_bary.min(axis=1) >= -1e-9
+    assert inside.sum() > 0.5 * len(pts)
+    np.testing.assert_array_equal(got_tri[inside], want_tri[inside])
+    np.testing.assert_array_equal(got_bary[inside], want_bary[inside])
+
+
+def per_triangle_segment_weights(oracle, S, E, m):
+    """Segment weights by one interpolation call per triangle, with the
+    triangle's corners broadcast over its points."""
+    k = 0.0 if isinstance(oracle.space, EuclideanSpace) else oracle.space.kappa.value
+    lam = np.linspace(0.0, 1.0, m + 1)
+    XY = (1.0 - lam)[None, :, None] * S[:, None, :] + lam[None, :, None] * E[:, None, :]
+    tri_idx, bary_sel = oracle._locate_many(XY.reshape(-1, 2))
+    pts = None
+    for ti in np.unique(tri_idx):
+        mask = tri_idx == ti
+        bary = np.clip(bary_sel[mask], 0.0, None)
+        bary /= bary.sum(axis=1, keepdims=True)
+        imgs = [oracle.mg.images[v] for v in oracle._tris[ti]]
+        corners = np.array([getattr(p, "coords", p) for p in imgs], dtype=float)
+        X, Y, Z = (np.broadcast_to(c, (len(bary), len(c))) for c in corners)
+        b0, b1, b2 = bary[:, 0], bary[:, 1], bary[:, 2]
+        M = _batch_geodesic(k, X, Y, b1 / np.maximum(b0 + b1, 1e-15))
+        group = _batch_geodesic(k, M, Z, b2)
+        if pts is None:
+            pts = np.empty((len(tri_idx), group.shape[1]))
+        pts[mask] = group
+    pts = pts.reshape(len(S), m + 1, -1)
+    d = pts.shape[2]
+    segs = _batch_distance(
+        k, pts[:, :-1].reshape(-1, d), pts[:, 1:].reshape(-1, d)
+    ).reshape(len(S), m)
+    return segs.sum(axis=1)
+
+
+def _model_ruled_map(k, n, span, lat):
+    sp = ModelSpace(k)
+    eta0 = tuple(sp.point((span * (i / 8 - 0.5), -lat)) for i in range(9))
+    eta1 = tuple(sp.point((span * (i / 8 - 0.5), lat)) for i in range(9))
+    return ruled_disc_map(RuledDiscSpec(eta0=eta0, eta1=eta1, grid=(n, n), space=sp))
+
+
+@pytest.mark.parametrize("target", ["skew", "sphere", "hyperbolic"])
+def test_segment_weights_equal_the_per_triangle_loop(target):
+    if target == "skew":
+        mg = ruled_disc_map(RuledDiscSpec(
+            eta0=(np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])),
+            eta1=(np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.2])),
+            grid=(6, 6), space=EuclideanSpace(3),
+        ))
+    elif target == "sphere":
+        mg = _model_ruled_map(1.0, 6, 0.6 * math.pi, 0.75)
+    else:
+        mg = _model_ruled_map(-1.0, 6, 1.0, 0.5)
+    oracle = InducedGraphSpace(mg, steiner=2)
+    rng = np.random.default_rng(4)
+    S = rng.uniform(0.0, 1.0, size=(60, 2))
+    E = rng.uniform(0.0, 1.0, size=(60, 2))
+    for m in (oracle.chord_samples, 9):
+        want = per_triangle_segment_weights(oracle, S, E, m)
+        assert np.array_equal(oracle._xy_segment_weights(S, E, samples=m), want)
