@@ -60,13 +60,6 @@ class QuotientMetric:
             self.class_dist[self.vertex_class[x], self.vertex_class[z]]
         )
 
-    def to_csv(self) -> str:
-        lines = [",".join(["class"] + [str(i) for i in range(self.n_classes)])]
-        for i in range(self.n_classes):
-            row = [f"{d:.12g}" for d in self.class_dist[i]]
-            lines.append(",".join([str(i)] + row))
-        return "\n".join(lines) + "\n"
-
 
 def induced_length_metric(mg: MappedGraph) -> QuotientMetric:
     """Quotient of the graph by the induced length pseudometric."""
@@ -222,13 +215,19 @@ def connecting_metric(mg: MappedGraph, x: int, z: int, mode: str = "exact") -> f
 
 @dataclass(frozen=True)
 class MetricComparison:
-    """Sampled check that connecting <= length pseudometric (tau is 1-Lipschitz)."""
+    """Sampled check that connecting <= length pseudometric (tau is 1-Lipschitz).
+
+    `mode` is the `connecting_metric_pairs` mode used.  An "anchor2approx"
+    value lies in [exact/2, exact], so there `ok` is one-sided: False proves
+    connecting > length, True does not rule it out.
+    """
 
     pairs: tuple
     connecting: tuple
     length: tuple
     max_ratio: float
     strict_pairs: tuple
+    mode: str = "exact"
 
     @property
     def ok(self) -> bool:
@@ -263,4 +262,5 @@ def compare_metrics(
         length=tuple(leng),
         max_ratio=float(max(ratios, default=0.0)),
         strict_pairs=tuple(strict),
+        mode=mode,
     )

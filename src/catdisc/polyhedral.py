@@ -225,13 +225,6 @@ class DiscreteMapPair:
         imgs = [self.mg.images[v] for v in cell.mesh_vertices]
         return _bary_geodesic(self.mg.space, imgs, pt.bary)
 
-    def chart_point(self, pt: ComplexPoint):
-        """Same barycentric construction inside the cell's own chart."""
-        cell = self.complex.cells[pt.cell]
-        return _bary_geodesic_model(
-            self.complex.kappa, list(cell.chart.vertices), pt.bary
-        )
-
 
 def _bary_geodesic(space, corners, bary):
     u, v, w = bary

@@ -239,7 +239,12 @@ class TreePoint:
 
 
 class MetricTree(TargetSpace):
-    """Weighted tree graph with its path metric; CAT(kappa) for every kappa."""
+    """Weighted tree graph with its path metric; CAT(kappa) for every kappa.
+
+    The array kernel (`as_array`, `distance_arrays`, `tripod_means`) takes
+    points as (N, 2) arrays of edge index into `edges` and offset from that
+    edge's first vertex.
+    """
 
     def __init__(self, edges):
         self.edges = [(u, v, float(w)) for u, v, w in edges]
@@ -272,6 +277,13 @@ class MetricTree(TargetSpace):
                 raise ValueError("graph is not connected")
             self._vdist[root] = dist
             self._parent[root] = parent
+        names = list(self.adj)
+        self._vmat = np.array([[self._vdist[x][y] for y in names] for x in names])
+        index = {x: i for i, x in enumerate(names)}
+        self._ends = np.array([[index[u], index[v]] for u, v, _ in self.edges])
+        self._lengths = np.array([w for _, _, w in self.edges])
+        self._edge_index = {(u, v): e for e, (u, v, _) in enumerate(self.edges)}
+        self._edge_index.update({(v, u): e for (u, v), e in self._edge_index.items()})
         self.curvature_bound = 0.0
 
     def vertex_point(self, u) -> TreePoint:
@@ -293,10 +305,6 @@ class MetricTree(TargetSpace):
         d = self._vdist[x]
         return min(d[p.u] + p.offset, d[p.v] + (self.adj[p.u][p.v] - p.offset))
 
-    @staticmethod
-    def _same_edge(p: TreePoint, q: TreePoint) -> bool:
-        return {p.u, p.v} == {q.u, q.v}
-
     def _offset_from(self, p: TreePoint, x) -> float:
         """Offset of p measured from endpoint x of its edge."""
         if x == p.u:
@@ -305,7 +313,7 @@ class MetricTree(TargetSpace):
 
     def distance(self, p, q) -> float:
         p, q = self._coerce(p), self._coerce(q)
-        if self._same_edge(p, q):
+        if {p.u, p.v} == {q.u, q.v}:
             return abs(self._offset_from(p, p.u) - self._offset_from(q, p.u))
         return min(
             self._offset_from(p, x) + self._vdist[x][y] + self._offset_from(q, y)
@@ -313,12 +321,28 @@ class MetricTree(TargetSpace):
             for y in (q.u, q.v)
         )
 
-    def _vertex_path(self, x, y):
-        parent = self._parent[x]
+    def _pieces(self, p: TreePoint, q: TreePoint):
+        """The p-q geodesic as pieces (a, b, start, sign, length): along edge
+        a-b from offset `start` (measured from a) in direction `sign`."""
+        if {p.u, p.v} == {q.u, q.v}:
+            op, oq = p.offset, self._offset_from(q, p.u)
+            return [(p.u, p.v, op, 1.0 if oq >= op else -1.0, abs(oq - op))]
+        x, y = min(
+            ((a, b) for a in (p.u, p.v) for b in (q.u, q.v)),
+            key=lambda xy: self._offset_from(p, xy[0])
+            + self._vdist[xy[0]][xy[1]]
+            + self._offset_from(q, xy[1]),
+        )
         path = [y]
         while path[-1] != x:
-            path.append(parent[path[-1]])
-        return path[::-1]
+            path.append(self._parent[x][path[-1]])
+        path.reverse()
+        o1 = self._offset_from(p, x)
+        return (
+            [(x, p.v if x == p.u else p.u, o1, -1.0, o1)]
+            + [(a, b, 0.0, 1.0, self.adj[a][b]) for a, b in zip(path, path[1:])]
+            + [(y, q.v if y == q.u else q.u, 0.0, 1.0, self._offset_from(q, y))]
+        )
 
     def geodesic(self, p, q, t: float):
         p, q = self._coerce(p), self._coerce(q)
@@ -326,30 +350,13 @@ class MetricTree(TargetSpace):
         if d < 1e-15:
             return p
         s = t * d
-        if self._same_edge(p, q):
-            op, oq = self._offset_from(p, p.u), self._offset_from(q, p.u)
-            return TreePoint(p.u, p.v, op + t * (oq - op))
-        best = min(
-            ((x, y) for x in (p.u, p.v) for y in (q.u, q.v)),
-            key=lambda xy: self._offset_from(p, xy[0])
-            + self._vdist[xy[0]][xy[1]]
-            + self._offset_from(q, xy[1]),
-        )
-        x, y = best
-        o1 = self._offset_from(p, x)
-        if s <= o1:
-            # Still on p's edge, moving toward x.
-            frac = (o1 - s) / self.adj[p.u][p.v]
-            off = frac * self.adj[p.u][p.v]
-            return TreePoint(x, p.v if x == p.u else p.u, off)
-        s -= o1
-        path = self._vertex_path(x, y)
-        for a, b in zip(path, path[1:]):
-            w = self.adj[a][b]
-            if s <= w + 1e-15:
-                return TreePoint(a, b, min(s, w))
-            s -= w
-        return TreePoint(y, q.v if y == q.u else q.u, min(s, self.adj[q.u][q.v]))
+        pieces = self._pieces(p, q)
+        k = 0
+        while k < len(pieces) - 1 and s > pieces[k][4] + 1e-15:
+            s -= pieces[k][4]
+            k += 1
+        a, b, start, sign, length = pieces[k]
+        return TreePoint(a, b, start + sign * min(s, length))
 
     def geodesic_breakpoints(self, p, q):
         """Arclength fractions in (0, 1) where the p-q geodesic meets vertices.
@@ -359,25 +366,96 @@ class MetricTree(TargetSpace):
         """
         p, q = self._coerce(p), self._coerce(q)
         d = self.distance(p, q)
-        if d < 1e-15 or self._same_edge(p, q):
+        if d < 1e-15:
             return []
-        x, y = min(
-            ((a, b) for a in (p.u, p.v) for b in (q.u, q.v)),
-            key=lambda xy: self._offset_from(p, xy[0])
-            + self._vdist[xy[0]][xy[1]]
-            + self._offset_from(q, xy[1]),
+        fracs = np.cumsum([piece[4] for piece in self._pieces(p, q)[:-1]]) / d
+        return [float(f) for f in fracs if 1e-9 < f < 1.0 - 1e-9]
+
+    def as_array(self, points) -> np.ndarray:
+        """Tree points as an (N, 2) array of edge index and offset."""
+        out = np.empty((len(points), 2))
+        for i, p in enumerate(points):
+            p = self._coerce(p)
+            e = self._edge_index[p.u, p.v]
+            u, _, w = self.edges[e]
+            out[i] = e, p.offset if p.u == u else w - p.offset
+        return out
+
+    def distance_arrays(self, X, Y) -> np.ndarray:
+        """Distances between row-aligned (N, 2) array points: |offset
+        difference| on a shared edge, else the shortest of the four routes
+        through the edges' endpoints."""
+        ex, ey = X[:, 0].astype(np.intp), Y[:, 0].astype(np.intp)
+        ox, oy = X[:, 1], Y[:, 1]
+        rx, ry = self._lengths[ex] - ox, self._lengths[ey] - oy
+        (ax, bx), (ay, by) = self._ends[ex].T, self._ends[ey].T
+        D = self._vmat
+        d = np.minimum(
+            np.minimum(ox + D[ax, ay] + oy, ox + D[ax, by] + ry),
+            np.minimum(rx + D[bx, ay] + oy, rx + D[bx, by] + ry),
         )
-        acc = self._offset_from(p, x)
-        fracs = [acc / d]
-        path = self._vertex_path(x, y)
-        for a, b in zip(path, path[1:]):
-            acc += self.adj[a][b]
-            fracs.append(acc / d)
-        return [f for f in fracs if 1e-9 < f < 1.0 - 1e-9]
+        return np.where(ex == ey, np.abs(ox - oy), d)
+
+    def tripod_tables(self, corners):
+        """Per-triangle tables of `tripod_means` for (p0, p1, p2) triples.
+
+        Three tree points span a tripod with median c and legs of length
+        L_i = d(p_i, c) = (d_ij + d_ik - d_jk) / 2.  Leg i is stored as the
+        pieces of the geodesic from p_i to the other corner farther from c,
+        which passes through c: the arclength where each piece starts
+        (padded with inf), its edge index, its offset there and direction.
+        """
+        P = self.as_array([p for tri in corners for p in tri]).reshape(-1, 3, 2)
+        sides = ((1, 2), (2, 0), (0, 1))
+        d = np.column_stack([self.distance_arrays(P[:, j], P[:, k]) for j, k in sides])
+        legs = np.maximum(0.5 * (d.sum(axis=1, keepdims=True) - 2.0 * d), 0.0)
+        paths = [
+            self._pieces(tri[i], tri[j] if L[j] >= L[k] else tri[k])
+            for tri, L in zip(corners, legs)
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        ]
+        shape = (len(paths), max(map(len, paths)))
+        starts, offs, signs = np.full(shape, np.inf), np.zeros(shape), np.zeros(shape)
+        edges = np.zeros(shape, dtype=np.intp)
+        for r, path in enumerate(paths):
+            acc = 0.0
+            for c, (a, b, start, sign, length) in enumerate(path):
+                e = self._edge_index[a, b]
+                forward = a == self.edges[e][0]
+                starts[r, c], edges[r, c] = acc, e
+                offs[r, c] = start if forward else self.edges[e][2] - start
+                signs[r, c] = sign if forward else -sign
+                acc += length
+        shape = (len(legs), 3, shape[1])
+        return legs, *(a.reshape(shape) for a in (starts, edges, offs, signs))
+
+    def tripod_means(self, tables, tri_idx, weight_rows) -> np.ndarray:
+        """Frechet means, as (N, 2) array points, of the triangles `tri_idx`
+        of `tables` under rows of barycentric weights.
+
+        On leg i at distance x from c, sum_j w_j d(., p_j)^2 is least at
+        x_i = 2 w_i L_i - sum_j w_j L_j (rows normalised to sum 1).  At most
+        one x_i is positive, and x_i <= w_i L_i; the mean is c when none is.
+        Barycentres in CAT(0) spaces are unique (Sturm, "Probability measures
+        on metric spaces of nonpositive curvature", 2003), so this is the
+        minimizer of `barycenter`.
+        """
+        legs, starts, edges, offs, signs = tables
+        W = np.asarray(weight_rows, dtype=float)
+        W = W / W.sum(axis=1, keepdims=True)
+        L = legs[tri_idx]
+        x = 2.0 * W * L - (W * L).sum(axis=1, keepdims=True)
+        rows = np.arange(len(W))
+        leg = np.argmax(x, axis=1)
+        s = L[rows, leg] - np.maximum(x[rows, leg], 0.0)
+        at = starts[tri_idx, leg]
+        k = np.maximum((at <= s[:, None]).sum(axis=1) - 1, 0)
+        e = edges[tri_idx, leg, k]
+        o = offs[tri_idx, leg, k] + signs[tri_idx, leg, k] * (s - at[rows, k])
+        return np.column_stack([e, np.clip(o, 0.0, self._lengths[e])])
 
     def random_point(self, rng):
-        weights = np.array([w for _, _, w in self.edges])
-        i = int(rng.choice(len(self.edges), p=weights / weights.sum()))
+        i = int(rng.choice(len(self.edges), p=self._lengths / self._lengths.sum()))
         u, v, w = self.edges[i]
         return TreePoint(u, v, float(rng.uniform(0.0, w)))
 
@@ -395,14 +473,7 @@ class MetricTree(TargetSpace):
                 breaks.append(o)
                 pieces.append((-1.0, o, 1.0, -o))
             else:
-                du = min(
-                    self._vdist[u][p.u] + p.offset,
-                    self._vdist[u][p.v] + (self.adj[p.u][p.v] - p.offset),
-                )
-                dv = min(
-                    self._vdist[v][p.u] + p.offset,
-                    self._vdist[v][p.v] + (self.adj[p.u][p.v] - p.offset),
-                )
+                du, dv = self._vertex_distance_to(u, p), self._vertex_distance_to(v, p)
                 tb = min(max(0.5 * (w_e + dv - du), 0.0), w_e)
                 breaks.append(tb)
                 pieces.append((1.0, du, -1.0, w_e + dv))
@@ -451,51 +522,19 @@ class MetricTree(TargetSpace):
         return self._minimize_on_edges(pts, w, squared=True)
 
     def barycenter_rows(self, points, weight_rows):
-        """Frechet means of fixed anchors under many weight vectors at once.
+        """Frechet means of three anchors under many weight rows at once.
 
-        Same minimization as `barycenter` (edge restrictions are piecewise
-        quadratic in the offset), vectorized over the rows of `weight_rows`;
-        rows may contain zeros but must not be all-zero.
+        The closed form of `tripod_means`; rows may contain zeros but must
+        not be all-zero.
         """
-        pts = [self._coerce(p) for p in points]
         W = np.asarray(weight_rows, dtype=float)
-        if W.ndim != 2 or W.shape[1] != len(pts):
-            raise ValueError("one weight per anchor in every row required")
+        if len(points) != 3 or W.ndim != 2 or W.shape[1] != 3:
+            raise ValueError("three anchors and three weights per row required")
         if np.any(W < 0) or np.any(W.sum(axis=1) <= 0):
             raise ValueError("rows must be nonnegative with positive sum")
-        n = W.shape[0]
-        best_val = np.full(n, np.inf)
-        best_edge = np.zeros(n, dtype=int)
-        best_t = np.zeros(n)
-        for ei, (u, v, w_e) in enumerate(self.edges):
-            breaks, pieces = self._edge_pieces(u, v, w_e, pts)
-            knots = sorted({0.0, w_e, *(tb for tb in breaks if 0.0 < tb < w_e)})
-            for lo, hi in zip(knots, knots[1:]):
-                mid = 0.5 * (lo + hi)
-                s = np.array(
-                    [p[0] if mid <= tb else p[2] for tb, p in zip(breaks, pieces)]
-                )
-                c = np.array(
-                    [p[1] if mid <= tb else p[3] for tb, p in zip(breaks, pieces)]
-                )
-                a_coef = W @ (s * s)
-                b_coef = 2.0 * (W @ (s * c))
-                c_coef = W @ (c * c)
-                t = np.where(
-                    a_coef > 0.0,
-                    -b_coef / (2.0 * np.maximum(a_coef, 1e-300)),
-                    mid,
-                )
-                t = np.clip(t, lo, hi)
-                val = (a_coef * t + b_coef) * t + c_coef
-                upd = val < best_val
-                best_val[upd] = val[upd]
-                best_edge[upd] = ei
-                best_t[upd] = t[upd]
-        return [
-            TreePoint(self.edges[e][0], self.edges[e][1], float(t))
-            for e, t in zip(best_edge, best_t)
-        ]
+        tables = self.tripod_tables([points])
+        X = self.tripod_means(tables, np.zeros(len(W), dtype=np.intp), W)
+        return [TreePoint(*self.edges[int(e)][:2], float(o)) for e, o in X]
 
     def fermat_point(self, points, weights=None):
         pts, w = self._normalized_weights(points, weights)

@@ -346,6 +346,14 @@ class InducedGraphSpace:
     weighted by the image polyline length of the interpolated map along the
     straight disc segment. Geodesics are realized as shortest-path polylines;
     `geodesic(p, q, t)` returns the node nearest to arclength t along it.
+
+    The interpolant fills each triangle from its corner images: iterated
+    geodesics on Euclidean and M_kappa targets, and on tree targets the
+    weighted Frechet mean, unique in CAT(0) spaces (Sturm 2003), in closed
+    form on the tripod the corners span (`MetricTree.tripod_means`); it does
+    not backtrack around branch points, which would inflate sampled lengths.
+    Both run on arrays with their backend's array distance; other targets
+    (cones) go point by point.
     """
 
     def __init__(self, mg: MappedGraph, steiner: int = 6, chord_samples: int = 4):
@@ -365,17 +373,9 @@ class InducedGraphSpace:
     # -- construction -----------------------------------------------------
 
     def _tri_point(self, tri, bary):
-        """Image of a barycentric point under the filled-in interpolant."""
+        """Iterated-geodesic interpolant at one point (no array kernel)."""
         imgs = [self.mg.images[int(v)] for v in tri]
         b0, b1, b2 = bary
-        # Tree targets get the (exact) Frechet-mean interpolant: iterated
-        # geodesics backtrack around branch points, which inflates sampled
-        # curve lengths, while the weighted barycenter varies monotonically.
-        if isinstance(self.space, MetricTree):
-            kept = [(p, b) for p, b in zip(imgs, bary) if b > 1e-15]
-            if len(kept) == 1:
-                return kept[0][0]
-            return self.space.barycenter(*zip(*[(p, b) for p, b in kept]))
         if b0 + b1 < 1e-15:
             return imgs[2]
         m = self.space.geodesic(imgs[0], imgs[1], b1 / (b0 + b1))
@@ -486,20 +486,13 @@ class InducedGraphSpace:
         self._disc_h = max(disc_l) if disc_l else 1.0
         self._temp: list = []
         # Duplicate entries would sum in CSR; keep the minimum weight instead.
-        dedup: dict[tuple[int, int], float] = {}
-        for a, b, w in zip(rows, cols, weights):
-            key = (a, b) if a < b else (b, a)
-            if key not in dedup or w < dedup[key]:
-                dedup[key] = w
-        r2 = [k2[0] for k2 in dedup]
-        c2 = [k2[1] for k2 in dedup]
-        w2 = list(dedup.values())
+        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+        order = np.lexsort((weights, hi, lo))
+        lo, hi, w = lo[order], hi[order], np.asarray(weights)[order]
+        first = np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])]
+        lo, hi, w = lo[first], hi[first], w[first]
         self.graph = coo_matrix(
-            (
-                np.concatenate([w2, w2]),
-                (np.concatenate([r2, c2]), np.concatenate([c2, r2])),
-            ),
-            shape=(n_nodes, n_nodes),
+            (np.r_[w, w], (np.r_[lo, hi], np.r_[hi, lo])), shape=(n_nodes, n_nodes)
         ).tocsr()
 
     def _build_tri_geometry(self, mesh):
@@ -525,8 +518,12 @@ class InducedGraphSpace:
                 nbrs[owners[1]].add(owners[0])
         self._tri_neighbors = {ti: sorted(s) for ti, s in nbrs.items()}
         self._edge_tris = {e: tuple(t) for e, t in owner.items()}
-        # Corner images (n_tris, 3, d) for the array kernels.
-        self._corners = None
+        # Corner images (n_tris, 3, d) or tripod tables for the array kernels.
+        self._corners = self._tripods = None
+        if isinstance(self.space, MetricTree):
+            self._tripods = self.space.tripod_tables(
+                [[self.mg.images[v] for v in tri] for tri in self._tris]
+            )
         if self._k is not None:
             if isinstance(self.space, ModelSpace):
                 verts = np.array([p.coords for p in self.mg.images])
@@ -538,38 +535,28 @@ class InducedGraphSpace:
     def _images_at(self, tri_idx, bary):
         """Interpolant images of disc points given by triangle and barycentrics.
 
-        Array-kernel backends get one (N, d) array from a single corner
-        gather; other backends get a list, filled one triangle at a time.
+        Array-kernel backends get one (N, d) array: a corner gather, or tree
+        points (edge index, offset); other backends get a list of points.
         """
         if self._k is not None:
             return _batch_bary_interp(self._k, self._corners[tri_idx], bary)
-        pts = [None] * len(bary)
-        rows_fn = getattr(self.space, "barycenter_rows", None)
-        for ti in np.unique(tri_idx):
-            idxs = np.flatnonzero(tri_idx == ti)
-            tri = self._tris[ti]
-            if rows_fn is not None:
-                group = rows_fn([self.mg.images[v] for v in tri], bary[idxs])
-            else:
-                group = [self._tri_point(tri, tuple(b)) for b in bary[idxs]]
-            for i, p in zip(idxs, group):
-                pts[i] = p
-        return pts
+        if self._tripods is not None:
+            return self.space.tripod_means(self._tripods, tri_idx, bary)
+        return [self._tri_point(self._tris[ti], b) for ti, b in zip(tri_idx, bary)]
 
     def _chain_lengths(self, pts, n_chains, m):
         """Image polyline lengths of `n_chains` consecutive runs of m + 1
         points."""
-        if self._k is not None:
-            P = pts.reshape(n_chains, m + 1, -1)
-            d = P.shape[2]
-            segs = _batch_distance(
-                self._k, P[:, :-1].reshape(-1, d), P[:, 1:].reshape(-1, d)
-            )
-            return segs.reshape(n_chains, m).sum(axis=1)
-        return np.array([
-            self.space.curve_length(pts[ci * (m + 1):(ci + 1) * (m + 1)])
-            for ci in range(n_chains)
-        ])
+        if self._k is None and self._tripods is None:
+            return np.array([
+                self.space.curve_length(pts[ci * (m + 1):(ci + 1) * (m + 1)])
+                for ci in range(n_chains)
+            ])
+        P = pts.reshape(n_chains, m + 1, -1)
+        X, Y = P[:, :-1].reshape(-1, P.shape[2]), P[:, 1:].reshape(-1, P.shape[2])
+        if self._k is None:
+            return self.space.distance_arrays(X, Y).reshape(n_chains, m).sum(axis=1)
+        return _batch_distance(self._k, X, Y).reshape(n_chains, m).sum(axis=1)
 
     def _chord_weights(self, ti, start_barys, end_barys):
         """Image polyline lengths of straight barycentric segments in
@@ -732,8 +719,9 @@ class InducedGraphSpace:
             return self.node_images[n]
         xy = self._temp[n - self.n_nodes]["xy"]
         ti, bb = self._locate_many(np.asarray(xy, dtype=float)[None, :])
-        b = np.clip(bb[0], 0.0, None)
-        return self._tri_point(self._tris[int(ti[0])], tuple(b / b.sum()))
+        b = np.clip(bb[0], 0.0, None)[None, :]
+        tri = self._tris[int(ti[0])]
+        return self.space.barycenter_rows([self.mg.images[v] for v in tri], b)[0]
 
     def _edge_level_crossing(self, u, v, lam):
         """Disc point on mesh edge (u, v) whose image is lam, if any.
@@ -911,30 +899,18 @@ class InducedGraphSpace:
         self._aug = (t, aug)
         return aug
 
-    def _solve_base(self, source: int):
-        """Distances and predecessors on the base graph, ignoring temp nodes."""
-        key = (int(source), 0)
+    def _solve(self, source: int, base: bool = False):
+        """Distances and predecessors from `source`, cached for the last 64
+        (source, temp count) keys; `base` ignores the temporary nodes."""
+        key = (int(source), 0 if base else len(self._temp))
         if key not in self._cache:
-            dist, pred = dijkstra(
-                self.graph, directed=False, indices=key[0],
-                return_predecessors=True,
+            self._cache[key] = dijkstra(
+                self.graph if base else self._matrix(), directed=False,
+                indices=key[0], return_predecessors=True,
             )
-            self._cache[key] = (dist, pred)
-            self._cache_order.append(key)
-        return self._cache[key]
-
-    def _solve(self, source: int):
-        key = (int(source), len(self._temp))
-        if key not in self._cache:
-            dist, pred = dijkstra(
-                self._matrix(), directed=False, indices=key[0],
-                return_predecessors=True,
-            )
-            self._cache[key] = (dist, pred)
             self._cache_order.append(key)
             if len(self._cache_order) > 64:
-                evict = self._cache_order.pop(0)
-                del self._cache[evict]
+                del self._cache[self._cache_order.pop(0)]
         return self._cache[key]
 
     def _node_pos(self, n):
@@ -952,26 +928,13 @@ class InducedGraphSpace:
         induced distance; their minimum strips the lateral staircase excess
         of pure graph paths.
         """
-        p = int(p)
+        p, targets = int(p), [int(q) for q in targets]
+        if p >= self.n_vertices or any(q >= self.n_vertices for q in targets):
+            return self.distance_rows([p], targets)[0]
         dist, _ = self._solve(p)
-        graph_d = [float(dist[int(q)]) for q in targets]
-        if p < self.n_vertices and all(int(q) < self.n_vertices for q in targets):
-            out = []
-            for q, g in zip(targets, graph_d):
-                q = int(q)
-                if q == p:
-                    out.append(0.0)
-                else:
-                    _, arcs = self._shorten_curve(p, q)
-                    out.append(min(g, float(arcs[-1])))
-            return self._fiber_post([p], targets, [out])[0]
-        pxy = self._node_pos(p)
-        txy = np.array([self._node_pos(q) for q in targets])
-        same = np.linalg.norm(txy - pxy, axis=1) < 1e-14
-        lens = self._relax_curves(np.repeat(pxy[None, :], len(targets), axis=0), txy)
         out = [
-            0.0 if sm else min(g, float(l))
-            for g, l, sm in zip(graph_d, lens, same)
+            0.0 if q == p else min(float(dist[q]), float(self._shorten_curve(p, q)[1][-1]))
+            for q in targets
         ]
         return self._fiber_post([p], targets, [out])[0]
 
@@ -1034,7 +997,7 @@ class InducedGraphSpace:
         return xy, arcs
 
     def _shorten_curve_impl(self, a, b):
-        dist, pred = self._solve_base(a)
+        dist, pred = self._solve(a, base=True)
         path = [int(b)]
         while path[-1] != int(a):
             nxt = int(pred[path[-1]])

@@ -144,9 +144,22 @@ def test_connecting_at_most_length():
     for seed in range(3):
         mg = small_mapped_grid(seed)
         cmp = compare_metrics(mg, max_pairs=36, seed=seed)
-        assert cmp.ok
+        assert cmp.ok and cmp.mode == "exact"
         for c, l in zip(cmp.connecting, cmp.length):
             assert c <= l + 1e-9
+
+
+def test_compare_metrics_above_twenty_vertices_is_approximate():
+    # Identity map of a grid: the exact connecting distance is |x - z|,
+    # and the approximation lies in [exact/2, exact].
+    mesh = grid_mesh(4)  # 25 vertices
+    mg = MappedGraph(mesh, EuclideanSpace(2), [np.array(c) for c in mesh.coords])
+    cmp = compare_metrics(mg, max_pairs=40, seed=1)
+    assert cmp.mode == "anchor2approx" and cmp.ok
+    for (x, z), c, l in zip(cmp.pairs, cmp.connecting, cmp.length):
+        exact = float(np.linalg.norm(mesh.coords[x] - mesh.coords[z]))
+        assert exact / 2.0 - 1e-12 <= c <= exact + 1e-12
+        assert c <= l + 1e-12
 
 
 def test_disconnected_graph_rejected():

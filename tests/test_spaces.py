@@ -159,6 +159,81 @@ class TestMetricTree:
         with pytest.raises(ValueError):
             MetricTree([("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)])
 
+    def test_barycenter_rows_take_three_anchors(self):
+        t = self.tree
+        pts = [t.vertex_point(x) for x in ("a", "b", "c", "o")]
+        with pytest.raises(ValueError):
+            t.barycenter_rows(pts, np.full((2, 4), 0.25))
+        with pytest.raises(ValueError):
+            t.barycenter_rows(pts[:3], np.zeros((1, 3)))
+
+
+TRIPOD = [("o", "a", 1.0), ("o", "b", 1.0), ("o", "c", 1.0)]
+# A spine s0..s4 with legs hanging off it: tripod legs cross several edges.
+CATERPILLAR = [
+    ("s0", "s1", 0.7), ("s1", "s2", 1.3), ("s2", "s3", 0.4), ("s3", "s4", 0.9),
+    ("s0", "l0", 0.6), ("s1", "l1", 0.5), ("l1", "m1", 0.8), ("s2", "l2", 1.1),
+    ("s3", "l3", 0.3),
+]
+
+
+def random_tree_point(tree, rng):
+    """A random edge point, a vertex, or either written from the other end."""
+    if rng.uniform() < 0.3:
+        verts = list(tree.adj)
+        p = tree.vertex_point(verts[rng.integers(len(verts))])
+    else:
+        p = tree.random_point(rng)
+    if rng.uniform() < 0.5:
+        p = TreePoint(p.v, p.u, tree.adj[p.u][p.v] - p.offset)
+    return p
+
+
+@pytest.mark.parametrize("edges", [TRIPOD, CATERPILLAR], ids=["tripod", "caterpillar"])
+def test_closed_form_means_match_the_edge_scan(edges):
+    tree = MetricTree(edges)
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for trial in range(120):
+        corners = [random_tree_point(tree, rng) for _ in range(3)]
+        if trial % 6 == 1:
+            corners[2] = corners[0]
+        elif trial % 6 == 2:
+            corners = [corners[1]] * 3
+        elif trial % 6 == 3:  # the same vertex written on two edges
+            corners[1] = TreePoint(corners[0].u, corners[0].v, 0.0)
+            corners[2] = tree.vertex_point(corners[0].u)
+        rows = rng.uniform(size=(12, 3))
+        rows[rng.uniform(size=rows.shape) < 0.3] = 0.0
+        rows[rows.sum(axis=1) == 0.0, trial % 3] = 1.0
+        got = tree.barycenter_rows(corners, rows)
+        for w, p in zip(rows, got):
+            keep = w > 0.0
+            want = tree.barycenter(
+                [c for c, k in zip(corners, keep) if k], w[keep]
+            )
+            worst = max(worst, tree.distance(p, want))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("edges", [TRIPOD, CATERPILLAR], ids=["tripod", "caterpillar"])
+def test_array_distance_matches_scalar_distance(edges):
+    tree = MetricTree(edges)
+    rng = np.random.default_rng(6)
+    P = [random_tree_point(tree, rng) for _ in range(400)]
+    Q = [random_tree_point(tree, rng) for _ in range(400)]
+    # Same-edge pairs, in both orientations.
+    for i in range(0, 100, 2):
+        p = P[i]
+        Q[i] = TreePoint(p.u, p.v, float(rng.uniform(0.0, tree.adj[p.u][p.v])))
+        Q[i + 1] = TreePoint(p.v, p.u, float(rng.uniform(0.0, tree.adj[p.u][p.v])))
+        P[i + 1] = p
+    got = tree.distance_arrays(tree.as_array(P), tree.as_array(Q))
+    want = np.array([tree.distance(p, q) for p, q in zip(P, Q)])
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.array_equal(tree.distance_arrays(tree.as_array(P), tree.as_array(P)),
+                          np.zeros(len(P)))
+
 
 class TestFlatCone:
     @pytest.mark.parametrize("theta", [1.5 * math.pi, 2.5 * math.pi])

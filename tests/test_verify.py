@@ -4,12 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
-from catdisc.constructions import RuledDiscSpec, ruled_disc_map
+from catdisc.constructions import (
+    HarmonicSpec,
+    RuledDiscSpec,
+    harmonic_relax,
+    ruled_disc_map,
+)
 from catdisc.errors import GeometryError
 from catdisc.mesh import MappedGraph, grid_mesh, triangle_fan
 from catdisc.model import Kappa, build_comparison_triangle
-from catdisc.spaces import EuclideanSpace, FlatCone, MetricTree, ModelSpace
+from catdisc.spaces import EuclideanSpace, FlatCone, MetricTree, ModelSpace, TreePoint
 from catdisc.verify import (
     InducedGraphSpace,
     _batch_distance,
@@ -413,3 +419,90 @@ def test_segment_weights_equal_the_per_triangle_loop(target):
     for m in (oracle.chord_samples, 9):
         want = per_triangle_segment_weights(oracle, S, E, m)
         assert np.array_equal(oracle._xy_segment_weights(S, E, samples=m), want)
+
+
+def edge_scan_rows(tree, corners, W):
+    """Frechet means by minimizing the piecewise-quadratic energy on every
+    tree edge, vectorized over weight rows (the reference interpolant)."""
+    best_val = np.full(len(W), np.inf)
+    best_edge = np.zeros(len(W), dtype=int)
+    best_t = np.zeros(len(W))
+    for ei, (u, v, w_e) in enumerate(tree.edges):
+        breaks, pieces = tree._edge_pieces(u, v, w_e, corners)
+        knots = sorted({0.0, w_e, *(tb for tb in breaks if 0.0 < tb < w_e)})
+        for lo, hi in zip(knots, knots[1:]):
+            mid = 0.5 * (lo + hi)
+            sc = np.array([p[:2] if mid <= tb else p[2:] for tb, p in zip(breaks, pieces)])
+            s, c = sc[:, 0], sc[:, 1]
+            a, b, c0 = W @ (s * s), 2.0 * (W @ (s * c)), W @ (c * c)
+            t = np.where(a > 0.0, -b / (2.0 * np.maximum(a, 1e-300)), mid)
+            t = np.clip(t, lo, hi)
+            val = (a * t + b) * t + c0
+            upd = val < best_val
+            best_val[upd], best_edge[upd], best_t[upd] = val[upd], ei, t[upd]
+    return [TreePoint(*tree.edges[e][:2], float(t)) for e, t in zip(best_edge, best_t)]
+
+
+def edge_scan_segment_weights(oracle, S, E, m):
+    """Segment weights through the edge scan, one triangle at a time, and
+    the scalar polyline length."""
+    tree = oracle.space
+    lam = np.linspace(0.0, 1.0, m + 1)
+    XY = (1.0 - lam)[None, :, None] * S[:, None, :] + lam[None, :, None] * E[:, None, :]
+    tri_idx, bary = oracle._locate_many(XY.reshape(-1, 2))
+    bary = np.clip(bary, 0.0, None)
+    bary /= bary.sum(axis=1, keepdims=True)
+    pts = [None] * len(bary)
+    for ti in np.unique(tri_idx):
+        idxs = np.flatnonzero(tri_idx == ti)
+        corners = [oracle.mg.images[v] for v in oracle._tris[ti]]
+        for i, p in zip(idxs, edge_scan_rows(tree, corners, bary[idxs])):
+            pts[i] = p
+    return np.array([
+        tree.curve_length(pts[c * (m + 1):(c + 1) * (m + 1)]) for c in range(len(S))
+    ])
+
+
+def harmonic_tripod_map(n):
+    tree = MetricTree([("o", "a", 1.0), ("o", "b", 1.0), ("o", "c", 1.0)])
+    mesh = grid_mesh(n)
+    ca, cb, cc, co = (tree.vertex_point(leg) for leg in ("a", "b", "c", "o"))
+    trace = {}
+    for v in np.flatnonzero(mesh.boundary):
+        a, t = mesh.coords[v]
+        if t == 0.0:
+            trace[int(v)] = tree.geodesic(ca, cb, a)
+        elif t == 1.0:
+            trace[int(v)] = tree.geodesic(co, cc, a)
+        elif a == 0.0:
+            trace[int(v)] = tree.geodesic(ca, co, t)
+        else:
+            trace[int(v)] = tree.geodesic(cb, cc, t)
+    return harmonic_relax(HarmonicSpec(mesh, trace, tree)).graph
+
+
+def test_tree_segment_weights_match_the_edge_scan_path():
+    oracle = InducedGraphSpace(harmonic_tripod_map(6), steiner=2)
+    rng = np.random.default_rng(8)
+    S = rng.uniform(0.0, 1.0, size=(60, 2))
+    E = rng.uniform(0.0, 1.0, size=(60, 2))
+    # Segments along mesh edges and through vertices, where weights vanish.
+    S[:10] = oracle.node_xy[rng.integers(oracle.n_vertices, size=10)]
+    E[:5] = np.clip(S[:5] + np.array([1.0 / 6.0, 0.0]), 0.0, 1.0)
+    for m in (oracle.chord_samples, 9):
+        got = oracle._xy_segment_weights(S, E, samples=m)
+        want = edge_scan_segment_weights(oracle, S, E, m)
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_dijkstra_cache_stays_within_its_cap():
+    oracle = InducedGraphSpace(flat_identity_grid(3), steiner=2)
+    oracle.geodesic(0, 15, 0.5)  # one temporary node
+    assert oracle.n_nodes > 70
+    for s in range(70):
+        for base in (True, False):
+            dist, _ = oracle._solve(s, base=base)
+            graph = oracle.graph if base else oracle._matrix()
+            assert np.array_equal(dist, dijkstra(graph, directed=False, indices=s))
+            assert len(oracle._cache) <= 64
+    assert len(oracle._cache) == len(oracle._cache_order) == 64
