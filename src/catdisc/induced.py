@@ -9,7 +9,6 @@ vertex sets containing the two endpoints.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,12 +121,19 @@ def _image_distance_matrix(mg: MappedGraph) -> np.ndarray:
 def connecting_metric_pairs(mg: MappedGraph, pairs, mode: str = "exact") -> list[float]:
     """Connecting pseudometric for many vertex pairs in one pass.
 
-    Exact mode enumerates connected vertex subsets (graphs up to 20 vertices);
-    anchor2approx grows image balls around anchor vertices and returns, per
-    pair, the smallest connecting radius, which lies in [exact/2, exact].
+    Exact mode (graphs up to 20 vertices) makes one array pass over all 2^n
+    vertex subsets, in blocks by highest bit, with about 5.5 * 2^n bytes of
+    tables: an int32 neighbour mask and a uint8 image-diameter rank per subset.
+    Connected subsets are found by an array flood fill, and each pair takes
+    the least diameter over connected subsets holding both endpoints; values
+    are exact image distances.  anchor2approx grows image balls around anchor
+    vertices and returns, per pair, the smallest connecting radius, which
+    lies in [exact/2, exact].
     """
     n = mg.mesh.n_vertices
     pairs = [(int(x), int(z)) for x, z in pairs]
+    if any(not (0 <= v < n) for pair in pairs for v in pair):
+        raise ValueError(f"pair vertex outside [0, {n})")
     imgd = _image_distance_matrix(mg)
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in mg.mesh.edges:
@@ -139,36 +145,34 @@ def connecting_metric_pairs(mg: MappedGraph, pairs, mode: str = "exact") -> list
             raise ValueError(
                 f"exact mode limited to {EXACT_CONNECTING_LIMIT} vertices"
             )
-        adj_bits = [0] * n
-        for u, nbrs in enumerate(adj):
-            for v in nbrs:
-                adj_bits[u] |= 1 << v
-        best = {pair: (0.0 if pair[0] == pair[1] else np.inf) for pair in pairs}
-        for mask in range(1, 1 << n):
-            members = [v for v in range(n) if mask >> v & 1]
-            # Connectivity via bitmask flood fill from the lowest member.
-            comp = 1 << members[0]
-            frontier = comp
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    nxt |= adj_bits[v] & mask & ~comp
-                comp |= nxt
-                frontier = nxt
-            if comp != mask:
-                continue
-            diam = max(
-                (imgd[a, b] for a, b in itertools.combinations(members, 2)),
-                default=0.0,
-            )
-            for pair in pairs:
-                x, z = pair
-                if mask >> x & 1 and mask >> z & 1 and diam < best[pair]:
-                    best[pair] = float(diam)
-        return [best[pair] for pair in pairs]
+        # Ranks into the sorted distinct distances (at most 191, so 255 is free
+        # to mark a disconnected subset) stand in for diameters: the largest
+        # rank is the rank of the largest distance.
+        values, ranks = np.unique(imgd, return_inverse=True)
+        ranks = ranks.reshape(n, n).astype(np.uint8)
+        nb = np.zeros(1 << n, dtype=np.int32)
+        diam = np.zeros(1 << n, dtype=np.uint8)
+        for b in range(n):
+            lo = 1 << b
+            far = np.zeros(1, dtype=np.uint8)  # max rank from b into m < lo
+            for c in range(b):
+                far = np.concatenate([far, np.maximum(far, ranks[b, c])])
+            nb[lo:2 * lo] = nb[:lo] | sum(1 << v for v in set(adj[b]))
+            np.maximum(diam[:lo], far, out=diam[lo:2 * lo])
+        for start in range(1, 1 << n, 4096):
+            m = np.arange(start, min(start + 4096, 1 << n), dtype=np.int32)
+            comp = m & -m
+            while not np.array_equal(grown := (comp | nb[comp]) & m, comp):
+                comp = grown
+            diam[start:start + len(m)][comp != m] = 255  # not connected
+        cube = diam.reshape((2,) * n)  # axis n - 1 - v holds bit v
+        out = []
+        for x, z in pairs:
+            at = [slice(None)] * n
+            at[n - 1 - x] = at[n - 1 - z] = 1
+            r = int(cube[tuple(at)].min())
+            out.append(0.0 if x == z else np.inf if r == 255 else float(values[r]))
+        return out
 
     if mode == "anchor2approx":
         best = {pair: (0.0 if pair[0] == pair[1] else np.inf) for pair in pairs}
@@ -219,7 +223,8 @@ class MetricComparison:
 
     `mode` is the `connecting_metric_pairs` mode used.  An "anchor2approx"
     value lies in [exact/2, exact], so there `ok` is one-sided: False proves
-    connecting > length, True does not rule it out.
+    connecting > length, True does not rule it out; `two_sided` is True only
+    where connecting <= length is proved.
     """
 
     pairs: tuple
@@ -232,6 +237,13 @@ class MetricComparison:
     @property
     def ok(self) -> bool:
         return self.max_ratio <= 1.0 + 1e-9
+
+    @property
+    def two_sided(self) -> bool:
+        # exact <= 2 * anchor2approx, so 2c <= l proves connecting <= length.
+        if self.mode == "exact":
+            return self.ok
+        return all(2.0 * c <= l + 1e-9 for c, l in zip(self.connecting, self.length))
 
 
 def compare_metrics(
