@@ -13,18 +13,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import EpsilonBoundError
 from .mesh import MappedGraph
 from .minimize import _comparison_angle
-from .model import (
-    ComparisonTriangle,
-    Kappa,
-    build_comparison_triangle,
-    geodesic_point,
-    model_distance,
+from .model import ComparisonTriangle, Kappa, build_comparison_triangle
+from .steiner import (
+    SteinerGraph,
+    _batch_bary_interp,
+    _batch_distance,
+    append_nodes,
+    tri_point,
 )
 
 GLUE_TOL = 1e-9
@@ -219,27 +219,11 @@ class DiscreteMapPair:
                 raise ValueError(f"q(p(v)) != f(v) on fixed vertex {v}")
 
     def q(self, pt: ComplexPoint):
-        """Comparison map of one cell: barycentric point via iterated
-        geodesics through the target images of the cell's mesh vertices."""
+        """Comparison map of one cell: the interpolant of `steiner` through
+        the target images of the cell's mesh vertices."""
         cell = self.complex.cells[pt.cell]
         imgs = [self.mg.images[v] for v in cell.mesh_vertices]
-        return _bary_geodesic(self.mg.space, imgs, pt.bary)
-
-
-def _bary_geodesic(space, corners, bary):
-    u, v, w = bary
-    if v + w < 1e-15:
-        return corners[0]
-    m = space.geodesic(corners[1], corners[2], w / (v + w))
-    return space.geodesic(corners[0], m, v + w)
-
-
-def _bary_geodesic_model(kappa, corners, bary):
-    u, v, w = bary
-    if v + w < 1e-15:
-        return corners[0]
-    m = geodesic_point(kappa, corners[1], corners[2], w / (v + w))
-    return geodesic_point(kappa, corners[0], m, v + w)
+        return tri_point(self.mg.space, imgs, pt.bary)
 
 
 def build_polyhedral_disc(
@@ -339,127 +323,62 @@ def corner_angle_comparison(
 
 
 class SteinerComplexGraph:
-    """Shortest-path oracle on a complex: side Steiner points plus all
-    intra-cell chords measured in each cell's own chart."""
+    """Shortest-path oracle on a complex: the Steiner graph of its mesh
+    (`steiner.SteinerGraph`) with `refinement` equally spaced nodes per side,
+    every segment measured in its cell's own chart through the interpolant."""
 
     def __init__(self, complex_: PolyComplex, refinement: int = 8):
         if refinement < 0:
             raise ValueError("refinement must be >= 0")
         self.complex = complex_
         self.refinement = refinement
-        self._build()
+        self._k = complex_.kappa.value
+        self._charts = np.array(
+            [[p.coords for p in cell.chart.vertices] for cell in complex_.cells]
+        )
+        sides = list(complex_._side_len)
+        fracs = [(m + 1) / (refinement + 1) for m in range(refinement)]
+        self._core = SteinerGraph(
+            complex_.mesh.n_vertices, sides, [fracs] * len(sides),
+            [cell.mesh_vertices for cell in complex_.cells],
+        )
+        self.n_nodes = self._core.n_nodes
+        steps = [
+            np.full(refinement + 1, complex_._side_len[s] / (refinement + 1))
+            for s in sides
+        ]
+        self.graph = self._core.csr(steps, self._chart_lengths)
 
-    def _build(self):
-        W = self.complex
-        kap = W.kappa
-        n_mesh = W.mesh.n_vertices
-        next_id = n_mesh
-        side_nodes: dict[tuple, list[int]] = {}
-        rows, cols, weights = [], [], []
-        for u, v in W._side_len:
-            length = W.side_length(u, v)
-            chain = [u]
-            for m in range(1, self.refinement + 1):
-                chain.append(next_id)
-                next_id += 1
-            chain.append(v)
-            side_nodes[(u, v)] = chain
-            step = length / (self.refinement + 1)
-            for a, b in zip(chain, chain[1:]):
-                rows.append(a)
-                cols.append(b)
-                weights.append(step)
-        # Per cell: chart positions of its boundary samples, all-pairs chords.
-        self._cell_samples: list[tuple] = []
-        for cell in W.cells:
-            vs = cell.mesh_vertices
-            nodes, charts = [], []
-            for k in range(3):
-                u, v = vs[k], vs[(k + 1) % 3]
-                key = tuple(sorted((u, v)))
-                chain = side_nodes[key]
-                ordered = chain if key == (u, v) else chain[::-1]
-                pu = cell.chart.vertices[k]
-                pv = cell.chart.vertices[(k + 1) % 3]
-                degenerate = W.side_length(u, v) < 1e-15
-                for m, node in enumerate(ordered[:-1]):
-                    nodes.append(node)
-                    if m == 0 or degenerate:
-                        charts.append(pu)
-                    else:
-                        charts.append(
-                            geodesic_point(
-                                kap, pu, pv, m / (self.refinement + 1)
-                            )
-                        )
-            for i in range(len(nodes)):
-                for j in range(i):
-                    rows.append(nodes[i])
-                    cols.append(nodes[j])
-                    weights.append(model_distance(kap, charts[i], charts[j]))
-            self._cell_samples.append((tuple(nodes), tuple(charts)))
-        self.n_nodes = next_id
-        r = np.array(rows + cols)
-        c = np.array(cols + rows)
-        w = np.array(weights + weights)
-        # Duplicate chords keep the smallest weight.
-        m = coo_matrix((w, (r, c)), shape=(self.n_nodes, self.n_nodes))
-        order = np.lexsort((m.data, m.col, m.row))
-        keep_r, keep_c, keep_w = [], [], []
-        seen = set()
-        for idx in order:
-            key = (int(m.row[idx]), int(m.col[idx]))
-            if key in seen:
-                continue
-            seen.add(key)
-            keep_r.append(key[0])
-            keep_c.append(key[1])
-            keep_w.append(float(m.data[idx]))
-        self._matrix = coo_matrix(
-            (keep_w, (keep_r, keep_c)), shape=(self.n_nodes, self.n_nodes)
-        ).tocsr()
+    def _chart_points(self, cells, bary):
+        return _batch_bary_interp(self._k, self._charts[cells], bary)
 
-    def _chart_of(self, pt: ComplexPoint):
-        cell = self.complex.cells[pt.cell]
-        return _bary_geodesic_model(
-            self.complex.kappa, list(cell.chart.vertices), pt.bary
+    def _chart_lengths(self, cells, starts, ends):
+        return _batch_distance(
+            self._k, self._chart_points(cells, starts), self._chart_points(cells, ends)
         )
 
     def distance_rows(self, sources, targets) -> np.ndarray:
         """Upper-bound intrinsic distances between complex points.
 
         Temporary nodes for every point are appended to the graph, wired to
-        the boundary samples of their cells by in-chart distances.
+        the boundary nodes of their cells and to the other points in their
+        cells by in-chart distances.
         """
         pts = list(sources) + list(targets)
-        kap = self.complex.kappa
         n = self.n_nodes
-        extra_r, extra_c, extra_w = [], [], []
-        by_cell: dict[int, list[int]] = {}
-        charts = []
-        for i, pt in enumerate(pts):
-            charts.append(self._chart_of(pt))
-            by_cell.setdefault(pt.cell, []).append(i)
-        for ci, members in by_cell.items():
-            nodes, cell_charts = self._cell_samples[ci]
-            for i in members:
-                for node, ch in zip(nodes, cell_charts):
-                    extra_r.append(n + i)
-                    extra_c.append(node)
-                    extra_w.append(model_distance(kap, charts[i], ch))
-                for j in members:
-                    if j < i:
-                        extra_r.append(n + i)
-                        extra_c.append(n + j)
-                        extra_w.append(model_distance(kap, charts[i], charts[j]))
-        total = n + len(pts)
-        base = self._matrix.tocoo()
-        r = np.concatenate([base.row, extra_r, extra_c])
-        c = np.concatenate([base.col, extra_c, extra_r])
-        w = np.concatenate([base.data, extra_w, extra_w])
-        mat = coo_matrix((w, (r, c)), shape=(total, total)).tocsr()
-        src_idx = np.arange(n, n + len(sources))
-        dist = dijkstra(mat, directed=False, indices=src_idx)
+        cells = np.array([pt.cell for pt in pts], dtype=int)
+        P = self._chart_points(cells, np.array([pt.bary for pt in pts]))
+        owner, rows = self._core.gather(cells)
+        to_nodes = _batch_distance(
+            self._k, P[owner], self._chart_points(cells[owner], self._core.bary[rows])
+        )
+        i, j = np.nonzero(np.tril(cells[:, None] == cells[None, :], -1))
+        mat = append_nodes(
+            self.graph, len(pts),
+            np.r_[n + owner, n + i], np.r_[self._core.nodes[rows], n + j],
+            np.r_[to_nodes, _batch_distance(self._k, P[i], P[j])],
+        )
+        dist = dijkstra(mat, directed=False, indices=np.arange(n, n + len(sources)))
         return dist[:, n + len(sources):]
 
 
@@ -592,7 +511,7 @@ def short_loop_probe(
     if not math.isfinite(threshold):
         return LoopProbeReport(0, math.inf, threshold)
     graph = SteinerComplexGraph(complex_, refinement)
-    dist = dijkstra(graph._matrix, directed=False)
+    dist = dijkstra(graph.graph, directed=False)
     rng = np.random.default_rng(seed)
     n = complex_.mesh.n_vertices
     shortest = math.inf

@@ -13,13 +13,20 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import GeometryError, NonUniqueGeodesicError, TooLargeTriangleError
 from .mesh import MappedGraph
 from .model import Kappa, build_comparison_triangle
 from .spaces import EuclideanSpace, MetricTree, ModelSpace
+from .steiner import (
+    SteinerGraph,
+    _batch_bary_interp,
+    _batch_distance,
+    _batch_geodesic,
+    append_nodes,
+    tri_point,
+)
 
 
 def _batch_kappa(space):
@@ -31,70 +38,14 @@ def _batch_kappa(space):
     return None
 
 
-def _batch_geodesic(k: float, X, Y, T):
-    """Vectorized constant-curvature geodesic points; X, Y (N,3), T (N,)."""
-    T = np.asarray(T, dtype=float)[:, None]
-    if k == 0.0:
-        return X + T * (Y - X)
-    if k > 0:
-        s = math.sqrt(k)
-        chord = np.linalg.norm(X - Y, axis=1)
-        phi = 2.0 * np.arcsin(np.clip(0.5 * chord * s, 0.0, 1.0))[:, None]
-        sl = np.sin(phi)
-        safe = sl > 1e-12
-        P = np.where(
-            safe,
-            (np.sin((1.0 - T) * phi) * X + np.sin(T * phi) * Y)
-            / np.where(safe, sl, 1.0),
-            X,
-        )
-        # Renormalize onto the radius 1/sqrt(k) sphere.
-        return P / (s * np.linalg.norm(P, axis=1))[:, None]
-    s = math.sqrt(-k)
-    mink = X[:, 0] * Y[:, 0] + X[:, 1] * Y[:, 1] - X[:, 2] * Y[:, 2]
-    psi = np.arccosh(np.maximum(-mink * (-k), 1.0))[:, None]
-    sh = np.sinh(psi)
-    safe = sh > 1e-12
-    P = np.where(
-        safe,
-        (np.sinh((1.0 - T) * psi) * X + np.sinh(T * psi) * Y)
-        / np.where(safe, sh, 1.0),
-        X,
-    )
-    q = -(P[:, 0] ** 2 + P[:, 1] ** 2 - P[:, 2] ** 2)
-    return P / np.sqrt(q * (-k))[:, None]
-
-
-def _batch_distance(k: float, X, Y):
-    """Vectorized constant-curvature distances between row-aligned points."""
-    if k == 0.0:
-        return np.linalg.norm(X - Y, axis=1)
-    if k > 0:
-        s = math.sqrt(k)
-        chord = np.linalg.norm(X - Y, axis=1)
-        return 2.0 * np.arcsin(np.clip(0.5 * chord * s, 0.0, 1.0)) / s
-    s = math.sqrt(-k)
-    # Stable half-chord form, matching model.model_distance.
-    D = X - Y
-    msq = np.maximum(
-        (D[:, 0] ** 2 + D[:, 1] ** 2 - D[:, 2] ** 2) * (-k), 0.0
-    )
-    return 2.0 * np.arcsinh(0.5 * np.sqrt(msq)) / s
-
-
-def _batch_bary_interp(k: float, corners, B):
-    """Iterated-geodesic barycentric interpolation, vectorized over rows of B.
-
-    `corners` (N, 3, d) holds each row's triangle corners: the point is taken
-    on the geodesic from corner 0 to corner 1, then toward corner 2.
-    """
-    b0, b1, b2 = B[:, 0], B[:, 1], B[:, 2]
-    denom = np.maximum(b0 + b1, 1e-15)
-    M = _batch_geodesic(k, corners[:, 0], corners[:, 1], b1 / denom)
-    return _batch_geodesic(k, M, corners[:, 2], b2)
-
 # Triples with a side below this are rejected as degenerate.
 MIN_SIDE = 1e-6
+
+# Equal steps per straight disc segment when the induced oracle weighs it.
+CHORD_SAMPLES = 4
+# Curve relaxation: at most RELAX_LEVELS probe-step levels of RELAX_PASSES
+# red-black passes each, the step shrinking by RELAX_SHRINK per level.
+RELAX_LEVELS, RELAX_PASSES, RELAX_SHRINK = 10, 2, 0.5
 
 
 @dataclass(frozen=True)
@@ -339,16 +290,17 @@ def certify_cat(
 class InducedGraphSpace:
     """Geodesic oracle for the induced length metric of a mapped disc graph.
 
-    Distances are shortest paths on the graph whose nodes are mesh vertices
-    plus `steiner` subdivision points per mesh edge, with two families of
-    weighted edges: subsegments along mesh edges (image geodesic chords) and
-    intra-triangle chords between all boundary nodes of each triangle,
-    weighted by the image polyline length of the interpolated map along the
-    straight disc segment. Geodesics are realized as shortest-path polylines;
-    `geodesic(p, q, t)` returns the node nearest to arclength t along it.
+    Distances are shortest paths on the Steiner graph of the mesh
+    (`steiner.SteinerGraph`) with `steiner` subdivision points per mesh edge,
+    plus exact breakpoints on tree targets: subsegments along mesh edges are
+    weighted by image geodesic chords, and chords between boundary nodes of
+    one triangle, or of two triangles sharing an edge, by the image polyline
+    length of the interpolated map along the straight disc segment.
+    Geodesics are realized as shortest-path polylines; `geodesic(p, q, t)`
+    returns the node nearest to arclength t along it.
 
-    The interpolant fills each triangle from its corner images: iterated
-    geodesics on Euclidean and M_kappa targets, and on tree targets the
+    The interpolant fills each triangle from its corner images: the one of
+    `steiner` on Euclidean and M_kappa targets, and on tree targets the
     weighted Frechet mean, unique in CAT(0) spaces (Sturm 2003), in closed
     form on the tripod the corners span (`MetricTree.tripod_means`); it does
     not backtrack around branch points, which would inflate sampled lengths.
@@ -356,11 +308,10 @@ class InducedGraphSpace:
     (cones) go point by point.
     """
 
-    def __init__(self, mg: MappedGraph, steiner: int = 6, chord_samples: int = 4):
+    def __init__(self, mg: MappedGraph, steiner: int = 6):
         self.mg = mg
         self.space = mg.space
         self.steiner = int(steiner)
-        self.chord_samples = int(chord_samples)
         # Curvature of the array kernel, or None for per-point backends.
         self._k = _batch_kappa(self.space)
         self._cache: dict = {}
@@ -372,128 +323,44 @@ class InducedGraphSpace:
 
     # -- construction -----------------------------------------------------
 
-    def _tri_point(self, tri, bary):
-        """Iterated-geodesic interpolant at one point (no array kernel)."""
-        imgs = [self.mg.images[int(v)] for v in tri]
-        b0, b1, b2 = bary
-        if b0 + b1 < 1e-15:
-            return imgs[2]
-        m = self.space.geodesic(imgs[0], imgs[1], b1 / (b0 + b1))
-        return self.space.geodesic(m, imgs[2], b2)
-
     def _build(self):
         mg = self.mg
         mesh = mg.mesh
-        n = mesh.n_vertices
-        k = self.steiner
         self._build_tri_geometry(mesh)
-        node_images = list(mg.images)
-        # One subdivision chain per mesh edge; nodes shared between the two
-        # incident triangles.
-        edge_nodes: dict[tuple[int, int], list[int]] = {}
-        edge_fracs: dict[tuple[int, int], list[float]] = {}
-        rows, cols, weights = [], [], []
+        images, space = mg.images, self.space
+        node_images = list(images)
         node_xy = [np.asarray(c[:2], dtype=float) for c in mesh.coords]
-        tree_target = isinstance(self.space, MetricTree)
+        fracs, steps = [], []
         for u, v in mesh.edges:
-            u, v = int(u), int(v)
-            fracs = [(i + 1) / (k + 1) for i in range(k)]
-            if tree_target:
+            fr = [(i + 1) / (self.steiner + 1) for i in range(self.steiner)]
+            if isinstance(space, MetricTree):
                 # Place nodes exactly where the image geodesic crosses tree
                 # vertices: paths hugging a branch-point fiber then hop along
                 # exact branch-point nodes instead of paying a detour per
                 # edge crossing.
-                fracs.extend(
-                    self.space.geodesic_breakpoints(mg.images[u], mg.images[v])
-                )
-            fracs = sorted(f for f in fracs if 1e-9 < f < 1.0 - 1e-9)
+                fr.extend(space.geodesic_breakpoints(images[u], images[v]))
             kept = []
-            for f in fracs:
+            for f in sorted(f for f in fr if 1e-9 < f < 1.0 - 1e-9):
                 if not kept or f - kept[-1] > 1e-9:
                     kept.append(f)
-            chain = [u]
-            for frac in kept:
-                node_images.append(self.space.geodesic(mg.images[u], mg.images[v], frac))
-                node_xy.append((1.0 - frac) * node_xy[u] + frac * node_xy[v])
-                chain.append(len(node_images) - 1)
-            chain.append(v)
-            edge_nodes[(u, v)] = chain
-            edge_fracs[(u, v)] = [0.0] + kept + [1.0]
-            for a, b in zip(chain, chain[1:]):
-                w = self.space.distance(node_images[a], node_images[b])
-                rows.append(a)
-                cols.append(b)
-                weights.append(w)
-
-        # Intra-triangle chords between boundary nodes, weighted by the image
-        # polyline of the interpolated map along the straight disc segment.
-        def side_chain(a, b):
-            key = (a, b) if a < b else (b, a)
-            chain, fr = edge_nodes[key], edge_fracs[key]
-            if a < b:
-                return chain, fr
-            return chain[::-1], [1.0 - f for f in fr[::-1]]
-
-        tri_boundaries = []  # per triangle: list of (node, barycentric)
-        for ti, (t0, t1, t2) in enumerate(self._tris):
-            boundary = []  # (node, barycentric coords)
-            for a, b, corner_bary, step in (
-                (t0, t1, (1.0, 0.0, 0.0), (-1.0, 1.0, 0.0)),
-                (t1, t2, (0.0, 1.0, 0.0), (0.0, -1.0, 1.0)),
-                (t2, t0, (0.0, 0.0, 1.0), (1.0, 0.0, -1.0)),
-            ):
-                chain, fr = side_chain(a, b)
-                for node, frac in zip(chain[:-1], fr):
-                    bary = tuple(
-                        corner_bary[d] + frac * step[d] for d in range(3)
-                    )
-                    boundary.append((node, bary))
-            tri_boundaries.append(boundary)
-            same_side = set()
-            for a, b in ((t0, t1), (t1, t2), (t2, t0)):
-                chain, _ = side_chain(a, b)
-                for x in chain:
-                    for y in chain:
-                        same_side.add((x, y))
-            starts, ends, chord_nodes = [], [], []
-            for i in range(len(boundary)):
-                for j in range(i):
-                    ni, bi = boundary[i]
-                    nj, bj = boundary[j]
-                    if (ni, nj) in same_side:
-                        continue
-                    starts.append(bi)
-                    ends.append(bj)
-                    chord_nodes.append((ni, nj))
-            if chord_nodes:
-                ws = self._chord_weights(ti, starts, ends)
-                for (ni, nj), w in zip(chord_nodes, ws):
-                    rows.append(ni)
-                    cols.append(nj)
-                    weights.append(float(w))
-        self._tri_boundaries = tri_boundaries
-        self._add_quad_chords(rows, cols, weights)
-
-        n_nodes = len(node_images)
+            chain = [images[u]] + [space.geodesic(images[u], images[v], f) for f in kept]
+            chain.append(images[v])
+            node_images.extend(chain[1:-1])
+            node_xy.extend((1.0 - f) * node_xy[u] + f * node_xy[v] for f in kept)
+            fracs.append(kept)
+            steps.append([space.distance(a, b) for a, b in zip(chain, chain[1:])])
+        self._core = SteinerGraph(mesh.n_vertices, mesh.edges, fracs, self._tris)
         self.node_images = node_images
         self.node_xy = np.array(node_xy)
-        self.n_vertices = n
-        self.n_nodes = n_nodes
+        self.n_vertices = mesh.n_vertices
+        self.n_nodes = self._core.n_nodes
         disc_l = [
             float(np.linalg.norm(self.node_xy[int(a)] - self.node_xy[int(b)]))
             for a, b in mesh.edges
         ]
         self._disc_h = max(disc_l) if disc_l else 1.0
         self._temp: list = []
-        # Duplicate entries would sum in CSR; keep the minimum weight instead.
-        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-        order = np.lexsort((weights, hi, lo))
-        lo, hi, w = lo[order], hi[order], np.asarray(weights)[order]
-        first = np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])]
-        lo, hi, w = lo[first], hi[first], w[first]
-        self.graph = coo_matrix(
-            (np.r_[w, w], (np.r_[lo, hi], np.r_[hi, lo])), shape=(n_nodes, n_nodes)
-        ).tocsr()
+        self.graph = self._core.csr(steps, self._chord_weights, self._quad_chords())
 
     def _build_tri_geometry(self, mesh):
         """Per-triangle caches: barycentric solvers, adjacency, corner images
@@ -542,11 +409,18 @@ class InducedGraphSpace:
             return _batch_bary_interp(self._k, self._corners[tri_idx], bary)
         if self._tripods is not None:
             return self.space.tripod_means(self._tripods, tri_idx, bary)
-        return [self._tri_point(self._tris[ti], b) for ti, b in zip(tri_idx, bary)]
+        images = self.mg.images
+        return [
+            tri_point(self.space, [images[v] for v in self._tris[ti]], b)
+            for ti, b in zip(tri_idx, bary)
+        ]
 
-    def _chain_lengths(self, pts, n_chains, m):
-        """Image polyline lengths of `n_chains` consecutive runs of m + 1
-        points."""
+    def _chain_lengths(self, tri_idx, bary):
+        """Image polyline lengths of consecutive runs of CHORD_SAMPLES + 1
+        disc points, given by triangle and barycentrics."""
+        m = CHORD_SAMPLES
+        pts = self._images_at(tri_idx, bary)
+        n_chains = len(bary) // (m + 1)
         if self._k is None and self._tripods is None:
             return np.array([
                 self.space.curve_length(pts[ci * (m + 1):(ci + 1) * (m + 1)])
@@ -558,57 +432,46 @@ class InducedGraphSpace:
             return self.space.distance_arrays(X, Y).reshape(n_chains, m).sum(axis=1)
         return _batch_distance(self._k, X, Y).reshape(n_chains, m).sum(axis=1)
 
-    def _chord_weights(self, ti, start_barys, end_barys):
-        """Image polyline lengths of straight barycentric segments in
-        triangle ti."""
-        m = self.chord_samples
-        S = np.asarray(start_barys, dtype=float)
-        E = np.asarray(end_barys, dtype=float)
-        lam = np.linspace(0.0, 1.0, m + 1)
+    def _chord_weights(self, tri_idx, S, E):
+        """Image polyline lengths of straight segments between barycentric
+        rows S and E of the triangles `tri_idx`."""
+        lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)
         B = (1.0 - lam)[None, :, None] * S[:, None, :] + lam[None, :, None] * E[:, None, :]
         flat = B.reshape(-1, 3)
         if self._k is None:
             flat = np.clip(flat, 0.0, None)
-        pts = self._images_at(np.full(len(flat), ti), flat)
-        return self._chain_lengths(pts, len(S), m)
+        return self._chain_lengths(np.repeat(tri_idx, CHORD_SAMPLES + 1), flat)
 
-    def _add_quad_chords(self, rows, cols, weights):
-        """Chords spanning pairs of triangles that share an edge.
+    def _quad_chords(self):
+        """Chords spanning pairs of triangles that share an edge, as (rows,
+        cols, weights), or None on a mesh without interior edges.
 
         The straight disc segment between boundary nodes of the two triangles
         crosses the shared edge continuously, so these chords avoid the
         Steiner snap error at every other triangle crossing.
         """
         coords = self.mg.mesh.coords
-        tris = self._tris
-        m = self.chord_samples
-        lam = np.linspace(0.0, 1.0, m + 1)
-
-        def node_xy(ti, bary):
-            p0, p1, p2 = (np.asarray(coords[v], dtype=float) for v in tris[ti])
-            return bary[0] * p0 + bary[1] * p1 + bary[2] * p2
+        lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)
+        rows, cols, weights = [], [], []
 
         def off_edge(ti, shared):
-            """Boundary nodes of ti that do not lie on the shared edge."""
-            return [
-                (node, node_xy(ti, bary))
-                for node, bary in self._tri_boundaries[ti]
-                if not (
-                    sum(bary[i] for i in range(3) if tris[ti][i] in shared)
-                    > 1.0 - 1e-12
-                )
-            ]
+            """Boundary nodes of ti off the shared edge, with their xy."""
+            tri = self._tris[ti]
+            k = next(k for k in range(3) if {tri[k], tri[(k + 1) % 3]} == shared)
+            nodes, bary, sides = self._core.boundary(ti)
+            keep = (sides & (1 << k)) == 0
+            p0, p1, p2 = (np.asarray(coords[v], dtype=float) for v in tri)
+            B = bary[keep]
+            return nodes[keep], B[:, 0:1] * p0 + B[:, 1:2] * p1 + B[:, 2:3] * p2
 
         for e, owners in self._edge_tris.items():
             if len(owners) != 2:
                 continue
             ta, tb = owners
-            side_a = off_edge(ta, set(e))
-            side_b = off_edge(tb, set(e))
-            if not side_a or not side_b:
+            nodes_a, XA = off_edge(ta, set(e))
+            nodes_b, XB = off_edge(tb, set(e))
+            if not len(nodes_a) or not len(nodes_b):
                 continue
-            XA = np.array([xy for _, xy in side_a])
-            XB = np.array([xy for _, xy in side_b])
             # All chord sample points, chord by chord.
             flat = (
                 (1.0 - lam)[None, None, :, None] * XA[:, None, None, :]
@@ -628,13 +491,11 @@ class InducedGraphSpace:
                 bary[mask] = np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
             bary = np.clip(bary, 0.0, None)
             bary /= bary.sum(axis=1, keepdims=True)
-            pts = self._images_at(np.where(use_a, ta, tb), bary)
-            ws = self._chain_lengths(pts, len(side_a) * len(side_b), m)
-            pairs = ((na, nb) for na, _ in side_a for nb, _ in side_b)
-            for (na, nb), w in zip(pairs, ws):
-                rows.append(na)
-                cols.append(nb)
-                weights.append(float(w))
+            weights.append(self._chain_lengths(np.where(use_a, ta, tb), bary))
+            rows.append(np.repeat(nodes_a, len(nodes_b)))
+            cols.append(np.tile(nodes_b, len(nodes_a)))
+        if rows:
+            return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights)
 
     def _build_tri_buckets(self, mesh):
         """Uniform-grid spatial index: disc cell -> candidate triangles.
@@ -694,22 +555,16 @@ class InducedGraphSpace:
         tri_idx, _ = self._locate_many(np.asarray(xy, dtype=float)[None, :])
         return int(tri_idx[0])
 
-    def _bnd_node_xy(self, ti, bary):
-        tri = self._tris[ti]
-        pts = np.array([self.node_xy[v] for v in tri])
-        return np.asarray(bary) @ pts
-
-    def _xy_segment_weights(self, starts_xy, ends_xy, samples=None):
+    def _xy_segment_weights(self, starts_xy, ends_xy):
         """Image polyline lengths of straight disc segments."""
-        m = self.chord_samples if samples is None else int(samples)
         S = np.asarray(starts_xy, dtype=float)
         E = np.asarray(ends_xy, dtype=float)
-        lam = np.linspace(0.0, 1.0, m + 1)
+        lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)
         XY = (1.0 - lam)[None, :, None] * S[:, None, :] + lam[None, :, None] * E[:, None, :]
         tri_idx, bary = self._locate_many(XY.reshape(-1, 2))
         bary = np.clip(bary, 0.0, None)
         bary /= bary.sum(axis=1, keepdims=True)
-        return self._chain_lengths(self._images_at(tri_idx, bary), len(S), m)
+        return self._chain_lengths(tri_idx, bary)
 
     # -- contour-following routes (tree targets) ---------------------------
 
@@ -834,36 +689,27 @@ class InducedGraphSpace:
         """Register a continuous disc point as a temporary graph node."""
         xy = np.asarray(xy, dtype=float)
         ti = self._locate_tri(xy)
-        cand = [ti] + self._tri_neighbors[ti]
         nodes, node_pos = [], []
         seen = set()
-        for tj in cand:
-            for node, bary in self._tri_boundaries[tj]:
+        for tj in [ti] + self._tri_neighbors[ti]:
+            for node, bary, _ in zip(*self._core.boundary(tj)):
                 if node in seen:
                     continue
                 seen.add(node)
                 nodes.append(node)
-                node_pos.append(self._bnd_node_xy(tj, bary))
-        ws = self._xy_segment_weights(
-            np.repeat(xy[None, :], len(nodes), axis=0), np.array(node_pos)
-        )
+                node_pos.append(bary @ self.node_xy[list(self._tris[tj])])
         # Direct edges to nearby existing temp points; without them, close
         # pairs of temp points would be forced through far boundary nodes.
-        temp_links = []
         near = [
-            (j, e["xy"]) for j, e in enumerate(self._temp)
+            j for j, e in enumerate(self._temp)
             if np.linalg.norm(e["xy"] - xy) <= 3.0 * self._disc_h
         ]
-        if near:
-            tws = self._xy_segment_weights(
-                np.repeat(xy[None, :], len(near), axis=0),
-                np.array([nxy for _, nxy in near]),
-            )
-            temp_links = [(j, float(w)) for (j, _), w in zip(near, tws)]
-        self._temp.append(
-            {"xy": xy, "tri": ti, "nodes": nodes, "weights": ws, "temps": temp_links}
-        )
-        return self.n_nodes + len(self._temp) - 1
+        ends = np.array(node_pos + [self._temp[j]["xy"] for j in near])
+        ws = self._xy_segment_weights(np.repeat(xy[None, :], len(ends), axis=0), ends)
+        cols = nodes + [self.n_nodes + j for j in near]
+        me = self.n_nodes + len(self._temp)
+        self._temp.append({"xy": xy, "links": (np.full(len(cols), me), cols, ws)})
+        return me
 
     def clear_temp(self):
         self._temp = []
@@ -875,29 +721,11 @@ class InducedGraphSpace:
 
     def _matrix(self):
         """Base graph, augmented with any temporary nodes."""
-        if not self._temp:
-            return self.graph
-        if getattr(self, "_aug", None) is not None and self._aug[0] == len(self._temp):
-            return self._aug[1]
         t = len(self._temp)
-        rows, cols, ws = [], [], []
-        trows, tcols, tws = [], [], []
-        for i, entry in enumerate(self._temp):
-            for node, w in zip(entry["nodes"], entry["weights"]):
-                rows.append(node)
-                cols.append(i)
-                ws.append(float(w))
-            for j, w in entry["temps"]:
-                trows.extend([i, j])
-                tcols.extend([j, i])
-                tws.extend([w, w])
-        from scipy.sparse import bmat
-
-        B = coo_matrix((ws, (rows, cols)), shape=(self.n_nodes, t))
-        TT = coo_matrix((tws, (trows, tcols)), shape=(t, t)) if tws else None
-        aug = bmat([[self.graph, B], [B.T, TT]], format="csr")
-        self._aug = (t, aug)
-        return aug
+        if t and (self._aug is None or self._aug[0] != t):
+            links = zip(*(e["links"] for e in self._temp))
+            self._aug = (t, append_nodes(self.graph, t, *map(np.concatenate, links)))
+        return self._aug[1] if t else self.graph
 
     def _solve(self, source: int, base: bool = False):
         """Distances and predecessors from `source`, cached for the last 64
@@ -1005,44 +833,38 @@ class InducedGraphSpace:
                 raise ValueError("nodes are not connected")
             path.append(nxt)
         path.reverse()
-        arcs = np.asarray(dist[path])
-        xy = self.node_xy[path]
-        total = float(arcs[-1])
-        n_target = int(np.clip(np.ceil(total / (0.5 * self._disc_h)), 8, 128))
-
-        def resample(points, n_seg):
-            seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-            s = np.concatenate([[0.0], np.cumsum(seg)])
-            s_new = np.linspace(0.0, s[-1], n_seg + 1)
-            return np.column_stack(
-                [np.interp(s_new, s, points[:, 0]), np.interp(s_new, s, points[:, 1])]
-            )
-
-        # Coarse-to-fine: pointwise transverse relaxation damps only short
-        # lateral wavelengths, while the staircase bias of the initial graph
-        # path is long-wavelength; relaxing a coarse polyline first makes
-        # those modes short relative to the spacing.
-        n_seg = min(8, n_target)
-        pts = resample(np.column_stack([xy[:, 0], xy[:, 1]]), n_seg)
-        step0 = 0.5 * self._disc_h
-        while True:
-            pts = self._relax_batch(pts[None, :, :], step0)[0]
-            if n_seg >= n_target:
-                break
-            n_seg = min(2 * n_seg, n_target)
-            pts = resample(pts, n_seg)
-            # Finer stages only clean up what resampling reintroduced.
-            step0 = 0.25 * self._disc_h
+        n_target = int(np.clip(np.ceil(float(dist[b]) / (0.5 * self._disc_h)), 8, 128))
+        pts = _resample(self.node_xy[path][None], min(8, n_target))
+        pts = self._relax_coarse_to_fine(pts, n_target)[0]
         seg = self._xy_segment_weights(pts[:-1], pts[1:])
         return pts, np.concatenate([[0.0], np.cumsum(seg)])
 
-    def _relax_batch(self, pts, step0, span=1, levels=10, shrink=0.5, passes=2):
+    def _relax_coarse_to_fine(self, pts, n_target):
+        """Relax a batch of polylines, doubling their segments up to n_target.
+
+        Pointwise transverse relaxation damps only short lateral wavelengths,
+        while the staircase bias of an initial graph path is long-wavelength;
+        relaxing a coarse polyline first makes those modes short relative to
+        the spacing.
+        """
+        n_seg = pts.shape[1] - 1
+        step0 = 0.5 * self._disc_h
+        while True:
+            pts = self._relax_batch(pts, step0)
+            if n_seg >= n_target:
+                return pts
+            n_seg = min(2 * n_seg, n_target)
+            pts = _resample(pts, n_seg)
+            # Finer stages only clean up what resampling reintroduced.
+            step0 = 0.25 * self._disc_h
+
+    def _relax_batch(self, pts, step0):
         """Transverse red-black descent of the sampled image length.
 
         `pts` holds a batch of polylines (curves, points, xy); curves do not
         interact, so all are relaxed in the same vectorized sweeps. Each
-        point is tested against the chord of its neighbors `span` points
-        away (red-black by span-block parity).
+        point is tested against the chord of its two neighbors (red-black by
+        index parity).
         """
         n_curves, n_pts, _ = pts.shape
         n_seg = n_pts - 1
@@ -1050,15 +872,13 @@ class InducedGraphSpace:
         step = step0
         idle_levels = 0
         all_idxs = np.arange(1, n_seg)
-        for _ in range(levels):
+        for _ in range(RELAX_LEVELS):
             moved = False
-            for _pass in range(passes):
+            for _pass in range(RELAX_PASSES):
                 for parity in (1, 0):
-                    idxs = all_idxs[(all_idxs // span) % 2 == parity]
-                    if idxs.size == 0:
-                        continue
-                    prev = pts[:, np.maximum(idxs - span, 0)].reshape(-1, 2)
-                    nxt = pts[:, np.minimum(idxs + span, n_seg)].reshape(-1, 2)
+                    idxs = all_idxs[all_idxs % 2 == parity]
+                    prev = pts[:, idxs - 1].reshape(-1, 2)
+                    nxt = pts[:, idxs + 1].reshape(-1, 2)
                     chord = nxt - prev
                     norms = np.linalg.norm(chord, axis=1, keepdims=True)
                     nrm = np.column_stack([-chord[:, 1], chord[:, 0]])
@@ -1071,12 +891,9 @@ class InducedGraphSpace:
                     ).reshape(-1, 2)
                     _, bb = self._locate_many(cands)
                     inside = bb.min(axis=1) >= -1e-9
-                    # Longer spans need proportionally more length samples or
-                    # the chord-length noise swamps the lateral signal.
                     w = self._xy_segment_weights(
                         np.vstack([np.tile(prev, (len(rel_offsets), 1)), cands]),
                         np.vstack([cands, np.tile(nxt, (len(rel_offsets), 1))]),
-                        samples=min(self.chord_samples * span, 32),
                     )
                     half = len(cands)
                     vals = (w[:half] + w[half:]).reshape(len(rel_offsets), m)
@@ -1122,7 +939,7 @@ class InducedGraphSpace:
             idle_levels = 0 if moved else idle_levels + 1
             if idle_levels >= 2 and step < 0.05 * self._disc_h:
                 break
-            step *= shrink
+            step *= RELAX_SHRINK
         return pts
 
     def _relax_curves(self, starts_xy, ends_xy):
@@ -1131,33 +948,30 @@ class InducedGraphSpace:
         E = np.asarray(ends_xy, dtype=float)
         span = np.linalg.norm(E - S, axis=1).max()
         n_target = int(np.clip(np.ceil(span / (0.75 * self._disc_h)), 8, 96))
-        n_seg = min(8, n_target)
-        lam = np.linspace(0.0, 1.0, n_seg + 1)
+        lam = np.linspace(0.0, 1.0, min(8, n_target) + 1)
         pts = (1.0 - lam)[None, :, None] * S[:, None, :] + lam[None, :, None] * E[:, None, :]
-        step0 = 0.5 * self._disc_h
-        while True:
-            pts = self._relax_batch(pts, step0)
-            step0 = 0.25 * self._disc_h
-            if n_seg >= n_target:
-                break
-            n_seg = min(2 * n_seg, n_target)
-            # Arclength resampling per curve.
-            seg = np.linalg.norm(np.diff(pts, axis=1), axis=2)
-            s = np.concatenate([np.zeros((len(pts), 1)), np.cumsum(seg, axis=1)], axis=1)
-            new = np.empty((len(pts), n_seg + 1, 2))
-            for c in range(len(pts)):
-                s_new = np.linspace(0.0, s[c, -1], n_seg + 1)
-                new[c, :, 0] = np.interp(s_new, s[c], pts[c, :, 0])
-                new[c, :, 1] = np.interp(s_new, s[c], pts[c, :, 1])
-            pts = new
+        pts = self._relax_coarse_to_fine(pts, n_target)
         w = self._xy_segment_weights(
             pts[:, :-1].reshape(-1, 2), pts[:, 1:].reshape(-1, 2)
-        ).reshape(len(pts), n_seg)
+        ).reshape(len(pts), -1)
         return w.sum(axis=1)
 
     def random_point(self, rng) -> int:
         # Sample among original mesh vertices only.
         return int(rng.integers(self.n_vertices))
+
+
+def _resample(pts, n_seg):
+    """Arclength resampling of a batch of polylines (curves, points, xy) to
+    n_seg equal segments each."""
+    seg = np.linalg.norm(np.diff(pts, axis=1), axis=2)
+    s = np.concatenate([np.zeros((len(pts), 1)), np.cumsum(seg, axis=1)], axis=1)
+    new = np.empty((len(pts), n_seg + 1, 2))
+    for c in range(len(pts)):
+        s_new = np.linspace(0.0, s[c, -1], n_seg + 1)
+        new[c, :, 0] = np.interp(s_new, s[c], pts[c, :, 0])
+        new[c, :, 1] = np.interp(s_new, s[c], pts[c, :, 1])
+    return new
 
 
 def certify_induced(
@@ -1169,7 +983,6 @@ def certify_induced(
     seed: int = 0,
     refinement: int | None = None,
     steiner: int = 6,
-    chord_samples: int = 4,
     collect_samples: bool = False,
     probes=None,
 ):
@@ -1184,7 +997,7 @@ def certify_induced(
     vertex.  Refinement sweeps certify the same geometric triples that way,
     so defect trends across refinements are not confounded by sampling.
     """
-    oracle = InducedGraphSpace(mg, steiner=steiner, chord_samples=chord_samples)
+    oracle = InducedGraphSpace(mg, steiner=steiner)
     probe_list = None
     if probes is not None:
         xy = np.asarray(mg.mesh.coords, dtype=float)[:, :2]

@@ -5,11 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from catdisc.errors import EpsilonBoundError
 from catdisc.mesh import MappedGraph, grid_mesh, triangle_fan
+from catdisc.model import geodesic_point, model_distance
 from catdisc.polyhedral import (
     ComplexPoint,
+    SteinerComplexGraph,
+    _sample_points,
     build_polyhedral_disc,
     corner_angle_comparison,
     epsilon_density_check,
@@ -19,6 +24,7 @@ from catdisc.polyhedral import (
     short_loop_probe,
 )
 from catdisc.spaces import EuclideanSpace, FlatCone, ModelSpace
+from catdisc.verify import InducedGraphSpace
 
 
 def identity_square(n):
@@ -143,3 +149,143 @@ def test_q_respects_fixed_set():
     _W, pair = build_polyhedral_disc(mg, epsilon=0.8)
     for v in mg.fixed:
         assert np.linalg.norm(pair.q(pair.p[v]) - mg.images[v]) <= 1e-9
+
+
+class ScalarSteinerComplexGraph:
+    """Reference: the per-cell scalar Steiner graph of a complex, with every
+    chart position and chord from `geodesic_point` and `model_distance`.
+    Its interpolant runs from corner 0 toward the geodesic between corners 1
+    and 2; the package's runs from corner 0 to 1, then toward corner 2."""
+
+    def __init__(self, complex_, refinement):
+        W, kap, r = complex_, complex_.kappa, refinement
+        next_id = W.mesh.n_vertices
+        side_nodes, rows, cols, weights = {}, [], [], []
+        for u, v in W._side_len:
+            chain = [u] + list(range(next_id, next_id + r)) + [v]
+            next_id += r
+            side_nodes[(u, v)] = chain
+            for a, b in zip(chain, chain[1:]):
+                rows.append(a)
+                cols.append(b)
+                weights.append(W.side_length(u, v) / (r + 1))
+        self.cell_samples = []
+        for cell in W.cells:
+            vs = cell.mesh_vertices
+            nodes, charts = [], []
+            for k in range(3):
+                u, v = vs[k], vs[(k + 1) % 3]
+                key = tuple(sorted((u, v)))
+                ordered = side_nodes[key] if key == (u, v) else side_nodes[key][::-1]
+                pu, pv = cell.chart.vertices[k], cell.chart.vertices[(k + 1) % 3]
+                for m, node in enumerate(ordered[:-1]):
+                    nodes.append(node)
+                    charts.append(pu if m == 0 else geodesic_point(kap, pu, pv, m / (r + 1)))
+            for i in range(len(nodes)):
+                for j in range(i):
+                    rows.append(nodes[i])
+                    cols.append(nodes[j])
+                    weights.append(model_distance(kap, charts[i], charts[j]))
+            self.cell_samples.append((nodes, charts))
+        self.n_nodes = next_id
+        m = coo_matrix((weights + weights, (rows + cols, cols + rows)),
+                       shape=(next_id, next_id))
+        best = {}
+        for a, b, w in zip(m.row.tolist(), m.col.tolist(), m.data.tolist()):
+            best[(a, b)] = min(w, best.get((a, b), math.inf))
+        keys = list(best)
+        self.matrix = coo_matrix(
+            ([best[k] for k in keys], ([k[0] for k in keys], [k[1] for k in keys])),
+            shape=(next_id, next_id),
+        ).tocsr()
+        self.complex = W
+
+    def chart_of(self, pt):
+        kap, (c0, c1, c2) = self.complex.kappa, self.complex.cells[pt.cell].chart.vertices
+        u, v, w = pt.bary
+        if v + w < 1e-15:
+            return c0
+        return geodesic_point(kap, c0, geodesic_point(kap, c1, c2, w / (v + w)), v + w)
+
+    def distance_rows(self, sources, targets):
+        pts, kap, n = list(sources) + list(targets), self.complex.kappa, self.n_nodes
+        charts = [self.chart_of(pt) for pt in pts]
+        rows, cols, ws = [], [], []
+        for i, pt in enumerate(pts):
+            for node, ch in zip(*self.cell_samples[pt.cell]):
+                rows.append(n + i)
+                cols.append(node)
+                ws.append(model_distance(kap, charts[i], ch))
+            for j in range(i):
+                if pts[j].cell == pt.cell:
+                    rows.append(n + i)
+                    cols.append(n + j)
+                    ws.append(model_distance(kap, charts[i], charts[j]))
+        base, total = self.matrix.tocoo(), n + len(pts)
+        mat = coo_matrix(
+            (np.r_[base.data, ws, ws],
+             (np.r_[base.row, rows, cols], np.r_[base.col, cols, rows])),
+            shape=(total, total),
+        ).tocsr()
+        dist = dijkstra(mat, directed=False, indices=np.arange(n, n + len(sources)))
+        return dist[:, n + len(sources):]
+
+
+def model_grid(k, n, scale):
+    sp = ModelSpace(k)
+    mesh = grid_mesh(n)
+    imgs = [sp.point((scale * (c[0] - 0.5), scale * (c[1] - 0.6 * c[0] ** 2)))
+            for c in mesh.coords]
+    return MappedGraph(mesh, sp, imgs)
+
+
+COMPLEXES = {
+    "identity-grid": lambda: build_polyhedral_disc(identity_square(2), epsilon=0.8)[0],
+    "cone-3-fan": lambda: build_polyhedral_disc(equilateral_fan(3), epsilon=1.5)[0],
+    "cone-6-fan": lambda: build_polyhedral_disc(equilateral_fan(6), epsilon=1.5)[0],
+    "sphere-cap": lambda: build_polyhedral_disc(model_grid(1.0, 3, 0.8), 1.0, kappa=1.0)[0],
+    "hyperbolic": lambda: build_polyhedral_disc(model_grid(-1.0, 3, 1.5), 2.0)[0],
+}
+
+
+def side_and_vertex_points(W, rng, count):
+    """Points with a zero barycentric: on a cell side or at a corner."""
+    pts = []
+    for _ in range(count):
+        b = np.zeros(3)
+        i, j = rng.choice(3, size=2, replace=False)
+        b[i] = rng.uniform() if rng.uniform() < 0.8 else 1.0
+        b[j] = 1.0 - b[i]
+        pts.append(ComplexPoint(int(rng.integers(len(W.cells))), tuple(b)))
+    return pts
+
+
+@pytest.mark.parametrize("name", list(COMPLEXES))
+@pytest.mark.parametrize("refinement", [0, 2, 3])
+def test_steiner_graph_matches_the_scalar_reference(name, refinement):
+    W = COMPLEXES[name]()
+    rng = np.random.default_rng(refinement)
+    if W.kappa.value == 0.0:
+        sources = _sample_points(W, 12, rng)
+        targets = _sample_points(W, 9, rng) + sources[:3]
+    else:
+        # Away from cell sides the two interpolants place points differently.
+        sources = side_and_vertex_points(W, rng, 12)
+        targets = side_and_vertex_points(W, rng, 9) + sources[:3]
+    got = SteinerComplexGraph(W, refinement).distance_rows(sources, targets)
+    want = ScalarSteinerComplexGraph(W, refinement).distance_rows(sources, targets)
+    assert np.all(np.isfinite(want))
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_q_uses_the_induced_oracle_interpolant():
+    mg = model_grid(1.0, 3, 0.8)
+    _W, pair = build_polyhedral_disc(mg, epsilon=1.0, kappa=1.0)
+    oracle = InducedGraphSpace(mg, steiner=1)
+    rng = np.random.default_rng(2)
+    tri_idx = rng.integers(len(mg.mesh.triangles), size=40)
+    bary = rng.dirichlet(np.ones(3), size=40)
+    want = oracle._images_at(tri_idx, bary)
+    for ti, b, w in zip(tri_idx, bary, want):
+        got = pair.q(ComplexPoint(int(ti), tuple(b)))
+        assert np.abs(got.coords - w).max() <= 1e-12

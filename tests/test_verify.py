@@ -16,10 +16,10 @@ from catdisc.errors import GeometryError
 from catdisc.mesh import MappedGraph, grid_mesh, triangle_fan
 from catdisc.model import Kappa, build_comparison_triangle
 from catdisc.spaces import EuclideanSpace, FlatCone, MetricTree, ModelSpace, TreePoint
+from catdisc.steiner import _batch_distance, _batch_geodesic
 from catdisc.verify import (
+    CHORD_SAMPLES,
     InducedGraphSpace,
-    _batch_distance,
-    _batch_geodesic,
     _compared_distances,
     certify_cat,
     certify_induced,
@@ -416,9 +416,8 @@ def test_segment_weights_equal_the_per_triangle_loop(target):
     rng = np.random.default_rng(4)
     S = rng.uniform(0.0, 1.0, size=(60, 2))
     E = rng.uniform(0.0, 1.0, size=(60, 2))
-    for m in (oracle.chord_samples, 9):
-        want = per_triangle_segment_weights(oracle, S, E, m)
-        assert np.array_equal(oracle._xy_segment_weights(S, E, samples=m), want)
+    want = per_triangle_segment_weights(oracle, S, E, CHORD_SAMPLES)
+    assert np.array_equal(oracle._xy_segment_weights(S, E), want)
 
 
 def edge_scan_rows(tree, corners, W):
@@ -489,10 +488,9 @@ def test_tree_segment_weights_match_the_edge_scan_path():
     # Segments along mesh edges and through vertices, where weights vanish.
     S[:10] = oracle.node_xy[rng.integers(oracle.n_vertices, size=10)]
     E[:5] = np.clip(S[:5] + np.array([1.0 / 6.0, 0.0]), 0.0, 1.0)
-    for m in (oracle.chord_samples, 9):
-        got = oracle._xy_segment_weights(S, E, samples=m)
-        want = edge_scan_segment_weights(oracle, S, E, m)
-        assert np.abs(got - want).max() <= 1e-12
+    got = oracle._xy_segment_weights(S, E)
+    want = edge_scan_segment_weights(oracle, S, E, CHORD_SAMPLES)
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_dijkstra_cache_stays_within_its_cap():
