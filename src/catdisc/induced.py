@@ -249,7 +249,13 @@ class MetricComparison:
 def compare_metrics(
     mg: MappedGraph, max_pairs: int = 50, seed: int = 0
 ) -> MetricComparison:
-    """Compare |x-z|_f against <x-z>_f on sampled (or all) vertex pairs."""
+    """Compare |x-z|_f against <x-z>_f on sampled (or all) vertex pairs.
+
+    In exact mode on one graph, connecting <= length holds by construction:
+    the vertex set of a shortest path is connected, holds both endpoints, and
+    its image diameter is at most the path's length.  So `ok` there is a
+    sanity check of the code, not evidence about the map.
+    """
     n = mg.mesh.n_vertices
     qm = induced_length_metric(mg)
     mode = "exact" if n <= EXACT_CONNECTING_LIMIT else "anchor2approx"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class Kappa:
             return math.pi / math.sqrt(self.value)
         return math.inf
 
-    @property
+    @cached_property
     def scale(self) -> float:
         """sqrt(|kappa|), the metric scaling of the unit model."""
         return math.sqrt(abs(self.value))
@@ -59,7 +60,12 @@ class Kappa:
 
 @dataclass(frozen=True, eq=False)
 class ModelPoint:
-    """Point on M_kappa in the shared 3-vector embedding."""
+    """Point on M_kappa in the shared 3-vector embedding.
+
+    The coordinates are read-only, so a point remembers (outside its
+    fields) the last curvature whose quadric check in `model_distance` it
+    passed, and is not checked again for that curvature.
+    """
 
     coords: np.ndarray
 
@@ -83,8 +89,15 @@ class ModelPoint:
         return f"ModelPoint({self.coords[0]!r}, {self.coords[1]!r}, {self.coords[2]!r})"
 
 
-def _minkowski(u, v) -> float:
-    return float(u[0] * v[0] + u[1] * v[1] - u[2] * v[2])
+def _norm(c: np.ndarray) -> float:
+    """Euclidean norm of a float vector; the value np.linalg.norm returns."""
+    return math.sqrt(float(c.dot(c)))
+
+
+def _minkowski_sq(c) -> float:
+    """Minkowski square <c, c> = x^2 + y^2 - z^2 of a 3-vector."""
+    x, y, z = np.asarray(c, dtype=float).tolist()
+    return x * x + y * y - z * z
 
 
 def quadric_residual(kappa: Kappa, coords) -> float:
@@ -92,10 +105,10 @@ def quadric_residual(kappa: Kappa, coords) -> float:
     c = np.asarray(coords, dtype=float)
     k = kappa.value
     if k > 0:
-        return abs(k * float(c @ c) - 1.0)
+        return abs(k * float(c.dot(c)) - 1.0)
     if k == 0:
         return abs(float(c[2]))
-    res = abs(-k * _minkowski(c, c) + 1.0)
+    res = abs(-k * _minkowski_sq(c) + 1.0)
     if c[2] <= 0:
         res = max(res, 1.0)
     return res
@@ -111,20 +124,26 @@ def make_point(kappa: Kappa, coords) -> ModelPoint:
     return ModelPoint(np.asarray(coords, dtype=float))
 
 
-def _project(kappa: Kappa, coords: np.ndarray) -> ModelPoint:
+def _project(kappa: Kappa, x: float, y: float, z: float) -> ModelPoint:
     """Snap nearly-valid coordinates exactly onto the quadric."""
-    c = np.asarray(coords, dtype=float).copy()
     k = kappa.value
     if k > 0:
-        c *= 1.0 / (math.sqrt(k) * float(np.linalg.norm(c)))
+        c = np.array([x, y, z])
+        c *= 1.0 / (kappa.scale * _norm(c))
     elif k == 0:
-        c[2] = 0.0
+        c = np.array([x, y, 0.0])
     else:
-        q = -_minkowski(c, c)
-        c *= 1.0 / math.sqrt(q * (-k))
-    return ModelPoint(c)
+        f = 1.0 / math.sqrt(-(x * x + y * y - z * z) * (-k))
+        c = np.array([x * f, y * f, z * f])
+    # The fresh array becomes the point's own coordinates, without the copy
+    # that ModelPoint() makes.
+    c.setflags(write=False)
+    pt = object.__new__(ModelPoint)
+    object.__setattr__(pt, "coords", c)
+    return pt
 
 
+@lru_cache(maxsize=16)
 def base_point(kappa: Kappa) -> ModelPoint:
     """Reference point of M_kappa with tangent frame e1=(1,0,0), e2=(0,1,0)."""
     k = kappa.value
@@ -135,27 +154,31 @@ def base_point(kappa: Kappa) -> ModelPoint:
     return ModelPoint(np.array([0.0, 0.0, 1.0 / math.sqrt(-k)]))
 
 
-def _tangent_norm(kappa: Kappa, v: np.ndarray) -> float:
-    if kappa.value < 0:
-        return math.sqrt(max(_minkowski(v, v), 0.0))
-    return float(np.linalg.norm(v))
-
-
 def exp_map(kappa: Kappa, p: ModelPoint, v: np.ndarray) -> ModelPoint:
     """Geodesic exponential: travel |v| from p in tangent direction v."""
-    d = _tangent_norm(kappa, v)
+    # Componentwise float arithmetic: the same IEEE operations as the
+    # array expressions c = f(sd) p + (g(sd) / s) (v / d), without their
+    # per-call overhead on 3-vectors.
+    va = np.asarray(v, dtype=float)
+    v0, v1, v2 = va.tolist()
+    k = kappa.value
+    if k < 0:
+        d = math.sqrt(max(v0 * v0 + v1 * v1 - v2 * v2, 0.0))
+    else:
+        d = _norm(va)
     if d < SIDE_FLOOR:
         return p
+    p0, p1, p2 = p.coords.tolist()
+    if k == 0:
+        return _project(kappa, p0 + v0, p1 + v1, p2 + v2)
     s = kappa.scale
-    u = v / d
-    k = kappa.value
     if k > 0:
-        c = math.cos(s * d) * p.coords + (math.sin(s * d) / s) * u
-    elif k == 0:
-        c = p.coords + v
+        f, g = math.cos(s * d), math.sin(s * d) / s
     else:
-        c = math.cosh(s * d) * p.coords + (math.sinh(s * d) / s) * u
-    return _project(kappa, c)
+        f, g = math.cosh(s * d), math.sinh(s * d) / s
+    return _project(
+        kappa, f * p0 + g * (v0 / d), f * p1 + g * (v1 / d), f * p2 + g * (v2 / d)
+    )
 
 
 def log_map(kappa: Kappa, p: ModelPoint, q: ModelPoint) -> np.ndarray:
@@ -163,17 +186,23 @@ def log_map(kappa: Kappa, p: ModelPoint, q: ModelPoint) -> np.ndarray:
     d = model_distance(kappa, p, q)
     if d < SIDE_FLOOR:
         return np.zeros(3)
-    s = kappa.scale
+    p0, p1, p2 = p.coords.tolist()
+    q0, q1, q2 = q.coords.tolist()
     k = kappa.value
+    if k == 0:
+        return np.array(
+            [d * ((q0 - p0) / d), d * ((q1 - p1) / d), d * ((q2 - p2) / d)]
+        )
+    s = kappa.scale
     if k > 0:
         if d > kappa.r_kappa - 1e-9:
             raise NonUniqueGeodesicError("antipodal points on the sphere")
-        u = (q.coords - math.cos(s * d) * p.coords) * (s / math.sin(s * d))
-    elif k == 0:
-        u = (q.coords - p.coords) / d
+        f, g = math.cos(s * d), s / math.sin(s * d)
     else:
-        u = (q.coords - math.cosh(s * d) * p.coords) * (s / math.sinh(s * d))
-    return d * u
+        f, g = math.cosh(s * d), s / math.sinh(s * d)
+    return np.array(
+        [d * ((q0 - f * p0) * g), d * ((q1 - f * p1) * g), d * ((q2 - f * p2) * g)]
+    )
 
 
 def from_tangent(kappa: Kappa, xy) -> ModelPoint:
@@ -182,27 +211,35 @@ def from_tangent(kappa: Kappa, xy) -> ModelPoint:
     return exp_map(kappa, base_point(kappa), np.array([x, y, 0.0]))
 
 
+def _check_on_model(kappa: Kappa, pt: ModelPoint):
+    """Reject a point off the quadric of M_kappa; remember one that passed."""
+    k = kappa.value
+    res = quadric_residual(kappa, pt.coords)
+    if res > 1e-9:
+        raise InvalidPointError(
+            f"point off the kappa={k} quadric (residual {res:.3e})"
+        )
+    object.__setattr__(pt, "_on_model", k)
+
+
 def model_distance(kappa: Kappa, p: ModelPoint, q: ModelPoint) -> float:
     """Geodesic distance on M_kappa."""
-    for pt in (p, q):
-        res = quadric_residual(kappa, pt.coords)
-        if res > 1e-9:
-            raise InvalidPointError(
-                f"point off the kappa={kappa.value} quadric (residual {res:.3e})"
-            )
     k = kappa.value
+    if p.__dict__.get("_on_model") != k:
+        _check_on_model(kappa, p)
+    if q.__dict__.get("_on_model") != k:
+        _check_on_model(kappa, q)
     if k == 0:
-        return float(np.linalg.norm(p.coords - q.coords))
+        return _norm(p.coords - q.coords)
     s = kappa.scale
     if k > 0:
         # Stable arc length via the chord, exact at small and large angles.
-        chord = float(np.linalg.norm(p.coords - q.coords))
+        chord = _norm(p.coords - q.coords)
         half = min(1.0, 0.5 * chord * s)
         return 2.0 * math.asin(half) / s
     # Stable half-chord form: 4 sinh^2(s d / 2) = <p-q, p-q>_M * (-k),
     # computed from the coordinate difference to avoid cancellation near 0.
-    diff = p.coords - q.coords
-    msq = max(_minkowski(diff, diff) * (-k), 0.0)
+    msq = max(_minkowski_sq(p.coords - q.coords) * (-k), 0.0)
     return 2.0 * math.asinh(0.5 * math.sqrt(msq)) / s
 
 
@@ -224,11 +261,12 @@ def _check_triangle_sides(kappa: Kappa, a: float, b: float, c: float):
         raise TriangleInequalityError(f"negative side in ({a}, {b}, {c})")
     per = a + b + c
     tol = _TRI_INEQ_TOL * max(1.0, per)
-    for s0, s1, s2 in ((a, b, c), (b, c, a), (c, a, b)):
-        if s0 > s1 + s2 + tol:
-            raise TriangleInequalityError(
-                f"side {s0} exceeds the sum of the others ({s1} + {s2})"
-            )
+    if a > b + c + tol or b > c + a + tol or c > a + b + tol:
+        for s0, s1, s2 in ((a, b, c), (b, c, a), (c, a, b)):
+            if s0 > s1 + s2 + tol:
+                raise TriangleInequalityError(
+                    f"side {s0} exceeds the sum of the others ({s1} + {s2})"
+                )
     if kappa.value > 0 and per >= 2.0 * kappa.r_kappa:
         raise TooLargeTriangleError(
             f"perimeter {per} >= 2*R_kappa = {2.0 * kappa.r_kappa}"

@@ -8,6 +8,7 @@ vertices and a sampled map q back to the target, checked to be 1-Lipschitz.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -382,12 +383,19 @@ class SteinerComplexGraph:
         return dist[:, n + len(sources):]
 
 
+@functools.lru_cache(maxsize=4)
+def _complex_graph(complex_: PolyComplex, refinement: int) -> SteinerComplexGraph:
+    """The Steiner graph of a complex, built once per (complex, refinement)
+    among the last few used; complexes hash by identity, and `distance_rows`
+    leaves a graph as it was."""
+    return SteinerComplexGraph(complex_, refinement)
+
+
 def intrinsic_distance(
     complex_: PolyComplex, a: ComplexPoint, b: ComplexPoint, refinement: int = 8
 ) -> float:
     """Steiner-graph upper bound on the intrinsic distance of two points."""
-    graph = SteinerComplexGraph(complex_, refinement)
-    return float(graph.distance_rows([a], [b])[0, 0])
+    return float(_complex_graph(complex_, refinement).distance_rows([a], [b])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -426,7 +434,7 @@ def lipschitz_check(
     rng = np.random.default_rng(seed)
     pts_a = _sample_points(complex_, samples, rng)
     pts_b = _sample_points(complex_, samples, rng)
-    graph = SteinerComplexGraph(complex_, refinement)
+    graph = _complex_graph(complex_, refinement)
     max_ratio = 0.0
     chunk = 100
     for lo in range(0, samples, chunk):
@@ -474,7 +482,7 @@ def epsilon_density_check(
     rng = np.random.default_rng(seed)
     pts = _sample_points(complex_, samples, rng)
     anchors = [pair.p[v] for v in sorted(pair.p)]
-    graph = SteinerComplexGraph(complex_, refinement)
+    graph = _complex_graph(complex_, refinement)
     gaps = graph.distance_rows(pts, anchors).min(axis=1)
     max_side = max(complex_._side_len.values(), default=0.0)
     return DensityReport(
@@ -510,7 +518,7 @@ def short_loop_probe(
     threshold = 2.0 * kap.r_kappa
     if not math.isfinite(threshold):
         return LoopProbeReport(0, math.inf, threshold)
-    graph = SteinerComplexGraph(complex_, refinement)
+    graph = _complex_graph(complex_, refinement)
     dist = dijkstra(graph.graph, directed=False)
     rng = np.random.default_rng(seed)
     n = complex_.mesh.n_vertices

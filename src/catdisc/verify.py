@@ -415,22 +415,29 @@ class InducedGraphSpace:
             for ti, b in zip(tri_idx, bary)
         ]
 
-    def _chain_lengths(self, tri_idx, bary):
-        """Image polyline lengths of consecutive runs of CHORD_SAMPLES + 1
-        disc points, given by triangle and barycentrics."""
-        m = CHORD_SAMPLES
+    def _chain_lengths(self, tri_idx, bary, chains):
+        """Image polyline lengths through disc points given by triangle and
+        barycentrics; row c of `chains` indexes the CHORD_SAMPLES + 1 points
+        of polyline c."""
         pts = self._images_at(tri_idx, bary)
-        n_chains = len(bary) // (m + 1)
         if self._k is None and self._tripods is None:
             return np.array([
-                self.space.curve_length(pts[ci * (m + 1):(ci + 1) * (m + 1)])
-                for ci in range(n_chains)
+                self.space.curve_length([pts[i] for i in chain]) for chain in chains
             ])
-        P = pts.reshape(n_chains, m + 1, -1)
-        X, Y = P[:, :-1].reshape(-1, P.shape[2]), P[:, 1:].reshape(-1, P.shape[2])
+        X = pts[chains[:, :-1]].reshape(-1, pts.shape[1])
+        Y = pts[chains[:, 1:]].reshape(-1, pts.shape[1])
         if self._k is None:
-            return self.space.distance_arrays(X, Y).reshape(n_chains, m).sum(axis=1)
-        return _batch_distance(self._k, X, Y).reshape(n_chains, m).sum(axis=1)
+            d = self.space.distance_arrays(X, Y)
+        else:
+            d = _batch_distance(self._k, X, Y)
+        return d.reshape(len(chains), CHORD_SAMPLES).sum(axis=1)
+
+    def _located_lengths(self, tri_idx, bary, chains):
+        """`_chain_lengths` of located points, their barycentrics clipped to
+        the triangle."""
+        bary = np.clip(bary, 0.0, None)
+        bary /= bary.sum(axis=1, keepdims=True)
+        return self._chain_lengths(tri_idx, bary, chains)
 
     def _chord_weights(self, tri_idx, S, E):
         """Image polyline lengths of straight segments between barycentric
@@ -440,7 +447,9 @@ class InducedGraphSpace:
         flat = B.reshape(-1, 3)
         if self._k is None:
             flat = np.clip(flat, 0.0, None)
-        return self._chain_lengths(np.repeat(tri_idx, CHORD_SAMPLES + 1), flat)
+        return self._chain_lengths(
+            np.repeat(tri_idx, CHORD_SAMPLES + 1), flat, _runs(len(S))
+        )
 
     def _quad_chords(self):
         """Chords spanning pairs of triangles that share an edge, as (rows,
@@ -489,9 +498,9 @@ class InducedGraphSpace:
             for ti, mask in ((ta, use_a), (tb, ~use_a)):
                 st = (flat[mask] - self._p0_stack[ti]) @ self._inv_stack[ti].T
                 bary[mask] = np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
-            bary = np.clip(bary, 0.0, None)
-            bary /= bary.sum(axis=1, keepdims=True)
-            weights.append(self._chain_lengths(np.where(use_a, ta, tb), bary))
+            weights.append(self._located_lengths(
+                np.where(use_a, ta, tb), bary, _runs(len(XA) * len(XB))
+            ))
             rows.append(np.repeat(nodes_a, len(nodes_b)))
             cols.append(np.tile(nodes_b, len(nodes_a)))
         if rows:
@@ -503,6 +512,8 @@ class InducedGraphSpace:
         Cells are sized for about one triangle each.  Each triangle is filed,
         in index order, under every cell its bounding box overlaps, so a
         point's containing triangle is always among its cell's candidates.
+        Each cell also stacks its candidates' barycentric solvers, so that
+        locating a point gathers one row.
         """
         coords = np.asarray(mesh.coords, dtype=float)[:, :2]
         lo = coords.min(axis=0)
@@ -510,22 +521,26 @@ class InducedGraphSpace:
         cs = max(math.sqrt(float(np.prod(hi - lo)) / len(self._tris)), 1e-12)
         nx = max(1, int(np.ceil((hi[0] - lo[0]) / cs)))
         ny = max(1, int(np.ceil((hi[1] - lo[1]) / cs)))
-        cells: dict[tuple[int, int], list[int]] = {}
+        cells: dict[int, list[int]] = {}
         for ti, tri in enumerate(self._tris):
             pts = coords[list(tri)]
             i0, j0 = np.floor((pts.min(axis=0) - lo) / cs).astype(int)
             i1, j1 = np.floor((pts.max(axis=0) - lo) / cs).astype(int)
             for ci in range(max(i0, 0), min(i1, nx - 1) + 1):
                 for cj in range(max(j0, 0), min(j1, ny - 1) + 1):
-                    cells.setdefault((ci, cj), []).append(ti)
+                    cells.setdefault(ci * ny + cj, []).append(ti)
         kmax = max(len(v) for v in cells.values())
-        table = np.full((nx, ny, kmax), -1, dtype=int)
-        for (ci, cj), tris in cells.items():
-            table[ci, cj, : len(tris)] = tris
+        table = np.full((nx * ny, kmax), -1, dtype=int)
+        for cell, tris in cells.items():
+            table[cell, : len(tris)] = tris
         self._bucket_lo = lo
         self._bucket_cs = cs
         self._bucket_shape = (nx, ny)
-        self._bucket_table = table
+        self._bucket_tris = table
+        # Empty slots hold triangle 0's solver; `_locate_many` never picks them.
+        safe = np.maximum(table, 0)
+        self._bucket_inv = self._inv_stack[safe]
+        self._bucket_p0 = self._p0_stack[safe]
 
     def _locate_many(self, pts):
         """Containing triangle and barycentric coordinates for many points.
@@ -537,14 +552,13 @@ class InducedGraphSpace:
         ij = np.floor((pts - self._bucket_lo) / self._bucket_cs).astype(int)
         ix = np.clip(ij[:, 0], 0, self._bucket_shape[0] - 1)
         iy = np.clip(ij[:, 1], 0, self._bucket_shape[1] - 1)
-        cand = self._bucket_table[ix, iy]  # (n, kmax)
-        valid = cand >= 0
-        safe = np.where(valid, cand, 0)
-        diff = pts[:, None, :] - self._p0_stack[safe]
-        st = np.einsum("nkij,nkj->nki", self._inv_stack[safe], diff)
+        cell = ix * self._bucket_shape[1] + iy
+        cand = self._bucket_tris[cell]  # (n, kmax)
+        diff = pts[:, None, :] - self._bucket_p0[cell]
+        st = np.einsum("nkij,nkj->nki", self._bucket_inv[cell], diff)
         bary = np.concatenate([1.0 - st.sum(axis=2, keepdims=True), st], axis=2)
         low = np.minimum(np.minimum(bary[:, :, 0], bary[:, :, 1]), bary[:, :, 2])
-        best = np.argmax(np.where(valid, low, -np.inf), axis=1)
+        best = np.argmax(np.where(cand >= 0, low, -np.inf), axis=1)
         rows = np.arange(len(pts))
         return cand[rows, best], bary[rows, best]
 
@@ -562,9 +576,7 @@ class InducedGraphSpace:
         lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)
         XY = (1.0 - lam)[None, :, None] * S[:, None, :] + lam[None, :, None] * E[:, None, :]
         tri_idx, bary = self._locate_many(XY.reshape(-1, 2))
-        bary = np.clip(bary, 0.0, None)
-        bary /= bary.sum(axis=1, keepdims=True)
-        return self._chain_lengths(tri_idx, bary)
+        return self._located_lengths(tri_idx, bary, _runs(len(S)))
 
     # -- contour-following routes (tree targets) ---------------------------
 
@@ -864,19 +876,28 @@ class InducedGraphSpace:
         `pts` holds a batch of polylines (curves, points, xy); curves do not
         interact, so all are relaxed in the same vectorized sweeps. Each
         point is tested against the chord of its two neighbors (red-black by
-        index parity).
+        index parity).  A half-sweep moving m points probes 5m candidates
+        and measures the 10m segments joining them to the neighbours: it
+        locates the 2m neighbours, the 5m candidates and the 30m interior
+        segment samples, 37m distinct points, in one call and interpolates
+        each once, then locates the m over-relaxed moves in a second call.
         """
         n_curves, n_pts, _ = pts.shape
         n_seg = n_pts - 1
         rel_offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        n_off = len(rel_offsets)
+        lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)[1:-1]
         step = step0
         idle_levels = 0
         all_idxs = np.arange(1, n_seg)
+        half_sweeps = []
+        for parity in (1, 0):
+            idxs = all_idxs[all_idxs % 2 == parity]
+            half_sweeps.append((idxs, _probe_chains(n_curves * len(idxs), n_off)))
         for _ in range(RELAX_LEVELS):
             moved = False
             for _pass in range(RELAX_PASSES):
-                for parity in (1, 0):
-                    idxs = all_idxs[all_idxs % 2 == parity]
+                for idxs, chains in half_sweeps:
                     prev = pts[:, idxs - 1].reshape(-1, 2)
                     nxt = pts[:, idxs + 1].reshape(-1, 2)
                     chord = nxt - prev
@@ -889,22 +910,27 @@ class InducedGraphSpace:
                         base[None, :, :]
                         + (rel_offsets * step)[:, None, None] * nrm[None, :, :]
                     ).reshape(-1, 2)
-                    _, bb = self._locate_many(cands)
-                    inside = bb.min(axis=1) >= -1e-9
-                    w = self._xy_segment_weights(
-                        np.vstack([np.tile(prev, (len(rel_offsets), 1)), cands]),
-                        np.vstack([cands, np.tile(nxt, (len(rel_offsets), 1))]),
-                    )
                     half = len(cands)
-                    vals = (w[:half] + w[half:]).reshape(len(rel_offsets), m)
-                    vals[~inside.reshape(len(rel_offsets), m)] = np.inf
+                    S = np.vstack([np.tile(prev, (n_off, 1)), cands])
+                    E = np.vstack([cands, np.tile(nxt, (n_off, 1))])
+                    between = (
+                        (1.0 - lam)[None, :, None] * S[:, None, :]
+                        + lam[None, :, None] * E[:, None, :]
+                    )
+                    tri_idx, bary = self._locate_many(
+                        np.vstack([prev, nxt, cands, between.reshape(-1, 2)])
+                    )
+                    inside = bary[2 * m:2 * m + half].min(axis=1) >= -1e-9
+                    w = self._located_lengths(tri_idx, bary, chains)
+                    vals = (w[:half] + w[half:]).reshape(n_off, m)
+                    vals[~inside.reshape(n_off, m)] = np.inf
                     best = np.argmin(vals, axis=0)
                     ar = np.arange(m)
                     off = rel_offsets[best] * step
                     # Sub-probe parabolic refinement; without it, corrections
                     # smaller than the probe spacing never happen and smooth
                     # lateral modes stall at the quantization floor.
-                    inner = (best >= 1) & (best <= len(rel_offsets) - 2)
+                    inner = (best >= 1) & (best <= n_off - 2)
                     bi = np.where(inner, best, 2)
                     vm = np.nan_to_num(vals[bi - 1, ar], posinf=0.0)
                     vb = vals[bi, ar]
@@ -959,6 +985,30 @@ class InducedGraphSpace:
     def random_point(self, rng) -> int:
         # Sample among original mesh vertices only.
         return int(rng.integers(self.n_vertices))
+
+
+def _runs(n_chains):
+    """`chains` rows of n_chains consecutive runs of CHORD_SAMPLES + 1 points."""
+    return np.arange(n_chains * (CHORD_SAMPLES + 1)).reshape(n_chains, -1)
+
+
+def _probe_chains(m, n_probes):
+    """`chains` rows of the probe segments of a half-sweep of m points.
+
+    The located rows are the m previous neighbours, the m next neighbours,
+    the n_probes * m candidates (probe-major), then the CHORD_SAMPLES - 1
+    interior samples of each segment in turn: n_probes * m segments from a
+    previous neighbour to a candidate, then as many from a candidate to a
+    next neighbour.
+    """
+    c = n_probes * m
+    k = np.arange(c)
+    chains = np.empty((2 * c, CHORD_SAMPLES + 1), dtype=int)
+    chains[:, 0] = np.r_[k % m, 2 * m + k]
+    chains[:, -1] = np.r_[2 * m + k, m + k % m]
+    interior = np.arange(2 * c * (CHORD_SAMPLES - 1)).reshape(2 * c, -1)
+    chains[:, 1:-1] = 2 * m + c + interior
+    return chains
 
 
 def _resample(pts, n_seg):

@@ -198,6 +198,7 @@ def test_cone_controls():
     )
 
 
+@pytest.mark.slow
 def test_graph_minimizer():
     """Fermat instance, subgradient oracle on a grid, and angle-sum floor."""
     t0 = time.monotonic()
@@ -256,6 +257,7 @@ def test_graph_minimizer():
     )
 
 
+@pytest.mark.slow
 def test_polyhedral_build():
     """Flat square complex is isometric; 3-fan fails; Lipschitz holds."""
     t0 = time.monotonic()
@@ -328,6 +330,7 @@ def _spherical_ruled_map(n, span=0.6 * math.pi, lat=0.75, samples=32):
     )
 
 
+@pytest.mark.slow
 def test_ruled_disc():
     """Skew ruled disc certifies CAT(0) with a refining defect trend; the
     spherical ruled disc separates the kappa = 1 and kappa = 0 verdicts."""
@@ -391,6 +394,7 @@ def _tripod_boundary_trace(tree, mesh):
     return trace
 
 
+@pytest.mark.slow
 def test_harmonic_disc():
     """Tripod scan oracle, induced certification, and the linear-system oracle."""
     t0 = time.monotonic()
@@ -522,6 +526,7 @@ def _wavy_builder(n):
     return MappedGraph(mesh, sp, imgs)
 
 
+@pytest.mark.slow
 def test_metric_relations():
     """Connecting <= length samplewise; quotient/non-bubbling/domination."""
     t0 = time.monotonic()
@@ -566,6 +571,7 @@ def test_metric_relations():
     )
 
 
+@pytest.mark.slow
 def test_determinism():
     """Identical seeds reproduce certification reports bit for bit."""
     t0 = time.monotonic()

@@ -14,6 +14,7 @@ from catdisc.model import geodesic_point, model_distance
 from catdisc.polyhedral import (
     ComplexPoint,
     SteinerComplexGraph,
+    _complex_graph,
     _sample_points,
     build_polyhedral_disc,
     corner_angle_comparison,
@@ -276,6 +277,25 @@ def test_steiner_graph_matches_the_scalar_reference(name, refinement):
     want = ScalarSteinerComplexGraph(W, refinement).distance_rows(sources, targets)
     assert np.all(np.isfinite(want))
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("name", ["identity-grid", "sphere-cap"])
+def test_intrinsic_distance_reuses_one_graph_per_complex(name):
+    W, twin = COMPLEXES[name](), COMPLEXES[name]()
+    graph = _complex_graph(W, 3)
+    assert _complex_graph(W, 3) is graph
+    # Keyed by complex identity and refinement, not by equal contents.
+    assert _complex_graph(twin, 3) is not graph
+    assert _complex_graph(W, 2) is not graph
+    before = [a.copy() for a in (graph.graph.indptr, graph.graph.indices, graph.graph.data)]
+    pts = _sample_points(W, 12, np.random.default_rng(6))
+    for a, b in zip(pts[:6], pts[6:]):
+        got = intrinsic_distance(W, a, b, refinement=3)
+        assert got == SteinerComplexGraph(W, 3).distance_rows([a], [b])[0, 0]
+    assert _complex_graph(W, 3) is graph
+    assert graph.distance_rows(pts[:3], pts[3:]).shape == (3, 9)
+    after = (graph.graph.indptr, graph.graph.indices, graph.graph.data)
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
 
 def test_q_uses_the_induced_oracle_interpolant():

@@ -19,7 +19,11 @@ from catdisc.spaces import EuclideanSpace, FlatCone, MetricTree, ModelSpace, Tre
 from catdisc.steiner import _batch_distance, _batch_geodesic
 from catdisc.verify import (
     CHORD_SAMPLES,
+    RELAX_LEVELS,
+    RELAX_PASSES,
+    RELAX_SHRINK,
     InducedGraphSpace,
+    _resample,
     _compared_distances,
     certify_cat,
     certify_induced,
@@ -340,6 +344,45 @@ def brute_force_locate(oracle, pts):
     return best, bary[np.arange(len(pts)), best]
 
 
+def table_locator(oracle):
+    """The point locator as it was before per-cell solver stacks: a (cell ->
+    candidates) table filed triangle by triangle, and every candidate's
+    solver gathered separately, (points x kmax)."""
+    coords = np.asarray(oracle.mg.mesh.coords, dtype=float)[:, :2]
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    cs = max(math.sqrt(float(np.prod(hi - lo)) / len(oracle._tris)), 1e-12)
+    nx = max(1, int(np.ceil((hi[0] - lo[0]) / cs)))
+    ny = max(1, int(np.ceil((hi[1] - lo[1]) / cs)))
+    cells = {}
+    for ti, tri in enumerate(oracle._tris):
+        pts = coords[list(tri)]
+        i0, j0 = np.floor((pts.min(axis=0) - lo) / cs).astype(int)
+        i1, j1 = np.floor((pts.max(axis=0) - lo) / cs).astype(int)
+        for ci in range(max(i0, 0), min(i1, nx - 1) + 1):
+            for cj in range(max(j0, 0), min(j1, ny - 1) + 1):
+                cells.setdefault((ci, cj), []).append(ti)
+    kmax = max(len(v) for v in cells.values())
+    table = np.full((nx, ny, kmax), -1, dtype=int)
+    for (ci, cj), tris in cells.items():
+        table[ci, cj, : len(tris)] = tris
+
+    def locate(pts):
+        pts = np.asarray(pts, dtype=float)
+        ij = np.floor((pts - lo) / cs).astype(int)
+        cand = table[np.clip(ij[:, 0], 0, nx - 1), np.clip(ij[:, 1], 0, ny - 1)]
+        valid = cand >= 0
+        safe = np.where(valid, cand, 0)
+        diff = pts[:, None, :] - oracle._p0_stack[safe]
+        st = np.einsum("nkij,nkj->nki", oracle._inv_stack[safe], diff)
+        bary = np.concatenate([1.0 - st.sum(axis=2, keepdims=True), st], axis=2)
+        low = np.minimum(np.minimum(bary[:, :, 0], bary[:, :, 1]), bary[:, :, 2])
+        best = np.argmax(np.where(valid, low, -np.inf), axis=1)
+        rows = np.arange(len(pts))
+        return cand[rows, best], bary[rows, best]
+
+    return locate
+
+
 @pytest.mark.parametrize("mesh", [grid_mesh(6), grid_mesh(16), triangle_fan(7)],
                          ids=["grid6", "grid16", "fan7"])
 def test_point_locator_matches_brute_force(mesh):
@@ -355,13 +398,20 @@ def test_point_locator_matches_brute_force(mesh):
         xy,
         0.5 * (xy[mesh.edges[:, 0]] + xy[mesh.edges[:, 1]]),
         xy + 1e-10 * rng.normal(size=xy.shape),
+        # Outside the disc, also beyond the locator's cells.
+        rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), size=(2000, 2)),
     ])
     want_tri, want_bary = brute_force_locate(oracle, pts)
     got_tri, got_bary = oracle._locate_many(pts)
     inside = want_bary.min(axis=1) >= -1e-9
-    assert inside.sum() > 0.5 * len(pts)
+    assert 0.5 * len(pts) < inside.sum() < len(pts) - 1000
     np.testing.assert_array_equal(got_tri[inside], want_tri[inside])
     np.testing.assert_array_equal(got_bary[inside], want_bary[inside])
+    # Outside points too: the per-cell solver stacks give every point the
+    # same candidate, in the same order, as a gather per candidate.
+    table_tri, table_bary = table_locator(oracle)(pts)
+    np.testing.assert_array_equal(got_tri, table_tri)
+    np.testing.assert_array_equal(got_bary, table_bary)
 
 
 def per_triangle_segment_weights(oracle, S, E, m):
@@ -491,6 +541,136 @@ def test_tree_segment_weights_match_the_edge_scan_path():
     got = oracle._xy_segment_weights(S, E)
     want = edge_scan_segment_weights(oracle, S, E, CHORD_SAMPLES)
     assert np.abs(got - want).max() <= 1e-12
+
+
+def reference_segment_weights(oracle, locate, S, E):
+    """`_xy_segment_weights` as it was: consecutive runs of located points,
+    every segment located and interpolated on its own."""
+    m = CHORD_SAMPLES
+    lam = np.linspace(0.0, 1.0, m + 1)
+    XY = (1.0 - lam)[None, :, None] * S[:, None, :] + lam[None, :, None] * E[:, None, :]
+    tri_idx, bary = locate(XY.reshape(-1, 2))
+    bary = np.clip(bary, 0.0, None)
+    bary /= bary.sum(axis=1, keepdims=True)
+    pts = oracle._images_at(tri_idx, bary)
+    n_chains = len(bary) // (m + 1)
+    if oracle._k is None and oracle._tripods is None:
+        return np.array([
+            oracle.space.curve_length(pts[ci * (m + 1):(ci + 1) * (m + 1)])
+            for ci in range(n_chains)
+        ])
+    P = pts.reshape(n_chains, m + 1, -1)
+    X, Y = P[:, :-1].reshape(-1, P.shape[2]), P[:, 1:].reshape(-1, P.shape[2])
+    if oracle._k is None:
+        return oracle.space.distance_arrays(X, Y).reshape(n_chains, m).sum(axis=1)
+    return _batch_distance(oracle._k, X, Y).reshape(n_chains, m).sum(axis=1)
+
+
+def reference_relax_batch(oracle, locate, pts, step0):
+    """`_relax_batch` as it was: each half-sweep locates the candidates, then
+    measures the 10m probe segments through `reference_segment_weights`."""
+    n_curves, n_pts, _ = pts.shape
+    n_seg = n_pts - 1
+    rel_offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    step = step0
+    idle_levels = 0
+    all_idxs = np.arange(1, n_seg)
+    for _ in range(RELAX_LEVELS):
+        moved = False
+        for _pass in range(RELAX_PASSES):
+            for parity in (1, 0):
+                idxs = all_idxs[all_idxs % 2 == parity]
+                prev = pts[:, idxs - 1].reshape(-1, 2)
+                nxt = pts[:, idxs + 1].reshape(-1, 2)
+                chord = nxt - prev
+                norms = np.linalg.norm(chord, axis=1, keepdims=True)
+                nrm = np.column_stack([-chord[:, 1], chord[:, 0]])
+                nrm /= np.maximum(norms, 1e-15)
+                base = pts[:, idxs].reshape(-1, 2)
+                m = len(base)
+                cands = (
+                    base[None, :, :]
+                    + (rel_offsets * step)[:, None, None] * nrm[None, :, :]
+                ).reshape(-1, 2)
+                _, bb = locate(cands)
+                inside = bb.min(axis=1) >= -1e-9
+                w = reference_segment_weights(
+                    oracle, locate,
+                    np.vstack([np.tile(prev, (len(rel_offsets), 1)), cands]),
+                    np.vstack([cands, np.tile(nxt, (len(rel_offsets), 1))]),
+                )
+                half = len(cands)
+                vals = (w[:half] + w[half:]).reshape(len(rel_offsets), m)
+                vals[~inside.reshape(len(rel_offsets), m)] = np.inf
+                best = np.argmin(vals, axis=0)
+                ar = np.arange(m)
+                off = rel_offsets[best] * step
+                inner = (best >= 1) & (best <= len(rel_offsets) - 2)
+                bi = np.where(inner, best, 2)
+                vm = np.nan_to_num(vals[bi - 1, ar], posinf=0.0)
+                vb = vals[bi, ar]
+                vp = np.nan_to_num(vals[bi + 1, ar], posinf=0.0)
+                finite = np.isfinite(vals[bi - 1, ar]) & np.isfinite(vals[bi + 1, ar])
+                denom = vm - 2.0 * vb + vp
+                ok = inner & finite & (denom > 1e-18)
+                shift = np.where(ok, 0.5 * (vm - vp) / np.where(ok, denom, 1.0), 0.0)
+                probe = 0.5 * step
+                off = off + np.clip(shift * probe, -probe, probe)
+                off = np.where(np.isfinite(vals[best, ar]), off, 0.0)
+                sor = np.clip(1.8 * off, -step, step)
+                _, sb = locate(base + sor[:, None] * nrm)
+                off = np.where(sb.min(axis=1) >= -1e-9, sor, off)
+                if np.max(np.abs(off)) > 1e-4 * oracle._disc_h:
+                    moved = True
+                pts[:, idxs] = (base + off[:, None] * nrm).reshape(n_curves, len(idxs), 2)
+        idle_levels = 0 if moved else idle_levels + 1
+        if idle_levels >= 2 and step < 0.05 * oracle._disc_h:
+            break
+        step *= RELAX_SHRINK
+    return pts
+
+
+def cone_fan_map(k, theta):
+    cone = FlatCone(theta)
+    imgs = [cone.point(0.0, 0.0)] + [cone.point(1.0, i * theta / k) for i in range(k)]
+    return MappedGraph(triangle_fan(k), cone, imgs)
+
+
+@pytest.mark.parametrize("target", ["skew", "sphere", "hyperbolic", "tripod", "cone"])
+def test_relaxation_is_bit_identical_to_the_per_segment_sweep(target):
+    n_curves = 6
+    if target == "skew":
+        mg = ruled_disc_map(RuledDiscSpec(
+            eta0=(np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])),
+            eta1=(np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.2])),
+            grid=(6, 6), space=EuclideanSpace(3),
+        ))
+    elif target == "sphere":
+        mg = _model_ruled_map(1.0, 6, 0.6 * math.pi, 0.75)
+    elif target == "hyperbolic":
+        mg = _model_ruled_map(-1.0, 6, 1.0, 0.5)
+    elif target == "tripod":
+        mg = harmonic_tripod_map(6)
+    else:  # per-point interpolant and curve length
+        mg, n_curves = cone_fan_map(6, 1.5 * math.pi), 2
+    oracle = InducedGraphSpace(mg, steiner=2)
+    locate = table_locator(oracle)
+    rng = np.random.default_rng(5)
+    # Straight starts between mesh vertices: points on triangle corners and
+    # edges, and probes that leave the disc at the boundary.
+    ends = oracle.node_xy[rng.integers(oracle.n_vertices, size=(n_curves, 2))]
+    lam = np.linspace(0.0, 1.0, 9)
+    start = (1.0 - lam)[None, :, None] * ends[:, None, 0] + lam[None, :, None] * ends[:, None, 1]
+    got, want = start.copy(), start.copy()
+    for n_seg, step in ((8, 0.5), (16, 0.25)):
+        got = oracle._relax_batch(_resample(got, n_seg), step * oracle._disc_h)
+        want = reference_relax_batch(oracle, locate, _resample(want, n_seg), step * oracle._disc_h)
+        assert np.array_equal(got, want)
+    assert not np.array_equal(got, _resample(start, 16))
+    S, E = got[:, :-1].reshape(-1, 2), got[:, 1:].reshape(-1, 2)
+    assert np.array_equal(
+        oracle._xy_segment_weights(S, E), reference_segment_weights(oracle, locate, S, E)
+    )
 
 
 def test_dijkstra_cache_stays_within_its_cap():
