@@ -20,6 +20,7 @@ from .mesh import MappedGraph
 from .model import Kappa, build_comparison_triangle
 from .spaces import EuclideanSpace, MetricTree, ModelSpace
 from .steiner import (
+    CHORD_BLOCK,
     SteinerGraph,
     _batch_bary_interp,
     _batch_distance,
@@ -44,8 +45,10 @@ MIN_SIDE = 1e-6
 # Equal steps per straight disc segment when the induced oracle weighs it.
 CHORD_SAMPLES = 4
 # Curve relaxation: at most RELAX_LEVELS probe-step levels of RELAX_PASSES
-# red-black passes each, the step shrinking by RELAX_SHRINK per level.
+# red-black passes each, the step shrinking by RELAX_SHRINK per level; each
+# point probes the RELAX_OFFSETS multiples of the step across its chord.
 RELAX_LEVELS, RELAX_PASSES, RELAX_SHRINK = 10, 2, 0.5
+RELAX_OFFSETS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
 @dataclass(frozen=True)
@@ -102,16 +105,13 @@ def recompare(samples, kappa: Kappa):
     return out
 
 
-def _distance_row(space, p, targets):
-    if hasattr(space, "distances_from"):
-        return space.distances_from(p, targets)
-    return [space.distance(p, q) for q in targets]
-
-
-def _distance_rows(space, sources, targets):
-    if hasattr(space, "distance_rows"):
-        return space.distance_rows(sources, targets)
-    return [_distance_row(space, p, targets) for p in sources]
+def _distance_blocks(space, blocks):
+    """Distance matrices of (sources, targets) blocks: in one batch where
+    the space has `distance_blocks`, else one `distance` call per pair."""
+    if hasattr(space, "distance_blocks"):
+        return space.distance_blocks(blocks)
+    return [[[space.distance(s, t) for t in targets] for s in sources]
+            for sources, targets in blocks]
 
 
 def thinness_defect(space, kappa: Kappa, triple, grid: int = 16):
@@ -121,8 +121,9 @@ def thinness_defect(space, kappa: Kappa, triple, grid: int = 16):
     for kappa > 0, when its perimeter reaches 2 R_kappa.
     """
     p, q, r = triple
-    dpq, dpr = _distance_row(space, p, [q, r])
-    dqr = space.distance(q, r)
+    (dpq, dpr), (dqr,) = (rows[0] for rows in _distance_blocks(
+        space, [([p], [q, r]), ([q], [r])]
+    ))
     sides = (float(dqr), float(dpr), float(dpq))
     _require_finite(sides, "side", sides)
     if min(sides) < MIN_SIDE:
@@ -147,9 +148,10 @@ def thinness_defect(space, kappa: Kappa, triple, grid: int = 16):
         ys = [space.geodesic(p, r, (j + 1) / (grid + 1)) for j in range(grid)]
     except NonUniqueGeodesicError:
         return None
-    arc_a = np.asarray(_distance_row(space, p, xs), dtype=float)
-    arc_b = np.asarray(_distance_row(space, p, ys), dtype=float)
-    measured = np.asarray(_distance_rows(space, xs, ys), dtype=float).ravel()
+    arc_a, arc_b, measured = (
+        np.asarray(rows, dtype=float).ravel()
+        for rows in _distance_blocks(space, [([p], xs), ([p], ys), (xs, ys)])
+    )
     _require_finite(np.concatenate([arc_a, arc_b, measured]), "measured", sides)
     S = np.repeat(np.minimum(arc_a / dpq, 1.0), grid)
     T = np.tile(np.minimum(arc_b / dpr, 1.0), grid)
@@ -461,7 +463,6 @@ class InducedGraphSpace:
         """
         coords = self.mg.mesh.coords
         lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)
-        rows, cols, weights = [], [], []
 
         def off_edge(ti, shared):
             """Boundary nodes of ti off the shared edge, with their xy."""
@@ -473,6 +474,7 @@ class InducedGraphSpace:
             B = bary[keep]
             return nodes[keep], B[:, 0:1] * p0 + B[:, 1:2] * p1 + B[:, 2:3] * p2
 
+        rows, cols, tri_idx, barys = [], [], [], []
         for e, owners in self._edge_tris.items():
             if len(owners) != 2:
                 continue
@@ -498,12 +500,22 @@ class InducedGraphSpace:
             for ti, mask in ((ta, use_a), (tb, ~use_a)):
                 st = (flat[mask] - self._p0_stack[ti]) @ self._inv_stack[ti].T
                 bary[mask] = np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
-            weights.append(self._located_lengths(
-                np.where(use_a, ta, tb), bary, _runs(len(XA) * len(XB))
-            ))
+            tri_idx.append(np.where(use_a, ta, tb))
+            barys.append(bary)
             rows.append(np.repeat(nodes_a, len(nodes_b)))
             cols.append(np.tile(nodes_b, len(nodes_a)))
         if rows:
+            tri_idx, bary = np.concatenate(tri_idx), np.concatenate(barys)
+            # In blocks of CHORD_BLOCK chords, so the sample arrays stay a
+            # few MB.
+            n = CHORD_BLOCK * (CHORD_SAMPLES + 1)
+            weights = [
+                self._located_lengths(
+                    tri_idx[i:i + n], bary[i:i + n],
+                    _runs(len(bary[i:i + n]) // (CHORD_SAMPLES + 1)),
+                )
+                for i in range(0, len(bary), n)
+            ]
             return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights)
 
     def _build_tri_buckets(self, mesh):
@@ -761,53 +773,93 @@ class InducedGraphSpace:
         return self.distances_from(p, [q])[0]
 
     def distances_from(self, p, targets):
-        """Distances refined by continuous curve shortening.
+        return self.distance_blocks([([p], targets)])[0][0]
+
+    def distance_rows(self, sources, targets):
+        return self.distance_blocks([(sources, targets)])[0]
+
+    def distance_blocks(self, blocks):
+        """Distance matrices of (sources, targets) blocks, refined by
+        continuous curve shortening, with the curves of every block relaxed
+        in one batch (`_relax_batch`).
 
         The graph distance and the relaxed-curve length are both genuine
         curve lengths of the interpolated map, hence upper bounds on the
         induced distance; their minimum strips the lateral staircase excess
-        of pure graph paths.
+        of pure graph paths.  A block of one source whose nodes are all mesh
+        vertices relaxes the graph path of each pair on its own schedule and
+        caches it for `geodesic`; any other block relaxes the straight
+        segments between its sources and targets, refined as far as its
+        longest segment needs.
         """
-        p, targets = int(p), [int(q) for q in targets]
-        if p >= self.n_vertices or any(q >= self.n_vertices for q in targets):
-            return self.distance_rows([p], targets)[0]
-        dist, _ = self._solve(p)
-        out = [
-            0.0 if q == p else min(float(dist[q]), float(self._shorten_curve(p, q)[1][-1]))
-            for q in targets
-        ]
-        return self._fiber_post([p], targets, [out])[0]
-
-    def distance_rows(self, sources, targets):
-        """Distance matrix with all source-target curves relaxed in one batch."""
-        sources = [int(s) for s in sources]
-        targets = [int(q) for q in targets]
-        graph_rows = []
-        for s in sources:
-            dist, _ = self._solve(s)
-            graph_rows.append([float(dist[q]) for q in targets])
-        sxy = np.array([self._node_pos(s) for s in sources])
-        txy = np.array([self._node_pos(q) for q in targets])
-        S = np.repeat(sxy, len(targets), axis=0)
-        E = np.tile(txy, (len(sources), 1))
-        same = np.linalg.norm(E - S, axis=1) < 1e-14
-        lens = self._relax_curves(S, E).reshape(len(sources), len(targets))
-        same = same.reshape(len(sources), len(targets))
-        out = [
-            [
-                0.0 if same[i][j] else min(graph_rows[i][j], float(lens[i][j]))
-                for j in range(len(targets))
+        plans, groups, fresh, lengths = [], [], [], {}
+        for sources, targets in blocks:
+            sources = [int(s) for s in sources]
+            targets = [int(q) for q in targets]
+            dists = [self._solve(s)[0] for s in sources]
+            if len(sources) == 1 and max(sources + targets) < self.n_vertices:
+                p = sources[0]
+                for q in targets:
+                    key = (min(p, q), max(p, q))
+                    if q == p or key in lengths:
+                        continue
+                    if key in self._curves:
+                        lengths[key] = float(self._curves[key][1][-1])
+                    else:  # filled in after the batch
+                        lengths[key] = None
+                        fresh.append((key, len(groups)))
+                        groups.append(self._curve_start(*key))
+                plans.append((sources, targets, dists, [[q == p for q in targets]], None))
+                continue
+            sxy = np.reshape([self._node_pos(s) for s in sources], (-1, 2))
+            txy = np.reshape([self._node_pos(q) for q in targets], (-1, 2))
+            S = np.repeat(sxy, len(targets), axis=0)
+            E = np.tile(txy, (len(sources), 1))
+            same = np.linalg.norm(E - S, axis=1) < 1e-14
+            plans.append((
+                sources, targets, dists, same.reshape(len(sources), len(targets)),
+                len(groups) if len(S) else None,
+            ))
+            if len(S):
+                span = np.linalg.norm(E - S, axis=1).max()
+                n_target = int(np.clip(np.ceil(span / (0.75 * self._disc_h)), 8, 96))
+                lam = np.linspace(0.0, 1.0, min(8, n_target) + 1)
+                groups.append((
+                    (1.0 - lam)[None, :, None] * S[:, None, :]
+                    + lam[None, :, None] * E[:, None, :],
+                    n_target,
+                ))
+        relaxed = self._relax_lengths(groups)
+        for key, g in fresh:
+            lengths[key] = self._keep_curve(key, *relaxed[g])
+        out = []
+        for sources, targets, dists, same, g in plans:
+            if g is None:  # vertex-pair curves, or no pairs
+                lens = [[lengths.get((min(s, q), max(s, q))) for q in targets] for s in sources]
+            else:
+                lens = relaxed[g][1].sum(axis=1).reshape(same.shape)
+            rows = [
+                [
+                    0.0 if same[i][j] else min(float(dists[i][q]), float(lens[i][j]))
+                    for j, q in enumerate(targets)
+                ]
+                for i in range(len(sources))
             ]
-            for i in range(len(sources))
-        ]
-        return self._fiber_post(sources, targets, out)
+            out.append(self._fiber_post(sources, targets, rows))
+        return out
 
     def geodesic(self, p, q, t: float):
-        """Temporary node at arclength fraction t of the shortened p-q curve."""
+        """Temporary node at arclength fraction t of the shortened p-q curve.
+
+        For 0 < t < 1 both endpoints must be mesh vertices.
+        """
         if t <= 0.0:
             return int(p)
         if t >= 1.0:
             return int(q)
+        for x in (p, q):
+            if not 0 <= int(x) < self.n_vertices:
+                raise ValueError(f"geodesic endpoint {int(x)} is not a mesh vertex")
         xy, arcs = self._shorten_curve(int(p), int(q))
         target = t * float(arcs[-1])
         idx = int(np.searchsorted(arcs, target))
@@ -822,21 +874,20 @@ class InducedGraphSpace:
         spacing (its node chain staircases); the polyline is therefore
         relaxed by curve shortening of the sampled image length, which
         recovers the transverse position to optimization resolution.
-        Results are cached per endpoint pair.
+        Results are cached for the last 16 vertex pairs.
         """
         key, flip = ((p, q), False) if p <= q else ((q, p), True)
         if key not in self._curves:
-            self._curves[key] = self._shorten_curve_impl(*key)
-            self._curve_order.append(key)
-            if len(self._curve_order) > 16:
-                del self._curves[self._curve_order.pop(0)]
+            self._keep_curve(key, *self._relax_lengths([self._curve_start(*key)])[0])
         xy, arcs = self._curves[key]
         if flip:
             xy = xy[::-1]
             arcs = arcs[-1] - arcs[::-1]
         return xy, arcs
 
-    def _shorten_curve_impl(self, a, b):
+    def _curve_start(self, a, b):
+        """Graph shortest path from vertex a to b, resampled to the coarse
+        stage, and the segment count it is refined to."""
         dist, pred = self._solve(a, base=True)
         path = [int(b)]
         while path[-1] != int(a):
@@ -846,141 +897,160 @@ class InducedGraphSpace:
             path.append(nxt)
         path.reverse()
         n_target = int(np.clip(np.ceil(float(dist[b]) / (0.5 * self._disc_h)), 8, 128))
-        pts = _resample(self.node_xy[path][None], min(8, n_target))
-        pts = self._relax_coarse_to_fine(pts, n_target)[0]
-        seg = self._xy_segment_weights(pts[:-1], pts[1:])
-        return pts, np.concatenate([[0.0], np.cumsum(seg)])
+        return _resample(self.node_xy[path][None], min(8, n_target)), n_target
 
-    def _relax_coarse_to_fine(self, pts, n_target):
-        """Relax a batch of polylines, doubling their segments up to n_target.
+    def _keep_curve(self, key, pts, seg):
+        """Cache a relaxed vertex-pair curve; its length."""
+        arcs = np.concatenate([[0.0], np.cumsum(seg[0])])
+        self._curves[key] = (pts[0], arcs)
+        self._curve_order.append(key)
+        if len(self._curve_order) > 16:
+            del self._curves[self._curve_order.pop(0)]
+        return float(arcs[-1])
 
-        Pointwise transverse relaxation damps only short lateral wavelengths,
-        while the staircase bias of an initial graph path is long-wavelength;
-        relaxing a coarse polyline first makes those modes short relative to
-        the spacing.
+    def _relax_lengths(self, groups):
+        """Relax (pts, n_target) groups in one batch: each group's relaxed
+        polylines and their segments' image lengths, (curves, segments)."""
+        if not groups:
+            return []
+        relaxed = self._relax_batch([(pts, 0.5 * self._disc_h, n) for pts, n in groups])
+        seg = self._xy_segment_weights(
+            np.concatenate([pts[:, :-1].reshape(-1, 2) for pts in relaxed]),
+            np.concatenate([pts[:, 1:].reshape(-1, 2) for pts in relaxed]),
+        )
+        ends = np.cumsum([pts[:, 1:].size // 2 for pts in relaxed])[:-1]
+        return [
+            (pts, s.reshape(len(pts), -1)) for pts, s in zip(relaxed, np.split(seg, ends))
+        ]
+
+    def _relax_batch(self, groups):
+        """Relax groups of polylines, coarse to fine, in lockstep.
+
+        `groups` holds (pts, step0, n_target) triples, pts a batch of
+        polylines (curves, points, xy).  A group relaxes in stages of at
+        most RELAX_LEVELS probe-step levels, the first from step0, the step
+        shrinking by RELAX_SHRINK per level; a stage ends early after two
+        idle levels at a fine step.  While a group has fewer than n_target
+        segments, each stage is followed by a finer one at twice the
+        segments (at most n_target), resampled by arclength, from a quarter
+        of the disc spacing: pointwise transverse relaxation damps only short
+        lateral wavelengths, while the staircase bias of an initial graph
+        path is long-wavelength, and relaxing a coarse polyline first makes
+        those modes short relative to the spacing.
+
+        Groups do not interact.  Each keeps its own stage, step and idle
+        count, exactly as if relaxed alone, while one level of every
+        unfinished group runs in the same half-sweeps (`_half_sweep`) over
+        flat point rows.  Returns the relaxed pts of each group.
         """
-        n_seg = pts.shape[1] - 1
-        step0 = 0.5 * self._disc_h
-        while True:
-            pts = self._relax_batch(pts, step0)
-            if n_seg >= n_target:
-                return pts
-            n_seg = min(2 * n_seg, n_target)
-            pts = _resample(pts, n_seg)
-            # Finer stages only clean up what resampling reintroduced.
-            step0 = 0.25 * self._disc_h
-
-    def _relax_batch(self, pts, step0):
-        """Transverse red-black descent of the sampled image length.
-
-        `pts` holds a batch of polylines (curves, points, xy); curves do not
-        interact, so all are relaxed in the same vectorized sweeps. Each
-        point is tested against the chord of its two neighbors (red-black by
-        index parity).  A half-sweep moving m points probes 5m candidates
-        and measures the 10m segments joining them to the neighbours: it
-        locates the 2m neighbours, the 5m candidates and the 30m interior
-        segment samples, 37m distinct points, in one call and interpolates
-        each once, then locates the m over-relaxed moves in a second call.
-        """
-        n_curves, n_pts, _ = pts.shape
-        n_seg = n_pts - 1
-        rel_offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        n_off = len(rel_offsets)
-        lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)[1:-1]
-        step = step0
-        idle_levels = 0
-        all_idxs = np.arange(1, n_seg)
-        half_sweeps = []
-        for parity in (1, 0):
-            idxs = all_idxs[all_idxs % 2 == parity]
-            half_sweeps.append((idxs, _probe_chains(n_curves * len(idxs), n_off)))
-        for _ in range(RELAX_LEVELS):
-            moved = False
+        h = self._disc_h
+        state = [[pts, step0, n_target, 0, 0] for pts, step0, n_target in groups]
+        done = [None] * len(groups)
+        active = list(range(len(groups)))
+        shapes = plan = None
+        while active:
+            if shapes != tuple(state[g][0].shape for g in active):
+                shapes = tuple(state[g][0].shape for g in active)
+                plan = _sweep_plan(shapes)
+            P = np.concatenate([state[g][0].reshape(-1, 2) for g in active])
+            steps = np.array([state[g][1] for g in active])
+            moved = np.zeros(len(active), dtype=bool)
             for _pass in range(RELAX_PASSES):
-                for idxs, chains in half_sweeps:
-                    prev = pts[:, idxs - 1].reshape(-1, 2)
-                    nxt = pts[:, idxs + 1].reshape(-1, 2)
-                    chord = nxt - prev
-                    norms = np.linalg.norm(chord, axis=1, keepdims=True)
-                    nrm = np.column_stack([-chord[:, 1], chord[:, 0]])
-                    nrm /= np.maximum(norms, 1e-15)
-                    base = pts[:, idxs].reshape(-1, 2)
-                    m = len(base)
-                    cands = (
-                        base[None, :, :]
-                        + (rel_offsets * step)[:, None, None] * nrm[None, :, :]
-                    ).reshape(-1, 2)
-                    half = len(cands)
-                    S = np.vstack([np.tile(prev, (n_off, 1)), cands])
-                    E = np.vstack([cands, np.tile(nxt, (n_off, 1))])
-                    between = (
-                        (1.0 - lam)[None, :, None] * S[:, None, :]
-                        + lam[None, :, None] * E[:, None, :]
-                    )
-                    tri_idx, bary = self._locate_many(
-                        np.vstack([prev, nxt, cands, between.reshape(-1, 2)])
-                    )
-                    inside = bary[2 * m:2 * m + half].min(axis=1) >= -1e-9
-                    w = self._located_lengths(tri_idx, bary, chains)
-                    vals = (w[:half] + w[half:]).reshape(n_off, m)
-                    vals[~inside.reshape(n_off, m)] = np.inf
-                    best = np.argmin(vals, axis=0)
-                    ar = np.arange(m)
-                    off = rel_offsets[best] * step
-                    # Sub-probe parabolic refinement; without it, corrections
-                    # smaller than the probe spacing never happen and smooth
-                    # lateral modes stall at the quantization floor.
-                    inner = (best >= 1) & (best <= n_off - 2)
-                    bi = np.where(inner, best, 2)
-                    vm = np.nan_to_num(vals[bi - 1, ar], posinf=0.0)
-                    vb = vals[bi, ar]
-                    vp = np.nan_to_num(vals[bi + 1, ar], posinf=0.0)
-                    finite = np.isfinite(vals[bi - 1, ar]) & np.isfinite(
-                        vals[bi + 1, ar]
-                    )
-                    denom = vm - 2.0 * vb + vp
-                    ok = inner & finite & (denom > 1e-18)
-                    shift = np.where(
-                        ok, 0.5 * (vm - vp) / np.where(ok, denom, 1.0), 0.0
-                    )
-                    probe = 0.5 * step  # probe spacing
-                    off = off + np.clip(shift * probe, -probe, probe)
-                    off = np.where(np.isfinite(vals[best, ar]), off, 0.0)
-                    # Over-relaxation: pointwise descent damps a lateral mode
-                    # of wavelength w only at rate ~(spacing/w)^2 per sweep;
-                    # SOR turns that into ~spacing/w. Scaled moves that leave
-                    # the disc fall back to the probe-checked move.
-                    sor = np.clip(1.8 * off, -step, step)
-                    sor_pts = base + sor[:, None] * nrm
-                    _, sb = self._locate_many(sor_pts)
-                    off = np.where(sb.min(axis=1) >= -1e-9, sor, off)
-                    if np.max(np.abs(off)) > 1e-4 * self._disc_h:
-                        moved = True
-                    pts[:, idxs] = (base + off[:, None] * nrm).reshape(
-                        n_curves, len(idxs), 2
-                    )
-            # Two idle levels in a row at fine step: every point is within
-            # the smallest probe of its optimum; stop shrinking. At coarse
-            # steps idleness only means the probes overshoot the error.
-            idle_levels = 0 if moved else idle_levels + 1
-            if idle_levels >= 2 and step < 0.05 * self._disc_h:
-                break
-            step *= RELAX_SHRINK
-        return pts
+                for rows, group, starts, chains in plan:
+                    moved |= self._half_sweep(P, rows, steps[group], starts, chains)
+            ends = np.cumsum([c * n for c, n, _ in shapes])[:-1]
+            still = []
+            for g, part, mv in zip(active, np.split(P, ends), moved):
+                pts, step, n_target, idle, level = state[g]
+                pts = part.reshape(pts.shape)
+                idle = 0 if mv else idle + 1
+                level += 1
+                # Two idle levels in a row at fine step: every point is
+                # within the smallest probe of its optimum; stop shrinking.
+                # At coarse steps idleness only means the probes overshoot
+                # the error.
+                if (idle >= 2 and step < 0.05 * h) or level == RELAX_LEVELS:
+                    n_seg = pts.shape[1] - 1
+                    if n_seg >= n_target:
+                        done[g] = pts
+                        continue
+                    pts = _resample(pts, min(2 * n_seg, n_target))
+                    # Finer stages only clean up what resampling reintroduced.
+                    step, idle, level = 0.25 * h, 0, 0
+                else:
+                    step *= RELAX_SHRINK
+                state[g] = [pts, step, n_target, idle, level]
+                still.append(g)
+            active = still
+        return done
 
-    def _relax_curves(self, starts_xy, ends_xy):
-        """Relaxed-curve image lengths between many xy pairs (straight init)."""
-        S = np.asarray(starts_xy, dtype=float)
-        E = np.asarray(ends_xy, dtype=float)
-        span = np.linalg.norm(E - S, axis=1).max()
-        n_target = int(np.clip(np.ceil(span / (0.75 * self._disc_h)), 8, 96))
-        lam = np.linspace(0.0, 1.0, min(8, n_target) + 1)
-        pts = (1.0 - lam)[None, :, None] * S[:, None, :] + lam[None, :, None] * E[:, None, :]
-        pts = self._relax_coarse_to_fine(pts, n_target)
-        w = self._xy_segment_weights(
-            pts[:, :-1].reshape(-1, 2), pts[:, 1:].reshape(-1, 2)
-        ).reshape(len(pts), -1)
-        return w.sum(axis=1)
+    def _half_sweep(self, P, rows, step, starts, chains):
+        """Move the points `rows` of the flat polyline points P, in place;
+        whether each group, rows from `starts` on, moved.
+
+        Each point is tested against the chord of its two neighbours (red-
+        black by index parity, so no two moved points are neighbours), at
+        its own probe step.  Moving m points probes 5m candidates and
+        measures the 10m segments joining them to the neighbours: it locates
+        the 2m neighbours, the 5m candidates and the 30m interior segment
+        samples, 37m distinct points, in one call and interpolates each
+        once, then locates the m over-relaxed moves in a second call.
+        """
+        n_off = len(RELAX_OFFSETS)
+        lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)[1:-1]
+        prev = P[rows - 1]
+        nxt = P[rows + 1]
+        chord = nxt - prev
+        norms = np.linalg.norm(chord, axis=1, keepdims=True)
+        nrm = np.column_stack([-chord[:, 1], chord[:, 0]])
+        nrm /= np.maximum(norms, 1e-15)
+        base = P[rows]
+        m = len(base)
+        cands = (
+            base[None, :, :]
+            + (RELAX_OFFSETS[:, None] * step)[:, :, None] * nrm[None, :, :]
+        ).reshape(-1, 2)
+        half = len(cands)
+        S = np.vstack([np.tile(prev, (n_off, 1)), cands])
+        E = np.vstack([cands, np.tile(nxt, (n_off, 1))])
+        between = (
+            (1.0 - lam)[None, :, None] * S[:, None, :]
+            + lam[None, :, None] * E[:, None, :]
+        )
+        tri_idx, bary = self._locate_many(
+            np.vstack([prev, nxt, cands, between.reshape(-1, 2)])
+        )
+        inside = bary[2 * m:2 * m + half].min(axis=1) >= -1e-9
+        w = self._located_lengths(tri_idx, bary, chains)
+        vals = (w[:half] + w[half:]).reshape(n_off, m)
+        vals[~inside.reshape(n_off, m)] = np.inf
+        best = np.argmin(vals, axis=0)
+        ar = np.arange(m)
+        off = RELAX_OFFSETS[best] * step
+        # Sub-probe parabolic refinement; without it, corrections smaller
+        # than the probe spacing never happen and smooth lateral modes stall
+        # at the quantization floor.
+        inner = (best >= 1) & (best <= n_off - 2)
+        bi = np.where(inner, best, 2)
+        vm = np.nan_to_num(vals[bi - 1, ar], posinf=0.0)
+        vb = vals[bi, ar]
+        vp = np.nan_to_num(vals[bi + 1, ar], posinf=0.0)
+        finite = np.isfinite(vals[bi - 1, ar]) & np.isfinite(vals[bi + 1, ar])
+        denom = vm - 2.0 * vb + vp
+        ok = inner & finite & (denom > 1e-18)
+        shift = np.where(ok, 0.5 * (vm - vp) / np.where(ok, denom, 1.0), 0.0)
+        probe = 0.5 * step  # probe spacing
+        off = off + np.clip(shift * probe, -probe, probe)
+        off = np.where(np.isfinite(vals[best, ar]), off, 0.0)
+        # Over-relaxation: pointwise descent damps a lateral mode of
+        # wavelength w only at rate ~(spacing/w)^2 per sweep; SOR turns that
+        # into ~spacing/w. Scaled moves that leave the disc fall back to the
+        # probe-checked move.
+        sor = np.clip(1.8 * off, -step, step)
+        _, sb = self._locate_many(base + sor[:, None] * nrm)
+        off = np.where(sb.min(axis=1) >= -1e-9, sor, off)
+        P[rows] = base + off[:, None] * nrm
+        return np.maximum.reduceat(np.abs(off), starts) > 1e-4 * self._disc_h
 
     def random_point(self, rng) -> int:
         # Sample among original mesh vertices only.
@@ -1009,6 +1079,29 @@ def _probe_chains(m, n_probes):
     interior = np.arange(2 * c * (CHORD_SAMPLES - 1)).reshape(2 * c, -1)
     chains[:, 1:-1] = 2 * m + c + interior
     return chains
+
+
+def _sweep_plan(shapes):
+    """The two red-black half-sweeps, odd points first, of polyline groups
+    of the given (curves, points, 2) shapes laid out as consecutive flat
+    rows: per half-sweep the moved rows, each row's group, the first row of
+    each group among them, and the probe `chains`."""
+    firsts = np.cumsum([0] + [c * n for c, n, _ in shapes])
+    plan = []
+    for parity in (1, 0):
+        rows = []
+        for (c, n, _), first in zip(shapes, firsts):
+            idxs = np.arange(1, n - 1)
+            idxs = idxs[idxs % 2 == parity]
+            rows.append((first + n * np.arange(c)[:, None] + idxs).ravel())
+        sizes = [len(r) for r in rows]
+        plan.append((
+            np.concatenate(rows),
+            np.repeat(np.arange(len(shapes)), sizes),
+            np.cumsum([0] + sizes[:-1]),
+            _probe_chains(sum(sizes), len(RELAX_OFFSETS)),
+        ))
+    return plan
 
 
 def _resample(pts, n_seg):

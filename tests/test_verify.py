@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
+from catdisc import verify
 from catdisc.constructions import (
     HarmonicSpec,
     RuledDiscSpec,
@@ -663,7 +664,7 @@ def test_relaxation_is_bit_identical_to_the_per_segment_sweep(target):
     start = (1.0 - lam)[None, :, None] * ends[:, None, 0] + lam[None, :, None] * ends[:, None, 1]
     got, want = start.copy(), start.copy()
     for n_seg, step in ((8, 0.5), (16, 0.25)):
-        got = oracle._relax_batch(_resample(got, n_seg), step * oracle._disc_h)
+        got = oracle._relax_batch([(_resample(got, n_seg), step * oracle._disc_h, n_seg)])[0]
         want = reference_relax_batch(oracle, locate, _resample(want, n_seg), step * oracle._disc_h)
         assert np.array_equal(got, want)
     assert not np.array_equal(got, _resample(start, 16))
@@ -671,6 +672,205 @@ def test_relaxation_is_bit_identical_to_the_per_segment_sweep(target):
     assert np.array_equal(
         oracle._xy_segment_weights(S, E), reference_segment_weights(oracle, locate, S, E)
     )
+
+
+class PerCallOracle(InducedGraphSpace):
+    """The oracle as it was before lockstep relaxation: a block of one
+    source is one `distances_from` call, any other one `distance_rows` call;
+    each vertex-pair curve relaxes alone, and each relaxation stage runs
+    `reference_relax_batch`, one idle rule for its whole batch.
+    `relaxations` records (n_target, levels of each stage) per relaxation."""
+
+    def __init__(self, mg, steiner):
+        super().__init__(mg, steiner)
+        self.relaxations = []
+
+    def distance_blocks(self, blocks):
+        return [
+            [self.ref_distances_from(s[0], t)] if len(s) == 1 else self.ref_distance_rows(s, t)
+            for s, t in blocks
+        ]
+
+    def ref_distances_from(self, p, targets):
+        p, targets = int(p), [int(q) for q in targets]
+        if p >= self.n_vertices or any(q >= self.n_vertices for q in targets):
+            return self.ref_distance_rows([p], targets)[0]
+        dist, _ = self._solve(p)
+        out = [
+            0.0 if q == p else min(float(dist[q]), float(self._shorten_curve(p, q)[1][-1]))
+            for q in targets
+        ]
+        return self._fiber_post([p], targets, [out])[0]
+
+    def ref_distance_rows(self, sources, targets):
+        sources = [int(s) for s in sources]
+        targets = [int(q) for q in targets]
+        graph_rows = []
+        for s in sources:
+            dist, _ = self._solve(s)
+            graph_rows.append([float(dist[q]) for q in targets])
+        S = np.repeat(np.array([self._node_pos(s) for s in sources]), len(targets), axis=0)
+        E = np.tile(np.array([self._node_pos(q) for q in targets]), (len(sources), 1))
+        same = (np.linalg.norm(E - S, axis=1) < 1e-14).reshape(len(sources), -1)
+        span = np.linalg.norm(E - S, axis=1).max()
+        n_target = int(np.clip(np.ceil(span / (0.75 * self._disc_h)), 8, 96))
+        lam = np.linspace(0.0, 1.0, min(8, n_target) + 1)
+        pts = (1.0 - lam)[None, :, None] * S[:, None, :] + lam[None, :, None] * E[:, None, :]
+        pts = self.ref_relax(pts, n_target)
+        w = self._xy_segment_weights(pts[:, :-1].reshape(-1, 2), pts[:, 1:].reshape(-1, 2))
+        lens = w.reshape(len(pts), -1).sum(axis=1).reshape(len(sources), len(targets))
+        out = [
+            [0.0 if same[i][j] else min(graph_rows[i][j], float(lens[i][j]))
+             for j in range(len(targets))]
+            for i in range(len(sources))
+        ]
+        return self._fiber_post(sources, targets, out)
+
+    def _shorten_curve(self, p, q):
+        key, flip = ((p, q), False) if p <= q else ((q, p), True)
+        if key not in self._curves:
+            self._curves[key] = self.ref_curve(*key)
+            self._curve_order.append(key)
+            if len(self._curve_order) > 16:
+                del self._curves[self._curve_order.pop(0)]
+        xy, arcs = self._curves[key]
+        if flip:
+            xy, arcs = xy[::-1], arcs[-1] - arcs[::-1]
+        return xy, arcs
+
+    def ref_curve(self, a, b):
+        dist, pred = self._solve(a, base=True)
+        path = [int(b)]
+        while path[-1] != int(a):
+            path.append(int(pred[path[-1]]))
+        path.reverse()
+        n_target = int(np.clip(np.ceil(float(dist[b]) / (0.5 * self._disc_h)), 8, 128))
+        pts = _resample(self.node_xy[path][None], min(8, n_target))
+        pts = self.ref_relax(pts, n_target)[0]
+        seg = self._xy_segment_weights(pts[:-1], pts[1:])
+        return pts, np.concatenate([[0.0], np.cumsum(seg)])
+
+    def ref_relax(self, pts, n_target):
+        """Coarse to fine, one `reference_relax_batch` call per stage; its
+        levels are counted by its locator calls, 12 a level."""
+        calls = []
+
+        def locate(xy):
+            calls.append(1)
+            return self._locate_many(xy)
+
+        levels = []
+        n_seg, step0 = pts.shape[1] - 1, 0.5 * self._disc_h
+        while True:
+            before = len(calls)
+            pts = reference_relax_batch(self, locate, pts, step0)
+            levels.append((len(calls) - before) // 12)
+            if n_seg >= n_target:
+                self.relaxations.append((n_target, levels))
+                return pts
+            n_seg = min(2 * n_seg, n_target)
+            pts = _resample(pts, n_seg)
+            step0 = 0.25 * self._disc_h
+
+
+def thinness_arrays(oracle, kappa, triples, grid):
+    """Every sample field of every triple, as in `certify_induced`."""
+    rows = []
+    for triple in triples:
+        samples = thinness_defect(oracle, kappa, triple, grid)
+        oracle.clear_temp()
+        assert samples is not None
+        rows.extend((s.s, s.t, *s.sides, s.measured, s.compared) for s in samples)
+    return np.array(rows)
+
+
+def skew_ruled_map(n):
+    return ruled_disc_map(RuledDiscSpec(
+        eta0=(np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])),
+        eta1=(np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.2])),
+        grid=(n, n), space=EuclideanSpace(3),
+    ))
+
+
+@pytest.mark.parametrize("target", ["skew", "sphere", "hyperbolic", "tripod", "cone"])
+def test_lockstep_relaxation_is_bit_identical_to_per_call_relaxation(target):
+    kappa, triples, grid = Kappa(0.0), [(2, 40, 30), (45, 8, 24)], 4
+    if target == "skew":
+        mg = skew_ruled_map(6)
+    elif target == "sphere":
+        mg, kappa = _model_ruled_map(1.0, 6, 0.6 * math.pi, 0.75), Kappa(1.0)
+    elif target == "hyperbolic":
+        mg, kappa = _model_ruled_map(-1.0, 6, 1.0, 0.5), Kappa(-1.0)
+    elif target == "tripod":
+        mg = harmonic_tripod_map(6)
+    else:  # per-point interpolant and curve length
+        mg, triples, grid = cone_fan_map(6, 1.5 * math.pi), [(0, 2, 5)], 2
+    got = thinness_arrays(InducedGraphSpace(mg, steiner=2), kappa, triples, grid)
+    want = thinness_arrays(PerCallOracle(mg, steiner=2), kappa, triples, grid)
+    assert np.array_equal(got, want)
+
+
+def test_lockstep_groups_keep_their_own_schedules(monkeypatch):
+    """On the 12 x 12 skew disc one triple's curves refine to different
+    segment counts and stop after different numbers of levels; a merged
+    batch under one idle rule moves the samples."""
+    mg, triples = skew_ruled_map(12), [(14, 150, 88)]
+    ref = PerCallOracle(mg, steiner=2)
+    want = thinness_arrays(ref, Kappa(0.0), triples, 3)
+    n_targets = {n for n, _ in ref.relaxations}
+    stops = {n for _, levels in ref.relaxations for n in levels}
+    assert len(n_targets) >= 3 and len(stops) >= 2
+    oracle = InducedGraphSpace(mg, steiner=2)
+    assert np.array_equal(thinness_arrays(oracle, Kappa(0.0), triples, 3), want)
+
+    real_plan = verify._sweep_plan
+
+    def one_idle_rule(shapes):
+        return [(rows, group, starts[:1], chains)
+                for rows, group, starts, chains in real_plan(shapes)]
+
+    monkeypatch.setattr(verify, "_sweep_plan", one_idle_rule)
+    merged = InducedGraphSpace(mg, steiner=2)
+    assert not np.array_equal(thinness_arrays(merged, Kappa(0.0), triples, 3), want)
+
+
+def test_thinness_relaxes_each_phase_in_one_batch(monkeypatch):
+    batches = []
+    relax = InducedGraphSpace._relax_batch
+
+    def counted(self, groups):
+        batches.append(len(groups))
+        return relax(self, groups)
+
+    monkeypatch.setattr(InducedGraphSpace, "_relax_batch", counted)
+    oracle = InducedGraphSpace(flat_identity_grid(4), steiner=2)
+    for triple in [(0, 12, 22), (3, 20, 9), (24, 5, 13)]:
+        batches.clear()
+        assert thinness_defect(oracle, Kappa(0.0), triple, grid=3) is not None
+        oracle.clear_temp()
+        # The three side curves, then the two arc rows and the grid block.
+        assert batches == [3, 3]
+
+
+def test_distances_beyond_the_curve_cache_equal_single_distances():
+    oracle = InducedGraphSpace(flat_identity_grid(4), steiner=2)
+    targets = list(range(1, 21))
+    row = oracle.distances_from(0, targets)
+    assert len(oracle._curves) == 16
+    fresh = InducedGraphSpace(flat_identity_grid(4), steiner=2)
+    assert row == [fresh.distance(0, q) for q in targets]
+    assert row == [oracle.distance(0, q) for q in targets]
+
+
+def test_geodesic_endpoints_are_mesh_vertices():
+    oracle = InducedGraphSpace(flat_identity_grid(3), steiner=2)
+    x = oracle.geodesic(0, 15, 0.5)
+    assert x >= oracle.n_nodes
+    with pytest.raises(ValueError, match=f"geodesic endpoint {x} is not a mesh vertex"):
+        oracle.geodesic(x, 3, 0.5)
+    with pytest.raises(ValueError, match=f"geodesic endpoint {x} is not a mesh vertex"):
+        oracle.geodesic(3, x, 0.25)
+    assert (oracle.geodesic(x, 3, 0.0), oracle.geodesic(x, 3, 1.0)) == (x, 3)
 
 
 def test_dijkstra_cache_stays_within_its_cap():
