@@ -95,11 +95,33 @@ def _outdir(cfg: dict) -> Path:
     return path
 
 
+def _count(value, path: str, least: int) -> int:
+    """An integer config value of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(path, f"expected an integer >= {least}, got {value!r}")
+    return value
+
+
 def _common(cfg: dict):
+    """Target, kappa, seed, budgets and tolerances of a config, after
+    checking every optional count it may hold."""
     space = space_from_config(_require(cfg, "target", dict))
     kappa = float(_require(cfg, "kappa", (int, float)))
-    seed = int(cfg.get("seed", DEFAULTS["seed"]))
-    budgets = {**DEFAULTS["budgets"], **cfg.get("budgets", {})}
+    seed = _count(cfg.get("seed", DEFAULTS["seed"]), "seed", 0)
+    given = cfg.get("budgets", {})
+    if not isinstance(given, dict):
+        raise ConfigError("budgets", f"expected an object, got {type(given).__name__}")
+    budgets = {**DEFAULTS["budgets"], **given}
+    for name, val in budgets.items():
+        if name not in DEFAULTS["budgets"]:
+            raise ConfigError(f"budgets.{name}", "unknown budget")
+        _count(val, f"budgets.{name}", 0 if name == "steiner" else 1)
+    refinements = cfg.get("refinements", DEFAULTS["refinements"])
+    if not isinstance(refinements, list) or not refinements:
+        raise ConfigError("refinements", f"expected a non-empty list, got {refinements!r}")
+    for i, n in enumerate(refinements):
+        _count(n, f"refinements[{i}]", 1)
+    _count(cfg.get("grid", DEFAULTS["refinements"][0]), "grid", 1)
     tols = {**DEFAULTS["tolerances"], **cfg.get("tolerances", {})}
     for name, val in tols.items():
         if not (isinstance(val, (int, float)) and val > 0):

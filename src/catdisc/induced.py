@@ -90,18 +90,14 @@ def induced_length_metric(mg: MappedGraph) -> QuotientMetric:
 
 def quotient_is_monotone(mg: MappedGraph, qm: QuotientMetric) -> bool:
     """Each zero-distance class must induce a connected subgraph."""
-    adj = {v: set() for v in range(mg.mesh.n_vertices)}
-    for u, v in mg.mesh.edges:
-        adj[int(u)].add(int(v))
-        adj[int(v)].add(int(u))
     for c in range(qm.n_classes):
         members = set(np.flatnonzero(qm.vertex_class == c).tolist())
         start = next(iter(members))
         seen, stack = {start}, [start]
         while stack:
             u = stack.pop()
-            for w in adj[u] & members:
-                if w not in seen:
+            for w in mg.mesh.neighbors(u):
+                if w in members and w not in seen:
                     seen.add(w)
                     stack.append(w)
         if seen != members:
@@ -135,10 +131,6 @@ def connecting_metric_pairs(mg: MappedGraph, pairs, mode: str = "exact") -> list
     if any(not (0 <= v < n) for pair in pairs for v in pair):
         raise ValueError(f"pair vertex outside [0, {n})")
     imgd = _image_distance_matrix(mg)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in mg.mesh.edges:
-        adj[int(u)].append(int(v))
-        adj[int(v)].append(int(u))
 
     if mode == "exact":
         if n > EXACT_CONNECTING_LIMIT:
@@ -157,7 +149,7 @@ def connecting_metric_pairs(mg: MappedGraph, pairs, mode: str = "exact") -> list
             far = np.zeros(1, dtype=np.uint8)  # max rank from b into m < lo
             for c in range(b):
                 far = np.concatenate([far, np.maximum(far, ranks[b, c])])
-            nb[lo:2 * lo] = nb[:lo] | sum(1 << v for v in set(adj[b]))
+            nb[lo:2 * lo] = nb[:lo] | sum(1 << v for v in mg.mesh.neighbors(b))
             np.maximum(diam[:lo], far, out=diam[lo:2 * lo])
         for start in range(1, 1 << n, 4096):
             m = np.arange(start, min(start + 4096, 1 << n), dtype=np.int32)
@@ -193,7 +185,7 @@ def connecting_metric_pairs(mg: MappedGraph, pairs, mode: str = "exact") -> list
             for v in order:
                 v = int(v)
                 added[v] = True
-                for u in adj[v]:
+                for u in mg.mesh.neighbors(v):
                     if added[u]:
                         ru, rv = find(u), find(v)
                         if ru != rv:

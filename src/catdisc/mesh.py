@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .spaces import TargetSpace
 
@@ -15,12 +17,18 @@ class DiscMesh:
     """Triangulated disc: vertex coordinates, triangles, derived adjacency.
 
     Validates the disc topology on construction: Euler characteristic
-    V - E + F = 1 and a single boundary cycle.
+    V - E + F = 1, no edge in more than two triangles, and a single boundary
+    cycle.  `edges` holds the sorted vertex pairs in ascending order;
+    `tri_edges[t, k]` is the edge id of side (corner k, corner k + 1) of
+    triangle t, and `edge_tris[e]` the triangles owning edge e in ascending
+    order, with -1 in the second slot on boundary edges.
     """
 
     coords: np.ndarray
     triangles: np.ndarray
     edges: np.ndarray = field(init=False)
+    tri_edges: np.ndarray = field(init=False, repr=False)
+    edge_tris: np.ndarray = field(init=False, repr=False)
     boundary: np.ndarray = field(init=False)
     _neighbors: tuple = field(init=False, repr=False)
 
@@ -30,51 +38,45 @@ class DiscMesh:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "triangles", tris)
 
-        edge_count: dict[tuple[int, int], int] = {}
-        for tri in tris:
-            for i in range(3):
-                e = tuple(sorted((int(tri[i]), int(tri[(i + 1) % 3]))))
-                edge_count[e] = edge_count.get(e, 0) + 1
-        edges = np.array(sorted(edge_count), dtype=int)
+        sides = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2)
+        edges, side_edge, count = np.unique(
+            np.sort(sides, axis=1), axis=0, return_inverse=True, return_counts=True
+        )
+        side_edge = side_edge.ravel()
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "tri_edges", side_edge.reshape(-1, 3))
 
         nv, ne, nf = len(coords), len(edges), len(tris)
         if nv - ne + nf != 1:
             raise ValueError(f"not a disc: V-E+F = {nv}-{ne}+{nf} != 1")
-        if any(c > 2 for c in edge_count.values()):
+        if (count > 2).any():
             raise ValueError("non-manifold edge (in more than 2 triangles)")
+        # Sides sorted by edge, stably, so each edge's owners ascend.
+        order = np.argsort(side_edge, kind="stable")
+        slot = np.arange(len(order)) - (np.cumsum(count) - count)[side_edge[order]]
+        edge_tris = np.full((ne, 2), -1)
+        edge_tris[side_edge[order], slot] = order // 3
+        object.__setattr__(self, "edge_tris", edge_tris)
 
-        boundary_edges = [e for e, c in edge_count.items() if c == 1]
-        boundary = np.zeros(nv, dtype=bool)
-        bnd_adj: dict[int, list[int]] = {}
-        for u, v in boundary_edges:
-            boundary[u] = boundary[v] = True
-            bnd_adj.setdefault(u, []).append(v)
-            bnd_adj.setdefault(v, []).append(u)
-        if any(len(nb) != 2 for nb in bnd_adj.values()):
+        bnd = edges[edge_tris[:, 1] < 0]
+        degree = np.bincount(bnd.ravel(), minlength=nv)
+        boundary = degree > 0
+        if (degree[boundary] != 2).any():
             raise ValueError("boundary is not a union of cycles")
-        # Walk the cycle from an arbitrary boundary vertex; it must close up
-        # after visiting every boundary vertex exactly once.
-        start = boundary_edges[0][0]
-        seen, prev, cur = {start}, None, start
-        while True:
-            nxt = [v for v in bnd_adj[cur] if v != prev]
-            prev, cur = cur, nxt[0]
-            if cur == start:
-                break
-            if cur in seen:
-                raise ValueError("boundary is not a single cycle")
-            seen.add(cur)
-        if len(seen) != int(boundary.sum()):
+        # Each interior vertex is a component of the boundary graph, and so
+        # is each boundary cycle.
+        n_comp, _ = connected_components(
+            coo_matrix((np.ones(len(bnd)), bnd.T), shape=(nv, nv)), directed=False
+        )
+        if n_comp != nv - boundary.sum() + 1:
             raise ValueError("boundary is not a single cycle")
         object.__setattr__(self, "boundary", boundary)
+        # The edges ascend, so each neighbor list does.
         nbrs: list[list[int]] = [[] for _ in coords]
         for a, b in edges.tolist():
             nbrs[a].append(b)
             nbrs[b].append(a)
-        object.__setattr__(
-            self, "_neighbors", tuple(tuple(sorted(nb)) for nb in nbrs)
-        )
+        object.__setattr__(self, "_neighbors", tuple(map(tuple, nbrs)))
 
     @property
     def n_vertices(self) -> int:
@@ -146,6 +148,14 @@ class SimpleGraph:
 
     n: int
     edge_list: tuple
+    _neighbors: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        nbrs: list[set] = [set() for _ in range(self.n)]
+        for a, b in self.edge_list:
+            nbrs[int(a)].add(int(b))
+            nbrs[int(b)].add(int(a))
+        object.__setattr__(self, "_neighbors", tuple(tuple(sorted(s)) for s in nbrs))
 
     @property
     def n_vertices(self) -> int:
@@ -156,13 +166,8 @@ class SimpleGraph:
         return np.array(sorted(tuple(sorted(e)) for e in self.edge_list), dtype=int)
 
     def neighbors(self, v: int) -> list[int]:
-        out = set()
-        for a, b in self.edge_list:
-            if a == v:
-                out.add(int(b))
-            elif b == v:
-                out.add(int(a))
-        return sorted(out)
+        """Neighbors of v in ascending order (a fresh list)."""
+        return list(self._neighbors[v])
 
 
 def path_graph(n: int) -> SimpleGraph:

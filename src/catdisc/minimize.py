@@ -279,10 +279,6 @@ def non_bubbling(mg: MappedGraph, tol: float = 1e-9) -> NonBubblingReport:
         else:
             cluster[v] = len(centers)
             centers.append(v)
-    adj = {v: set() for v in range(n)}
-    for u, v in mg.mesh.edges:
-        adj[int(u)].add(int(v))
-        adj[int(v)].add(int(u))
     offending = []
     checked = 0
     for ci in range(len(centers)):
@@ -296,8 +292,8 @@ def non_bubbling(mg: MappedGraph, tol: float = 1e-9) -> NonBubblingReport:
             comp, stack = {start}, [start]
             while stack:
                 u = stack.pop()
-                for w in adj[u] & outside:
-                    if w not in comp:
+                for w in mg.mesh.neighbors(u):
+                    if w in outside and w not in comp:
                         comp.add(w)
                         stack.append(w)
             if not comp & set(mg.fixed):

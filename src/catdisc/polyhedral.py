@@ -130,28 +130,24 @@ class PolyComplex:
         return json.dumps(payload, sort_keys=True)
 
     def to_svg_net(self, scale: float = 100.0) -> str:
-        """Unfold the cells into the plane along a dual spanning tree."""
+        """Unfold the cells into the plane along a dual spanning tree.
+
+        Cell i is mesh triangle i, so the mesh's adjacency tables are the
+        cells' gluing."""
+        mesh = self.mesh
         placed: dict[int, dict[int, np.ndarray]] = {}
-        edge_cells: dict[tuple, list[int]] = {}
-        for ci, cell in enumerate(self.cells):
-            vs = cell.mesh_vertices
-            for k in range(3):
-                key = tuple(sorted((vs[k], vs[(k + 1) % 3])))
-                edge_cells.setdefault(key, []).append(ci)
         # Place cell 0 with its first side on the x-axis, then unfold
         # neighbors across already-placed shared sides.
         stack = [0]
         placed[0] = self._plant_first_cell()
         while stack:
             ci = stack.pop()
-            vs = self.cells[ci].mesh_vertices
-            for k in range(3):
-                key = tuple(sorted((vs[k], vs[(k + 1) % 3])))
-                for cj in edge_cells[key]:
-                    if cj in placed or cj == ci:
+            for e in mesh.tri_edges[ci].tolist():
+                for cj in mesh.edge_tris[e].tolist():
+                    if cj < 0 or cj in placed:
                         continue
                     placed[cj] = self._unfold_across(
-                        cj, key, placed[ci]
+                        cj, mesh.edges[e].tolist(), placed[ci]
                     )
                     stack.append(cj)
         pts = np.array([p for pos in placed.values() for p in pos.values()])

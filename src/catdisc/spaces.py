@@ -5,6 +5,11 @@ Every backend provides distance, geodesic interpolation (proportional to
 arclength), curve length, a weighted squared-distance barycenter, a Fermat
 point (weighted sum-of-distances minimizer) and seeded point sampling.
 Backends are immutable after construction.
+
+The array interface (`distance_arrays`, `triangle_tables`, `triangle_means`)
+runs on the `steiner` kernels for Euclidean and model-surface coordinates, on
+(edge index, offset) rows for trees, and by default point by point on object
+arrays of the backend's own points.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 from . import model
 from .errors import BackendMismatchError, OutOfConvexityError
 from .model import Kappa, ModelPoint
+from .steiner import _batch_bary_interp, _batch_distance, tri_point
 
 
 class TargetSpace:
@@ -57,6 +63,22 @@ class TargetSpace:
             (self.distance(pts[i], pts[j]) for i in range(len(pts)) for j in range(i)),
             default=0.0,
         )
+
+    def distance_arrays(self, X, Y) -> np.ndarray:
+        """Distances between row-aligned array points."""
+        return np.array([self.distance(x, y) for x, y in zip(X, Y)])
+
+    def triangle_tables(self, corners):
+        """Per-triangle tables of `triangle_means` for (p0, p1, p2) triples."""
+        return list(corners)
+
+    def triangle_means(self, tables, tri_idx, weight_rows) -> np.ndarray:
+        """The triangle interpolant, as array points, in the triangles
+        `tri_idx` of `tables` at rows of barycentric weights."""
+        out = np.empty(len(tri_idx), dtype=object)
+        for i, (t, w) in enumerate(zip(tri_idx, weight_rows)):
+            out[i] = tri_point(self, tables[t], w)
+        return out
 
     def _check_barycenter_spread(self, points):
         if self.spread(points) >= self.r_kappa / 2.0:
@@ -100,6 +122,15 @@ class EuclideanSpace(TargetSpace):
 
     def random_point(self, rng):
         return rng.uniform(-1.0, 1.0, size=self.n)
+
+    def distance_arrays(self, X, Y) -> np.ndarray:
+        return _batch_distance(0.0, X, Y)
+
+    def triangle_tables(self, corners):
+        return np.array([[self._coerce(p) for p in tri] for tri in corners])
+
+    def triangle_means(self, tables, tri_idx, weight_rows) -> np.ndarray:
+        return _batch_bary_interp(0.0, tables[tri_idx], weight_rows)
 
     def barycenter(self, points, weights=None):
         pts, w = self._normalized_weights(points, weights)
@@ -184,6 +215,15 @@ class ModelSpace(TargetSpace):
             return ModelPoint(v)
         return model.from_tangent(self.kappa, rng.uniform(-1.0, 1.0, size=2))
 
+    def distance_arrays(self, X, Y) -> np.ndarray:
+        return _batch_distance(self.kappa.value, X, Y)
+
+    def triangle_tables(self, corners):
+        return np.array([[self._coerce(p).coords for p in tri] for tri in corners])
+
+    def triangle_means(self, tables, tri_idx, weight_rows) -> np.ndarray:
+        return _batch_bary_interp(self.kappa.value, tables[tri_idx], weight_rows)
+
     def barycenter(self, points, weights=None):
         pts, w = self._normalized_weights(points, weights)
         pts = [self._coerce(p) for p in pts]
@@ -241,7 +281,7 @@ class TreePoint:
 class MetricTree(TargetSpace):
     """Weighted tree graph with its path metric; CAT(kappa) for every kappa.
 
-    The array kernel (`as_array`, `distance_arrays`, `tripod_means`) takes
+    The array kernel (`as_array`, `distance_arrays`, `triangle_means`) takes
     points as (N, 2) arrays of edge index into `edges` and offset from that
     edge's first vertex.
     """
@@ -396,8 +436,8 @@ class MetricTree(TargetSpace):
         )
         return np.where(ex == ey, np.abs(ox - oy), d)
 
-    def tripod_tables(self, corners):
-        """Per-triangle tables of `tripod_means` for (p0, p1, p2) triples.
+    def triangle_tables(self, corners):
+        """Per-triangle tables of `triangle_means` for (p0, p1, p2) triples.
 
         Three tree points span a tripod with median c and legs of length
         L_i = d(p_i, c) = (d_ij + d_ik - d_jk) / 2.  Leg i is stored as the
@@ -429,7 +469,7 @@ class MetricTree(TargetSpace):
         shape = (len(legs), 3, shape[1])
         return legs, *(a.reshape(shape) for a in (starts, edges, offs, signs))
 
-    def tripod_means(self, tables, tri_idx, weight_rows) -> np.ndarray:
+    def triangle_means(self, tables, tri_idx, weight_rows) -> np.ndarray:
         """Frechet means, as (N, 2) array points, of the triangles `tri_idx`
         of `tables` under rows of barycentric weights.
 
@@ -524,7 +564,7 @@ class MetricTree(TargetSpace):
     def barycenter_rows(self, points, weight_rows):
         """Frechet means of three anchors under many weight rows at once.
 
-        The closed form of `tripod_means`; rows may contain zeros but must
+        The closed form of `triangle_means`; rows may contain zeros but must
         not be all-zero.
         """
         W = np.asarray(weight_rows, dtype=float)
@@ -532,8 +572,8 @@ class MetricTree(TargetSpace):
             raise ValueError("three anchors and three weights per row required")
         if np.any(W < 0) or np.any(W.sum(axis=1) <= 0):
             raise ValueError("rows must be nonnegative with positive sum")
-        tables = self.tripod_tables([points])
-        X = self.tripod_means(tables, np.zeros(len(W), dtype=np.intp), W)
+        tables = self.triangle_tables([points])
+        X = self.triangle_means(tables, np.zeros(len(W), dtype=np.intp), W)
         return [TreePoint(*self.edges[int(e)][:2], float(o)) for e, o in X]
 
     def fermat_point(self, points, weights=None):

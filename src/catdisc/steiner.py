@@ -13,8 +13,10 @@ a triangle is.
 The interpolant fills a triangle with corners p0, p1, p2 at barycentrics
 (b0, b1, b2): take the point at fraction b1 / (b0 + b1) of the geodesic from
 p0 to p1, then the point at fraction b2 of the geodesic from there to p2.
-`_batch_bary_interp` is its array form on the model surfaces (3-vector
-embedding, see `model`), `tri_point` its per-point form on any backend.
+`_batch_bary_interp` is its array form on Euclidean coordinates and on the
+model surfaces (3-vector embedding, see `model`), `tri_point` its per-point
+form on any backend; `triangle_means` of every backend but the tree is one
+of them.
 """
 
 from __future__ import annotations

@@ -18,25 +18,14 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import GeometryError, NonUniqueGeodesicError, TooLargeTriangleError
 from .mesh import MappedGraph
 from .model import Kappa, build_comparison_triangle
-from .spaces import EuclideanSpace, MetricTree, ModelSpace
+from .spaces import MetricTree
 from .steiner import (
     CHORD_BLOCK,
     SteinerGraph,
-    _batch_bary_interp,
     _batch_distance,
     _batch_geodesic,
     append_nodes,
-    tri_point,
 )
-
-
-def _batch_kappa(space):
-    """Curvature value when the space supports vectorized chord evaluation."""
-    if isinstance(space, EuclideanSpace):
-        return 0.0
-    if isinstance(space, ModelSpace):
-        return float(space.kappa.value)
-    return None
 
 
 # Triples with a side below this are rejected as degenerate.
@@ -302,20 +291,18 @@ class InducedGraphSpace:
     returns the node nearest to arclength t along it.
 
     The interpolant fills each triangle from its corner images: the one of
-    `steiner` on Euclidean and M_kappa targets, and on tree targets the
+    `steiner` on Euclidean, M_kappa and cone targets, and on tree targets the
     weighted Frechet mean, unique in CAT(0) spaces (Sturm 2003), in closed
-    form on the tripod the corners span (`MetricTree.tripod_means`); it does
-    not backtrack around branch points, which would inflate sampled lengths.
-    Both run on arrays with their backend's array distance; other targets
-    (cones) go point by point.
+    form on the tripod the corners span (`MetricTree.triangle_means`); it
+    does not backtrack around branch points, which would inflate sampled
+    lengths.  Both, and their distances, run on the backend's array
+    interface (`spaces`); cones go point by point.
     """
 
     def __init__(self, mg: MappedGraph, steiner: int = 6):
         self.mg = mg
         self.space = mg.space
         self.steiner = int(steiner)
-        # Curvature of the array kernel, or None for per-point backends.
-        self._k = _batch_kappa(self.space)
         self._cache: dict = {}
         self._cache_order: list = []
         self._curves: dict = {}
@@ -365,8 +352,8 @@ class InducedGraphSpace:
         self.graph = self._core.csr(steps, self._chord_weights, self._quad_chords())
 
     def _build_tri_geometry(self, mesh):
-        """Per-triangle caches: barycentric solvers, adjacency, corner images
-        and the point locator."""
+        """Per-triangle caches: barycentric solvers, the backend's triangle
+        tables and the point locator."""
         self._tris = [tuple(int(x) for x in t) for t in mesh.triangles]
         inv_stack, p0_stack = [], []
         for tri in self._tris:
@@ -375,63 +362,22 @@ class InducedGraphSpace:
             p0_stack.append(c0)
         self._inv_stack = np.array(inv_stack)
         self._p0_stack = np.array(p0_stack)
-        nbrs: dict[int, set] = {ti: set() for ti in range(len(self._tris))}
-        owner: dict[tuple[int, int], list[int]] = {}
-        for ti, tri in enumerate(self._tris):
-            for i in range(3):
-                e = tuple(sorted((tri[i], tri[(i + 1) % 3])))
-                owner.setdefault(e, []).append(ti)
-        for owners in owner.values():
-            if len(owners) == 2:
-                nbrs[owners[0]].add(owners[1])
-                nbrs[owners[1]].add(owners[0])
-        self._tri_neighbors = {ti: sorted(s) for ti, s in nbrs.items()}
-        self._edge_tris = {e: tuple(t) for e, t in owner.items()}
-        # Corner images (n_tris, 3, d) or tripod tables for the array kernels.
-        self._corners = self._tripods = None
-        if isinstance(self.space, MetricTree):
-            self._tripods = self.space.tripod_tables(
-                [[self.mg.images[v] for v in tri] for tri in self._tris]
-            )
-        if self._k is not None:
-            if isinstance(self.space, ModelSpace):
-                verts = np.array([p.coords for p in self.mg.images])
-            else:
-                verts = np.array([np.asarray(p, dtype=float) for p in self.mg.images])
-            self._corners = verts[np.array(self._tris)]
+        self._tables = self.space.triangle_tables(
+            [[self.mg.images[v] for v in tri] for tri in self._tris]
+        )
         self._build_tri_buckets(mesh)
 
     def _images_at(self, tri_idx, bary):
-        """Interpolant images of disc points given by triangle and barycentrics.
-
-        Array-kernel backends get one (N, d) array: a corner gather, or tree
-        points (edge index, offset); other backends get a list of points.
-        """
-        if self._k is not None:
-            return _batch_bary_interp(self._k, self._corners[tri_idx], bary)
-        if self._tripods is not None:
-            return self.space.tripod_means(self._tripods, tri_idx, bary)
-        images = self.mg.images
-        return [
-            tri_point(self.space, [images[v] for v in self._tris[ti]], b)
-            for ti, b in zip(tri_idx, bary)
-        ]
+        """Interpolant images, as the backend's array points, of disc points
+        given by triangle and barycentrics."""
+        return self.space.triangle_means(self._tables, tri_idx, bary)
 
     def _chain_lengths(self, tri_idx, bary, chains):
         """Image polyline lengths through disc points given by triangle and
         barycentrics; row c of `chains` indexes the CHORD_SAMPLES + 1 points
         of polyline c."""
         pts = self._images_at(tri_idx, bary)
-        if self._k is None and self._tripods is None:
-            return np.array([
-                self.space.curve_length([pts[i] for i in chain]) for chain in chains
-            ])
-        X = pts[chains[:, :-1]].reshape(-1, pts.shape[1])
-        Y = pts[chains[:, 1:]].reshape(-1, pts.shape[1])
-        if self._k is None:
-            d = self.space.distance_arrays(X, Y)
-        else:
-            d = _batch_distance(self._k, X, Y)
+        d = self.space.distance_arrays(pts[chains[:, :-1].ravel()], pts[chains[:, 1:].ravel()])
         return d.reshape(len(chains), CHORD_SAMPLES).sum(axis=1)
 
     def _located_lengths(self, tri_idx, bary, chains):
@@ -446,11 +392,8 @@ class InducedGraphSpace:
         rows S and E of the triangles `tri_idx`."""
         lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)
         B = (1.0 - lam)[None, :, None] * S[:, None, :] + lam[None, :, None] * E[:, None, :]
-        flat = B.reshape(-1, 3)
-        if self._k is None:
-            flat = np.clip(flat, 0.0, None)
         return self._chain_lengths(
-            np.repeat(tri_idx, CHORD_SAMPLES + 1), flat, _runs(len(S))
+            np.repeat(tri_idx, CHORD_SAMPLES + 1), B.reshape(-1, 3), _runs(len(S))
         )
 
     def _quad_chords(self):
@@ -461,26 +404,27 @@ class InducedGraphSpace:
         crosses the shared edge continuously, so these chords avoid the
         Steiner snap error at every other triangle crossing.
         """
-        coords = self.mg.mesh.coords
+        mesh = self.mg.mesh
+        coords = mesh.coords
         lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)
-
-        def off_edge(ti, shared):
-            """Boundary nodes of ti off the shared edge, with their xy."""
-            tri = self._tris[ti]
-            k = next(k for k in range(3) if {tri[k], tri[(k + 1) % 3]} == shared)
-            nodes, bary, sides = self._core.boundary(ti)
-            keep = (sides & (1 << k)) == 0
+        # off_edge[t][k]: the boundary nodes of triangle t off its side k,
+        # with their xy.
+        off_edge = []
+        for ti, tri in enumerate(self._tris):
+            nodes, B, sides = self._core.boundary(ti)
             p0, p1, p2 = (np.asarray(coords[v], dtype=float) for v in tri)
-            B = bary[keep]
-            return nodes[keep], B[:, 0:1] * p0 + B[:, 1:2] * p1 + B[:, 2:3] * p2
+            xy = B[:, 0:1] * p0 + B[:, 1:2] * p1 + B[:, 2:3] * p2
+            keep = [(sides & (1 << k)) == 0 for k in range(3)]
+            off_edge.append([(nodes[m], xy[m]) for m in keep])
 
+        interior = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+        owners = mesh.edge_tris[interior]
+        # The side of each owner that is the shared edge.
+        side = np.argmax(mesh.tri_edges[owners] == interior[:, None, None], axis=2)
         rows, cols, tri_idx, barys = [], [], [], []
-        for e, owners in self._edge_tris.items():
-            if len(owners) != 2:
-                continue
-            ta, tb = owners
-            nodes_a, XA = off_edge(ta, set(e))
-            nodes_b, XB = off_edge(tb, set(e))
+        for e, (ta, tb), (ka, kb) in zip(interior, owners.tolist(), side.tolist()):
+            nodes_a, XA = off_edge[ta][ka]
+            nodes_b, XB = off_edge[tb][kb]
             if not len(nodes_a) or not len(nodes_b):
                 continue
             # All chord sample points, chord by chord.
@@ -490,7 +434,7 @@ class InducedGraphSpace:
             ).reshape(-1, 2)
             # Orientation test against the shared edge line decides which
             # triangle's chart maps each sample point.
-            pu, pv = (np.asarray(coords[v], dtype=float) for v in e)
+            pu, pv = (np.asarray(coords[v], dtype=float) for v in mesh.edges[e])
             edge_dir = pv - pu
             rel = np.mean(XA, axis=0) - pu
             sign_a = edge_dir[0] * rel[1] - edge_dir[1] * rel[0]
@@ -622,23 +566,21 @@ class InducedGraphSpace:
         return (1.0 - t) * self.node_xy[u] + t * self.node_xy[v]
 
     def _walk_contour(self, start_tri, edge, cxy, lam, ty, y_xy, limit):
-        """March the level set lam from an edge crossing toward triangle ty."""
+        """March the level set lam from a crossing of mesh edge `edge` (an
+        edge id) toward triangle ty."""
+        mesh = self.mg.mesh
         poly = [cxy]
-        prev_edge = edge
-        branch = [t for t in self._edge_tris.get(edge, ()) if t != start_tri]
-        if not branch:
-            return None
-        cur = branch[0]
+        prev_edge, cur = edge, _across(mesh, edge, start_tri)
         for _ in range(limit):
+            if cur < 0:  # left the disc
+                return None
             if cur == ty:
                 return np.array(poly)
-            tri = self._tris[cur]
             cands = []
-            for i in range(3):
-                e = tuple(sorted((tri[i], tri[(i + 1) % 3])))
+            for e in mesh.tri_edges[cur].tolist():
                 if e == prev_edge:
                     continue
-                xy2 = self._edge_level_crossing(e[0], e[1], lam)
+                xy2 = self._edge_level_crossing(*mesh.edges[e].tolist(), lam)
                 if xy2 is not None:
                     cands.append((e, xy2))
             if not cands:
@@ -649,11 +591,7 @@ class InducedGraphSpace:
                 cands, key=lambda c: float(np.linalg.norm(c[1] - y_xy))
             )
             poly.append(xy2)
-            branch = [t for t in self._edge_tris.get(e, ()) if t != cur]
-            if not branch:
-                return None
-            prev_edge = e
-            cur = branch[0]
+            prev_edge, cur = e, _across(mesh, e, cur)
         return None
 
     def _fiber_route(self, x_xy, x_img, y_xy, y_img):
@@ -674,12 +612,11 @@ class InducedGraphSpace:
         ty = self._locate_tri(y_xy)
         if tx == ty:
             return float("inf")
-        tri = self._tris[tx]
+        mesh = self.mg.mesh
         limit = 4 * len(self._tris)
         best = float("inf")
-        for i in range(3):
-            e = tuple(sorted((tri[i], tri[(i + 1) % 3])))
-            cxy = self._edge_level_crossing(e[0], e[1], x_img)
+        for e in mesh.tri_edges[tx].tolist():
+            cxy = self._edge_level_crossing(*mesh.edges[e].tolist(), x_img)
             if cxy is None:
                 continue
             poly = self._walk_contour(tx, e, cxy, x_img, ty, y_xy, limit)
@@ -713,9 +650,11 @@ class InducedGraphSpace:
         """Register a continuous disc point as a temporary graph node."""
         xy = np.asarray(xy, dtype=float)
         ti = self._locate_tri(xy)
+        mesh = self.mg.mesh
+        nbrs = mesh.edge_tris[mesh.tri_edges[ti]].ravel()
         nodes, node_pos = [], []
         seen = set()
-        for tj in [ti] + self._tri_neighbors[ti]:
+        for tj in [ti, *np.unique(nbrs[(nbrs >= 0) & (nbrs != ti)]).tolist()]:
             for node, bary, _ in zip(*self._core.boundary(tj)):
                 if node in seen:
                     continue
@@ -1055,6 +994,12 @@ class InducedGraphSpace:
     def random_point(self, rng) -> int:
         # Sample among original mesh vertices only.
         return int(rng.integers(self.n_vertices))
+
+
+def _across(mesh, e, t):
+    """The triangle across mesh edge e from triangle t, or -1."""
+    a, b = mesh.edge_tris[e].tolist()
+    return b if a == t else a
 
 
 def _runs(n_chains):

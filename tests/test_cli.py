@@ -207,3 +207,20 @@ def test_verify_harmonic_with_every_triple_skipped_is_not_a_pass(tmp_path):
     assert report["passed"] is False
     assert [r["n_triples"] for r in report["reports"]] == [0]
     assert [r["verdict"] for r in report["reports"]] == ["inconclusive"]
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("seed", "abc", "seed"),
+        ("budgets", {"triples": "many"}, "budgets.triples"),
+        ("refinements", [], "refinements"),
+        ("grid", 0, "grid"),
+    ],
+)
+def test_malformed_counts_exit_2(tmp_path, capsys, field, value, named):
+    cfg = ruled_config(str(tmp_path / "out"), **{field: value})
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main(["verify-ruled", path]) == 2
+    assert f"config error: {named}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

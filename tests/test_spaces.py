@@ -17,6 +17,7 @@ from catdisc.spaces import (
     point_from_config,
     space_from_config,
 )
+from catdisc.steiner import tri_point
 
 
 def cone_unfold_distance(theta, p, q):
@@ -233,6 +234,56 @@ def test_array_distance_matches_scalar_distance(edges):
     assert np.abs(got - want).max() <= 1e-12
     assert np.array_equal(tree.distance_arrays(tree.as_array(P), tree.as_array(P)),
                           np.zeros(len(P)))
+
+
+def backend_sample(name, rng, n):
+    """A backend, n of its points, and the map from its points to array
+    points."""
+    if name == "euclidean":
+        return EuclideanSpace(3), list(rng.normal(size=(n, 3))), np.array
+    if name.startswith("model"):
+        sp = ModelSpace(1.0 if name == "model+1" else -1.0)
+        pts = [sp.point(xy) for xy in rng.uniform(-0.6, 0.6, size=(n, 2))]
+        return sp, pts, lambda P: np.array([p.coords for p in P])
+    if name == "tripod":
+        tree = MetricTree(TRIPOD)
+        return tree, [random_tree_point(tree, rng) for _ in range(n)], tree.as_array
+    cone = FlatCone(1.5 * math.pi)
+    pts = [cone.random_point(rng) for _ in range(n - 2)] + [cone.point(0.0, 0.0)] * 2
+
+    def as_objects(P):
+        out = np.empty(len(P), dtype=object)
+        out[:] = P
+        return out
+
+    return cone, pts, as_objects
+
+
+@pytest.mark.parametrize("name", ["euclidean", "model+1", "model-1", "tripod", "cone"])
+def test_array_interface_matches_the_point_methods(name):
+    """`distance_arrays` is `distance` per pair, and `triangle_means` the
+    per-point interpolant per row: `tri_point`, or on the tree its own
+    Frechet mean (`barycenter`).  Exactly equal on the cone, which goes
+    point by point."""
+    rng = np.random.default_rng(11)
+    space, pts, to_array = backend_sample(name, rng, 60)
+    P, Q = pts[:30], pts[30:]
+    got = space.distance_arrays(to_array(P), to_array(Q))
+    want = np.array([space.distance(p, q) for p, q in zip(P, Q)])
+    corners = [[pts[i] for i in rng.choice(len(pts), 3, replace=False)] for _ in range(20)]
+    tri_idx = rng.integers(len(corners), size=50)
+    rows = rng.dirichlet(np.ones(3), size=50)
+    means = space.triangle_means(space.triangle_tables(corners), tri_idx, rows)
+    if isinstance(space, MetricTree):
+        ref = [space.barycenter(corners[t], w) for t, w in zip(tri_idx, rows)]
+    else:
+        ref = [tri_point(space, corners[t], w) for t, w in zip(tri_idx, rows)]
+    if name == "cone":
+        assert np.array_equal(got, want)
+        assert list(means) == ref
+    else:
+        assert np.abs(got - want).max() <= 1e-12
+        assert space.distance_arrays(means, to_array(ref)).max() <= 1e-12
 
 
 class TestFlatCone:

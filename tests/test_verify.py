@@ -555,16 +555,18 @@ def reference_segment_weights(oracle, locate, S, E):
     bary /= bary.sum(axis=1, keepdims=True)
     pts = oracle._images_at(tri_idx, bary)
     n_chains = len(bary) // (m + 1)
-    if oracle._k is None and oracle._tripods is None:
+    space = oracle.space
+    if isinstance(space, FlatCone):
         return np.array([
-            oracle.space.curve_length(pts[ci * (m + 1):(ci + 1) * (m + 1)])
+            space.curve_length(pts[ci * (m + 1):(ci + 1) * (m + 1)])
             for ci in range(n_chains)
         ])
     P = pts.reshape(n_chains, m + 1, -1)
     X, Y = P[:, :-1].reshape(-1, P.shape[2]), P[:, 1:].reshape(-1, P.shape[2])
-    if oracle._k is None:
-        return oracle.space.distance_arrays(X, Y).reshape(n_chains, m).sum(axis=1)
-    return _batch_distance(oracle._k, X, Y).reshape(n_chains, m).sum(axis=1)
+    if isinstance(space, MetricTree):
+        return space.distance_arrays(X, Y).reshape(n_chains, m).sum(axis=1)
+    k = 0.0 if isinstance(space, EuclideanSpace) else space.kappa.value
+    return _batch_distance(k, X, Y).reshape(n_chains, m).sum(axis=1)
 
 
 def reference_relax_batch(oracle, locate, pts, step0):
