@@ -287,8 +287,14 @@ class InducedGraphSpace:
     weighted by image geodesic chords, and chords between boundary nodes of
     one triangle, or of two triangles sharing an edge, by the image polyline
     length of the interpolated map along the straight disc segment.
-    Geodesics are realized as shortest-path polylines; `geodesic(p, q, t)`
-    returns the node nearest to arclength t along it.
+    Each vertex pair caches one disc polyline, and `geodesic(p, q, t)`
+    returns a temporary node at arclength fraction t along it.  On
+    Euclidean, M_kappa and cone targets that polyline is the graph shortest
+    path relaxed by curve shortening, and the distance is the smaller of
+    its length and the graph distance.  On tree targets, where relaxed
+    curves come out longer, nothing is relaxed: the polyline is the
+    shortest path itself, through the exact breakpoint nodes, or a contour
+    route that beats it, and its length is the distance.
 
     The interpolant fills each triangle from its corner images: the one of
     `steiner` on Euclidean, M_kappa and cone targets, and on tree targets the
@@ -595,11 +601,12 @@ class InducedGraphSpace:
         return None
 
     def _fiber_route(self, x_xy, x_img, y_xy, y_img):
-        """Length of a contour-following disc curve from x to y, or inf.
+        """Shortest contour-following disc curve from x to y, as its disc
+        chain and arclengths, or None.
 
         Follows the level set of x's image through the triangulation, then
-        hops to y inside y's triangle.  Relaxed curves pay a kink penalty
-        per polyline point when they hug a fiber of a tree target (the
+        hops to y inside y's triangle.  Graph paths and relaxed curves pay
+        for every excursion off a fiber of a tree target they hug (the
         length functional is V-shaped transversally, not quadratic); the
         marched contour has its kinks exactly on the mesh edges, so the
         only cost left is the genuine level variation.  Every leg is a
@@ -611,10 +618,10 @@ class InducedGraphSpace:
         tx = self._locate_tri(x_xy)
         ty = self._locate_tri(y_xy)
         if tx == ty:
-            return float("inf")
+            return None
         mesh = self.mg.mesh
         limit = 4 * len(self._tris)
-        best = float("inf")
+        best = None
         for e in mesh.tri_edges[tx].tolist():
             cxy = self._edge_level_crossing(*mesh.edges[e].tolist(), x_img)
             if cxy is None:
@@ -623,12 +630,17 @@ class InducedGraphSpace:
             if poly is None:
                 continue
             chain = np.vstack([x_xy[None, :], poly, y_xy[None, :]])
-            w = self._xy_segment_weights(chain[:-1], chain[1:])
-            best = min(best, float(w.sum()))
+            arcs = _arcs(self._xy_segment_weights(chain[:-1], chain[1:]))
+            if best is None or arcs[-1] < best[1][-1]:
+                best = (chain, arcs)
         return best
 
     def _fiber_post(self, sources, targets, out):
-        """Improve measured rows with contour routes (tree targets only)."""
+        """Improve measured rows with contour routes (tree targets only).
+
+        A route that shortens a pair of mesh vertices becomes that pair's
+        cached curve, so `geodesic` samples the curve `distance` reports.
+        """
         if not isinstance(self.space, MetricTree):
             return out
         sinfo = [(self._node_pos(s), self._node_image(s)) for s in sources]
@@ -636,14 +648,22 @@ class InducedGraphSpace:
         for i, (sxy, simg) in enumerate(sinfo):
             for j, (qxy, qimg) in enumerate(tinfo):
                 cur = out[i][j]
-                if cur <= self.space.distance(simg, qimg) + 1e-4:
+                # Only entries at the 1-Lipschitz lower bound, up to
+                # rounding, are skipped: any slack left here shows up in
+                # full in geodesic samples and thinness defects.
+                if cur <= self.space.distance(simg, qimg) + 1e-12:
                     continue
-                cand = min(
-                    self._fiber_route(sxy, simg, qxy, qimg),
-                    self._fiber_route(qxy, qimg, sxy, simg),
-                )
-                if cand < cur:
-                    out[i][j] = float(cand)
+                routes = [self._fiber_route(sxy, simg, qxy, qimg),
+                          _reversed(self._fiber_route(qxy, qimg, sxy, simg))]
+                routes = [r for r in routes if r is not None and r[1][-1] < cur]
+                if not routes:
+                    continue
+                route = min(routes, key=lambda r: r[1][-1])
+                out[i][j] = float(route[1][-1])
+                s, q = int(sources[i]), int(targets[j])
+                if max(s, q) < self.n_vertices:
+                    key = (min(s, q), max(s, q))
+                    self._keep_curve(key, *(route if s < q else _reversed(route)))
         return out
 
     def _add_temp_point(self, xy) -> int:
@@ -718,24 +738,32 @@ class InducedGraphSpace:
         return self.distance_blocks([(sources, targets)])[0]
 
     def distance_blocks(self, blocks):
-        """Distance matrices of (sources, targets) blocks, refined by
-        continuous curve shortening, with the curves of every block relaxed
-        in one batch (`_relax_batch`).
+        """Distance matrices of (sources, targets) blocks.
 
-        The graph distance and the relaxed-curve length are both genuine
-        curve lengths of the interpolated map, hence upper bounds on the
-        induced distance; their minimum strips the lateral staircase excess
-        of pure graph paths.  A block of one source whose nodes are all mesh
-        vertices relaxes the graph path of each pair on its own schedule and
-        caches it for `geodesic`; any other block relaxes the straight
-        segments between its sources and targets, refined as far as its
-        longest segment needs.
+        Every entry is the length of a genuine curve of the interpolated
+        map, hence an upper bound on the induced distance.  A block of one
+        source whose nodes are all mesh vertices measures each pair by the
+        curve it caches for `geodesic`.
+
+        On Euclidean, M_kappa and cone targets each entry is the smaller of
+        the graph distance and a relaxed-curve length, which strips the
+        lateral staircase excess of pure graph paths; the curves of every
+        block relax in one batch (`_relax_batch`).  A vertex pair relaxes
+        its graph path on its own schedule; any other block relaxes the
+        straight segments between its sources and targets, refined as far as
+        its longest segment needs.
+
+        On tree targets, where relaxed curves come out longer, nothing
+        relaxes: a vertex pair's curve is its base-graph shortest path, whose
+        breakpoint nodes keep its kinks exact at branch points, and any other
+        entry is the graph distance.  Contour routes (`_fiber_post`) then
+        shorten tree entries of either kind.
         """
+        tree = isinstance(self.space, MetricTree)
         plans, groups, fresh, lengths = [], [], [], {}
         for sources, targets in blocks:
             sources = [int(s) for s in sources]
             targets = [int(q) for q in targets]
-            dists = [self._solve(s)[0] for s in sources]
             if len(sources) == 1 and max(sources + targets) < self.n_vertices:
                 p = sources[0]
                 for q in targets:
@@ -744,22 +772,29 @@ class InducedGraphSpace:
                         continue
                     if key in self._curves:
                         lengths[key] = float(self._curves[key][1][-1])
+                    elif tree:
+                        path, dist = self._graph_path(*key)
+                        lengths[key] = self._keep_curve(key, self.node_xy[path], dist[path])
                     else:  # filled in after the batch
                         lengths[key] = None
                         fresh.append((key, len(groups)))
                         groups.append(self._curve_start(*key))
+                # On trees a vertex pair measures exactly its cached curve.
+                dists = None if tree else [self._solve(p)[0]]
                 plans.append((sources, targets, dists, [[q == p for q in targets]], None))
                 continue
+            dists = [self._solve(s)[0] for s in sources]
             sxy = np.reshape([self._node_pos(s) for s in sources], (-1, 2))
             txy = np.reshape([self._node_pos(q) for q in targets], (-1, 2))
             S = np.repeat(sxy, len(targets), axis=0)
             E = np.tile(txy, (len(sources), 1))
             same = np.linalg.norm(E - S, axis=1) < 1e-14
+            relax = not tree and len(S) > 0
             plans.append((
                 sources, targets, dists, same.reshape(len(sources), len(targets)),
-                len(groups) if len(S) else None,
+                len(groups) if relax else None,
             ))
-            if len(S):
+            if relax:
                 span = np.linalg.norm(E - S, axis=1).max()
                 n_target = int(np.clip(np.ceil(span / (0.75 * self._disc_h)), 8, 96))
                 lam = np.linspace(0.0, 1.0, min(8, n_target) + 1)
@@ -770,16 +805,22 @@ class InducedGraphSpace:
                 ))
         relaxed = self._relax_lengths(groups)
         for key, g in fresh:
-            lengths[key] = self._keep_curve(key, *relaxed[g])
+            pts, seg = relaxed[g]
+            lengths[key] = self._keep_curve(key, pts[0], _arcs(seg[0]))
         out = []
         for sources, targets, dists, same, g in plans:
-            if g is None:  # vertex-pair curves, or no pairs
-                lens = [[lengths.get((min(s, q), max(s, q))) for q in targets] for s in sources]
+            if g is None:  # vertex-pair curves, or graph distances alone
+                lens = [
+                    [lengths.get((min(s, q), max(s, q)), np.inf) for q in targets]
+                    for s in sources
+                ]
             else:
                 lens = relaxed[g][1].sum(axis=1).reshape(same.shape)
             rows = [
                 [
-                    0.0 if same[i][j] else min(float(dists[i][q]), float(lens[i][j]))
+                    0.0 if same[i][j] else min(
+                        float(dists[i][q]) if dists else np.inf, float(lens[i][j])
+                    )
                     for j, q in enumerate(targets)
                 ]
                 for i in range(len(sources))
@@ -788,11 +829,12 @@ class InducedGraphSpace:
         return out
 
     def geodesic(self, p, q, t: float):
-        """Temporary node at arclength fraction t of the shortened p-q curve.
+        """Temporary node at arclength fraction t of the cached p-q curve,
+        the curve whose length `distance(p, q)` reports on tree targets.
 
         For 0 < t < 1 both endpoints must be mesh vertices.
         """
-        if t <= 0.0:
+        if t <= 0.0 or p == q:
             return int(p)
         if t >= 1.0:
             return int(q)
@@ -807,26 +849,25 @@ class InducedGraphSpace:
         return self._add_temp_point((1.0 - lam) * xy[idx - 1] + lam * xy[idx])
 
     def _shorten_curve(self, p, q):
-        """Disc polyline of the continuous p-q geodesic with its arclengths.
+        """Disc polyline of the continuous p-q geodesic with its arclengths,
+        as `distance_blocks` caches it for the last 16 vertex pairs.
 
-        The graph shortest path only locates the geodesic to the Steiner
-        spacing (its node chain staircases); the polyline is therefore
-        relaxed by curve shortening of the sampled image length, which
-        recovers the transverse position to optimization resolution.
-        Results are cached for the last 16 vertex pairs.
+        On Euclidean, M_kappa and cone targets the graph shortest path only
+        locates the geodesic to the Steiner spacing (its node chain
+        staircases); the polyline is therefore relaxed by curve shortening
+        of the sampled image length, which recovers the transverse position
+        to optimization resolution.  On tree targets it is the graph path
+        through the breakpoint nodes, or the contour route that beats it.
         """
         key, flip = ((p, q), False) if p <= q else ((q, p), True)
         if key not in self._curves:
-            self._keep_curve(key, *self._relax_lengths([self._curve_start(*key)])[0])
-        xy, arcs = self._curves[key]
-        if flip:
-            xy = xy[::-1]
-            arcs = arcs[-1] - arcs[::-1]
-        return xy, arcs
+            self.distance_blocks([([key[0]], [key[1]])])
+        curve = self._curves[key]
+        return _reversed(curve) if flip else curve
 
-    def _curve_start(self, a, b):
-        """Graph shortest path from vertex a to b, resampled to the coarse
-        stage, and the segment count it is refined to."""
+    def _graph_path(self, a, b):
+        """Base-graph shortest path from node a to b, as a node list, and
+        the base-graph distances from a."""
         dist, pred = self._solve(a, base=True)
         path = [int(b)]
         while path[-1] != int(a):
@@ -835,14 +876,21 @@ class InducedGraphSpace:
                 raise ValueError("nodes are not connected")
             path.append(nxt)
         path.reverse()
+        return path, dist
+
+    def _curve_start(self, a, b):
+        """Graph shortest path from vertex a to b, resampled to the coarse
+        stage, and the segment count it is refined to."""
+        path, dist = self._graph_path(a, b)
         n_target = int(np.clip(np.ceil(float(dist[b]) / (0.5 * self._disc_h)), 8, 128))
         return _resample(self.node_xy[path][None], min(8, n_target)), n_target
 
-    def _keep_curve(self, key, pts, seg):
-        """Cache a relaxed vertex-pair curve; its length."""
-        arcs = np.concatenate([[0.0], np.cumsum(seg[0])])
-        self._curves[key] = (pts[0], arcs)
-        self._curve_order.append(key)
+    def _keep_curve(self, key, xy, arcs):
+        """Cache the disc polyline xy of a vertex pair, with its arclengths;
+        its length."""
+        if key not in self._curves:
+            self._curve_order.append(key)
+        self._curves[key] = (xy, arcs)
         if len(self._curve_order) > 16:
             del self._curves[self._curve_order.pop(0)]
         return float(arcs[-1])
@@ -1000,6 +1048,19 @@ def _across(mesh, e, t):
     """The triangle across mesh edge e from triangle t, or -1."""
     a, b = mesh.edge_tris[e].tolist()
     return b if a == t else a
+
+
+def _arcs(seg):
+    """Arclengths at the points of a polyline with segment lengths seg."""
+    return np.concatenate([[0.0], np.cumsum(seg)])
+
+
+def _reversed(curve):
+    """A (disc polyline, arclengths) curve traversed backwards, or None."""
+    if curve is None:
+        return None
+    xy, arcs = curve
+    return xy[::-1], arcs[-1] - arcs[::-1]
 
 
 def _runs(n_chains):
