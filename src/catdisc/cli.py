@@ -53,19 +53,15 @@ DEFAULTS = {
 }
 
 
-def _require(cfg: dict, path: str, types, context: str = ""):
-    node = cfg
-    walked = []
-    for part in path.split("."):
-        walked.append(part)
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(context + ".".join(walked), "missing required field")
-        node = node[part]
-    if types is not None and not isinstance(node, types):
-        raise ConfigError(
-            context + path, f"expected {types}, got {type(node).__name__}"
-        )
-    return node
+def _require(cfg: dict, name: str, types):
+    """The value of the required field `name`, of one of `types`; booleans
+    are not numbers."""
+    if name not in cfg:
+        raise ConfigError(name, "missing required field")
+    value = cfg[name]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ConfigError(name, f"expected {types}, got {type(value).__name__}")
+    return value
 
 
 def _load_config(path: str) -> tuple[dict, str]:
@@ -102,82 +98,105 @@ def _count(value, path: str, least: int) -> int:
     return value
 
 
+def _positive(value, path: str) -> float:
+    """A positive number config value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        raise ConfigError(path, f"expected a positive number, got {value!r}")
+    return value
+
+
+def _section(cfg: dict, name: str, check) -> dict:
+    """An optional object over the keys of DEFAULTS[name], merged onto those
+    defaults; `check(value, path)` vets each value."""
+    given = cfg.get(name, {})
+    if not isinstance(given, dict):
+        raise ConfigError(name, f"expected an object, got {type(given).__name__}")
+    merged = {**DEFAULTS[name], **given}
+    for key, val in merged.items():
+        if key not in DEFAULTS[name]:
+            raise ConfigError(f"{name}.{key}", f"unknown {name[:-1]}")
+        check(val, f"{name}.{key}")
+    return merged
+
+
+def _space(cfg: dict):
+    """The target space; a missing, unknown or unreadable backend field is a
+    config error."""
+    target = _require(cfg, "target", dict)
+    try:
+        return space_from_config(target)
+    except KeyError as exc:
+        raise ConfigError(f"target.{exc.args[0]}", "missing required field") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("target", str(exc)) from exc
+
+
 def _common(cfg: dict):
     """Target, kappa, seed, budgets and tolerances of a config, after
-    checking every optional count it may hold."""
-    space = space_from_config(_require(cfg, "target", dict))
+    checking every optional count and tolerance it may hold."""
+    space = _space(cfg)
     kappa = float(_require(cfg, "kappa", (int, float)))
     seed = _count(cfg.get("seed", DEFAULTS["seed"]), "seed", 0)
-    given = cfg.get("budgets", {})
-    if not isinstance(given, dict):
-        raise ConfigError("budgets", f"expected an object, got {type(given).__name__}")
-    budgets = {**DEFAULTS["budgets"], **given}
-    for name, val in budgets.items():
-        if name not in DEFAULTS["budgets"]:
-            raise ConfigError(f"budgets.{name}", "unknown budget")
-        _count(val, f"budgets.{name}", 0 if name == "steiner" else 1)
+    budgets = _section(
+        cfg, "budgets", lambda v, path: _count(v, path, 0 if path == "budgets.steiner" else 1)
+    )
     refinements = cfg.get("refinements", DEFAULTS["refinements"])
     if not isinstance(refinements, list) or not refinements:
         raise ConfigError("refinements", f"expected a non-empty list, got {refinements!r}")
     for i, n in enumerate(refinements):
         _count(n, f"refinements[{i}]", 1)
     _count(cfg.get("grid", DEFAULTS["refinements"][0]), "grid", 1)
-    tols = {**DEFAULTS["tolerances"], **cfg.get("tolerances", {})}
-    for name, val in tols.items():
-        if not (isinstance(val, (int, float)) and val > 0):
-            raise ConfigError(f"tolerances.{name}", "must be positive")
-    return space, kappa, seed, budgets, tols
+    return space, kappa, seed, budgets, _section(cfg, "tolerances", _positive)
 
 
 def _write(outdir: Path, name: str, text: str):
     (outdir / name).write_text(text)
 
 
-def _emit_report(outdir: Path, name: str, payload: dict, digest: str, seed: int):
+def _emit_report(outdir: Path, payload: dict, digest: str, seed: int):
+    """Write report.json: `payload` with the config hash and seed."""
     payload = {**payload, "config_hash": digest, "seed": seed}
-    _write(outdir, name, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(outdir, "report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _points(cfg: dict, space, name: str) -> list:
+    """The target points listed at config field `name`."""
+    given = _require(cfg, name, list)
+    try:
+        return [point_from_config(space, p) for p in given]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(name, str(exc)) from exc
 
 
 def _cmd_verify_ruled(cfg: dict, digest: str) -> int:
     space, kappa, seed, budgets, tols = _common(cfg)
-    eta0 = [point_from_config(space, p) for p in _require(cfg, "eta0", list)]
-    eta1 = [point_from_config(space, p) for p in _require(cfg, "eta1", list)]
+    eta0, eta1 = _points(cfg, space, "eta0"), _points(cfg, space, "eta1")
     refinements = cfg.get("refinements", DEFAULTS["refinements"])
     outdir = _outdir(cfg)
+    # The first refinement's spec and map, as the pipeline built them.
+    built = {}
 
     def builder(n):
-        return ruled_disc_map(RuledDiscSpec(eta0, eta1, (n, n), space))
+        spec = RuledDiscSpec(eta0, eta1, (n, n), space)
+        built[n] = spec, ruled_disc_map(spec)
+        return built[n][1]
 
     bundle = verify_pipeline(
-        builder,
-        "ruled",
-        kappa,
-        refinements,
-        triple_budget=budgets["triples"],
-        grid=budgets["grid"],
-        tolerance=tols["defect"],
-        seed=seed,
-        steiner=budgets["steiner"],
+        builder, "ruled", kappa, refinements, triple_budget=budgets["triples"],
+        grid=budgets["grid"], tolerance=tols["defect"], seed=seed, steiner=budgets["steiner"],
     )
-    n0 = refinements[0]
-    spec0 = RuledDiscSpec(eta0, eta1, (n0, n0), space)
-    mg0 = ruled_disc_map(spec0)
+    spec0, mg0 = built[refinements[0]]
     quad = quadrangle_bound_check(spec0, mg0)
     minimality = ruled_is_length_minimizing_check(mg0)
     _write(outdir, "defects.csv", bundle.defect_csv())
     _emit_report(
         outdir,
-        "report.json",
         {
             "construction": "ruled",
             "kappa": kappa,
             "passed": bundle.passed,
             "reports": [json.loads(r.to_json()) for r in bundle.reports],
-            "quadrangle": {
-                "rho": quad.rho,
-                "empirical_l": quad.empirical_l,
-                "ok": quad.ok,
-            },
+            "quadrangle": {"rho": quad.rho, "empirical_l": quad.empirical_l, "ok": quad.ok},
             "minimality": {
                 "max_length_defect": minimality.max_length_defect,
                 "max_proportionality_defect": minimality.max_proportionality_defect,
@@ -190,12 +209,17 @@ def _cmd_verify_ruled(cfg: dict, digest: str) -> int:
     return 0 if bundle.passed and quad.ok and minimality.ok else 1
 
 
-def _harmonic_spec(cfg: dict, space, n: int):
-    corners = [
-        point_from_config(space, p) for p in _require(cfg, "trace_corners", list)
-    ]
+def _corners(cfg: dict, space) -> list:
+    """The four corner points of a harmonic boundary trace."""
+    corners = _points(cfg, space, "trace_corners")
     if len(corners) != 4:
         raise ConfigError("trace_corners", "exactly four corner points required")
+    return corners
+
+
+def _harmonic_spec(corners: list, space, n: int):
+    """The harmonic problem on grid_mesh(n) whose boundary trace walks the
+    four corners by geodesics."""
     mesh = grid_mesh(n)
     trace = {}
     for v in np.flatnonzero(mesh.boundary):
@@ -214,36 +238,27 @@ def _harmonic_spec(cfg: dict, space, n: int):
 
 def _cmd_verify_harmonic(cfg: dict, digest: str) -> int:
     space, kappa, seed, budgets, tols = _common(cfg)
+    corners = _corners(cfg, space)
     refinements = cfg.get("refinements", DEFAULTS["refinements"])
     outdir = _outdir(cfg)
     results = {}
 
     def builder(n):
-        res = harmonic_relax(_harmonic_spec(cfg, space, n))
+        res = harmonic_relax(_harmonic_spec(corners, space, n))
         results[n] = res
         return res.graph
 
     bundle = verify_pipeline(
-        builder,
-        "harmonic",
-        kappa,
-        refinements,
-        triple_budget=budgets["triples"],
-        grid=budgets["grid"],
-        tolerance=tols["defect"],
-        seed=seed,
-        steiner=budgets["steiner"],
+        builder, "harmonic", kappa, refinements, triple_budget=budgets["triples"],
+        grid=budgets["grid"], tolerance=tols["defect"], seed=seed, steiner=budgets["steiner"],
     )
     converged = all(results[n].converged for n in refinements)
     # Regularity trend: max interior edge image distance per refinement.
-    moduli = {
-        n: float(results[n].graph.edge_lengths().max()) for n in refinements
-    }
+    moduli = {n: float(results[n].graph.edge_lengths().max()) for n in refinements}
     _write(outdir, "defects.csv", bundle.defect_csv())
     _write(outdir, "energy_trace.csv", results[refinements[-1]].trace_csv())
     _emit_report(
         outdir,
-        "report.json",
         {
             "construction": "harmonic",
             "kappa": kappa,
@@ -258,32 +273,31 @@ def _cmd_verify_harmonic(cfg: dict, digest: str) -> int:
     return 0 if bundle.passed and converged else 1
 
 
-def _build_construction(cfg: dict, space, n: int):
+def _build_construction(cfg: dict, space):
+    """The config's construction on the grid of its `grid` field."""
     kind = _require(cfg, "construction", str)
+    n = cfg.get("grid", DEFAULTS["refinements"][0])
     if kind == "ruled":
-        eta0 = [point_from_config(space, p) for p in _require(cfg, "eta0", list)]
-        eta1 = [point_from_config(space, p) for p in _require(cfg, "eta1", list)]
+        eta0, eta1 = _points(cfg, space, "eta0"), _points(cfg, space, "eta1")
         return ruled_disc_map(RuledDiscSpec(eta0, eta1, (n, n), space))
     if kind == "harmonic":
-        return harmonic_relax(_harmonic_spec(cfg, space, n)).graph
+        return harmonic_relax(_harmonic_spec(_corners(cfg, space), space, n)).graph
     raise ConfigError("construction", f"unknown construction {kind!r}")
 
 
 def _cmd_minimize_graph(cfg: dict, digest: str) -> int:
     space, _kappa, seed, _budgets, _tols = _common(cfg)
-    n = int(cfg.get("grid", DEFAULTS["refinements"][0]))
+    preserve = cfg.get("preserve_domination", False)
+    if not isinstance(preserve, bool):
+        raise ConfigError("preserve_domination", f"expected true or false, got {preserve!r}")
     outdir = _outdir(cfg)
-    mg = _build_construction(cfg, space, n)
-    result = relax_graph(
-        mg,
-        RelaxConfig(preserve_domination=bool(cfg.get("preserve_domination", False))),
-    )
+    mg = _build_construction(cfg, space)
+    result = relax_graph(mg, RelaxConfig(preserve_domination=preserve))
     angles = vertex_angle_sums(result.graph)
     ok = result.converged and angles.min_total >= 2.0 * math.pi - 1e-4
     _write(outdir, "relax_trace.csv", result.trace_csv())
     _emit_report(
         outdir,
-        "report.json",
         {
             "construction": cfg["construction"],
             "passed": ok,
@@ -300,19 +314,16 @@ def _cmd_minimize_graph(cfg: dict, digest: str) -> int:
 
 def _cmd_build_polyhedral(cfg: dict, digest: str) -> int:
     space, kappa, seed, _budgets, _tols = _common(cfg)
-    n = int(cfg.get("grid", DEFAULTS["refinements"][0]))
+    epsilon = float(_positive(_require(cfg, "epsilon", (int, float)), "epsilon"))
     outdir = _outdir(cfg)
-    mg = _build_construction(cfg, space, n)
-    epsilon = float(_require(cfg, "epsilon", (int, float)))
+    mg = _build_construction(cfg, space)
     try:
         complex_, pair = build_polyhedral_disc(mg, epsilon, kappa)
     except Exception as exc:
         raise PipelineStageError("polyhedral-build", exc) from exc
     angle = interior_angle_check(complex_)
     lip = lipschitz_check(pair, complex_, samples=200, refinement=2, seed=seed)
-    den = epsilon_density_check(
-        pair, complex_, mg, epsilon, samples=100, refinement=2, seed=seed
-    )
+    den = epsilon_density_check(pair, complex_, mg, epsilon, samples=100, refinement=2, seed=seed)
     payload = {
         "construction": cfg["construction"],
         "kappa": kappa,
@@ -335,7 +346,7 @@ def _cmd_build_polyhedral(cfg: dict, digest: str) -> int:
     payload["passed"] = certified and den.ok
     _write(outdir, "complex.json", complex_.to_json() + "\n")
     _write(outdir, "net.svg", complex_.to_svg_net())
-    _emit_report(outdir, "report.json", payload, digest, seed)
+    _emit_report(outdir, payload, digest, seed)
     return 0 if payload["passed"] else 1
 
 
@@ -343,16 +354,11 @@ def _cmd_cat_check(cfg: dict, digest: str) -> int:
     space, kappa, seed, budgets, tols = _common(cfg)
     outdir = _outdir(cfg)
     report, samples = certify_cat(
-        space,
-        Kappa(kappa),
-        triple_budget=budgets["triples"],
-        grid=budgets["grid"],
-        tolerance=tols["exact_defect"],
-        seed=seed,
-        collect_samples=True,
+        space, Kappa(kappa), triple_budget=budgets["triples"], grid=budgets["grid"],
+        tolerance=tols["exact_defect"], seed=seed, collect_samples=True,
     )
     _write(outdir, "samples.csv", samples_csv(samples))
-    _emit_report(outdir, "report.json", json.loads(report.to_json()), digest, seed)
+    _emit_report(outdir, json.loads(report.to_json()), digest, seed)
     return 0 if report.passed else 1
 
 

@@ -8,6 +8,7 @@ prescribed boundary trace.  Both feed the induced-metric certifier.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,45 +104,34 @@ class QuadrangleReport:
         return self.checked_columns > 0 and math.isfinite(self.empirical_l)
 
 
-def quadrangle_bound_check(
-    spec: RuledDiscSpec, mg: MappedGraph, rho: float | None = None
-) -> QuadrangleReport:
+def quadrangle_bound_check(spec: RuledDiscSpec, mg: MappedGraph) -> QuadrangleReport:
     """Empirical modulus L of the rulings: over adjacent columns whose
     boundary endpoints are rho-close, the max of
-    d(gamma_a(t), gamma_b(t)) / (d(eta0(a),eta0(b)) + d(eta1(a),eta1(b)))."""
+    d(gamma_a(t), gamma_b(t)) / (d(eta0(a),eta0(b)) + d(eta1(a),eta1(b))).
+
+    rho is ten times the largest boundary step between adjacent columns."""
     n_a, n_t = spec.grid
     sp = spec.space
-    if rho is None:
-        gaps = []
-        for which in (0, 1):
-            for i in range(n_a):
-                gaps.append(
-                    sp.distance(
-                        spec.curve_point(which, i / n_a),
-                        spec.curve_point(which, (i + 1) / n_a),
-                    )
-                )
-        rho = 10.0 * max(gaps)
+    rho = 10.0 * max(
+        sp.distance(spec.curve_point(which, i / n_a), spec.curve_point(which, (i + 1) / n_a))
+        for which in (0, 1)
+        for i in range(n_a)
+    )
+
+    def gap(i, j):
+        """Image distance of grid nodes (i, j) and (i + 1, j)."""
+        ends = (grid_index(n_a, n_t, i, j), grid_index(n_a, n_t, i + 1, j))
+        return sp.distance(*(mg.images[v] for v in ends))
+
     worst = 0.0
     checked = 0
     for i in range(n_a):
-        d0 = sp.distance(
-            mg.images[grid_index(n_a, n_t, i, 0)],
-            mg.images[grid_index(n_a, n_t, i + 1, 0)],
-        )
-        d1 = sp.distance(
-            mg.images[grid_index(n_a, n_t, i, n_t)],
-            mg.images[grid_index(n_a, n_t, i + 1, n_t)],
-        )
+        d0, d1 = gap(i, 0), gap(i, n_t)
         if d0 > rho or d1 > rho or d0 + d1 < 1e-15:
             continue
         checked += 1
         for j in range(n_t + 1):
-            gap = sp.distance(
-                mg.images[grid_index(n_a, n_t, i, j)],
-                mg.images[grid_index(n_a, n_t, i + 1, j)],
-            )
-            worst = max(worst, gap / (d0 + d1))
+            worst = max(worst, gap(i, j) / (d0 + d1))
     return QuadrangleReport(rho=float(rho), checked_columns=checked, empirical_l=worst)
 
 
@@ -149,7 +139,7 @@ def quadrangle_bound_check(
 class RuledMinimalityReport:
     max_length_defect: float
     max_proportionality_defect: float
-    tol: float
+    tol: float = field(default=1e-8, init=False)
 
     @property
     def ok(self) -> bool:
@@ -159,11 +149,10 @@ class RuledMinimalityReport:
         )
 
 
-def ruled_is_length_minimizing_check(
-    mg: MappedGraph, tol: float = 1e-8
-) -> RuledMinimalityReport:
+def ruled_is_length_minimizing_check(mg: MappedGraph) -> RuledMinimalityReport:
     """Each vertical column polyline must realize the endpoint distance and be
-    parametrized proportionally (equal consecutive segment lengths)."""
+    parametrized proportionally (equal consecutive segment lengths), both to
+    the report's `tol`."""
     columns = _grid_columns(mg.mesh)
     sp = mg.space
     length_defect = 0.0
@@ -178,7 +167,6 @@ def ruled_is_length_minimizing_check(
     return RuledMinimalityReport(
         max_length_defect=float(length_defect),
         max_proportionality_defect=float(prop_defect),
-        tol=tol,
     )
 
 
@@ -193,9 +181,15 @@ def _grid_columns(mesh: DiscMesh) -> list[list[int]]:
     return out
 
 
+# Harmonic sweeps stop once no vertex moves by HARMONIC_TOL, or after
+# HARMONIC_MAX_SWEEPS sweeps.
+HARMONIC_TOL, HARMONIC_MAX_SWEEPS = 1e-10, 10_000
+
+
 @dataclass(frozen=True, eq=False)
 class HarmonicSpec:
-    """Disc mesh, boundary trace, and energy weights of a harmonic problem.
+    """Disc mesh and boundary trace of a harmonic problem with unit edge
+    weights.
 
     The trace must fit in a ball of radius < R_kappa/2 so the minimizer is
     unique; outside that regime the solver refuses.
@@ -204,25 +198,11 @@ class HarmonicSpec:
     mesh: DiscMesh
     trace: dict
     space: TargetSpace
-    weights: np.ndarray | None = None
-    tol: float = 1e-10
-    max_sweeps: int = 10_000
 
     def __post_init__(self):
         bnd = set(np.flatnonzero(self.mesh.boundary).tolist())
         if set(self.trace) != bnd:
             raise ValueError("trace must assign exactly the boundary vertices")
-        if self.tol <= 0 or self.max_sweeps < 1:
-            raise ValueError("tol must be positive, max_sweeps >= 1")
-        if self.weights is None:
-            object.__setattr__(
-                self, "weights", np.ones(len(self.mesh.edges))
-            )
-        else:
-            w = np.asarray(self.weights, dtype=float)
-            if len(w) != len(self.mesh.edges) or np.any(w <= 0):
-                raise ValueError("one positive weight per edge required")
-            object.__setattr__(self, "weights", w)
         pts = [self.trace[v] for v in sorted(bnd)]
         if len(pts) > 1 and self.space.spread(pts) >= self.space.r_kappa / 2.0:
             raise OutOfConvexityError(
@@ -230,13 +210,10 @@ class HarmonicSpec:
             )
 
 
-def discrete_energy(mg: MappedGraph, weights=None) -> float:
-    """Weighted Dirichlet energy sum w_e * d(f u, f v)^2 over edges."""
+def discrete_energy(mg: MappedGraph) -> float:
+    """Dirichlet energy with unit weights: sum of d(f u, f v)^2 over edges."""
     d = mg.edge_lengths()
-    w = np.ones(len(d)) if weights is None else np.asarray(weights, dtype=float)
-    if len(w) != len(d) or np.any(w <= 0):
-        raise ValueError("one positive weight per edge required")
-    return float((w * d * d).sum())
+    return float((d * d).sum())
 
 
 @dataclass(frozen=True)
@@ -259,12 +236,13 @@ class HarmonicResult:
 
 
 def harmonic_relax(spec: HarmonicSpec) -> HarmonicResult:
-    """Minimize the discrete energy by weighted-barycenter coordinate descent.
+    """Minimize the discrete energy by barycenter coordinate descent.
 
     Boundary images are fixed to the trace; each sweep visits interior
-    vertices in ascending index order and moves each to the weighted
+    vertices in ascending index order and moves each to the unit-weight
     barycenter of its neighbors' images, which minimizes the local quadratic
-    energy; the total energy is non-increasing sweep to sweep.
+    energy; the total energy is non-increasing sweep to sweep.  Sweeps stop
+    below HARMONIC_TOL or at HARMONIC_MAX_SWEEPS.
     """
     mesh, sp = spec.mesh, spec.space
     images: list = [None] * mesh.n_vertices
@@ -277,29 +255,26 @@ def harmonic_relax(spec: HarmonicSpec) -> HarmonicResult:
         seed = sp.barycenter([spec.trace[v] for v in sorted(spec.trace)])
         for v in interior:
             images[v] = seed
-    nbr_weight: dict[int, list] = {v: [] for v in interior}
-    for (u, v), w in zip(mesh.edges, spec.weights):
-        u, v = int(u), int(v)
-        if u in nbr_weight:
-            nbr_weight[u].append((v, float(w)))
-        if v in nbr_weight:
-            nbr_weight[v].append((u, float(w)))
+    # Neighbors in mesh edge order, which fixes the barycenter's sum order.
+    nbrs: dict[int, list] = {v: [] for v in interior}
+    for u, v in mesh.edges.tolist():
+        if u in nbrs:
+            nbrs[u].append(v)
+        if v in nbrs:
+            nbrs[v].append(u)
     trace = []
     converged = False
     sweeps = 0
-    for sweep in range(spec.max_sweeps):
+    for sweep in range(HARMONIC_MAX_SWEEPS):
         max_move = 0.0
         for v in interior:
-            nbrs, ws = zip(*nbr_weight[v])
-            new = sp.barycenter([images[u] for u in nbrs], list(ws))
+            new = sp.barycenter([images[u] for u in nbrs[v]], [1.0] * len(nbrs[v]))
             max_move = max(max_move, sp.distance(images[v], new))
             images[v] = new
         sweeps = sweep + 1
-        energy = discrete_energy(
-            MappedGraph(mesh, sp, images), spec.weights
-        )
+        energy = discrete_energy(MappedGraph(mesh, sp, images))
         trace.append((sweeps, energy, max_move))
-        if max_move < spec.tol:
+        if max_move < HARMONIC_TOL:
             converged = True
             break
     return HarmonicResult(
@@ -329,17 +304,15 @@ class PipelineBundle:
         return "\n".join(lines) + "\n"
 
 
+@contextmanager
 def _stage(name: str):
-    class _Guard:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineStageError):
-                raise PipelineStageError(name, exc) from exc
-            return False
-
-    return _Guard()
+    """Re-raise an error of the enclosed stage as PipelineStageError."""
+    try:
+        yield
+    except PipelineStageError:
+        raise
+    except Exception as exc:
+        raise PipelineStageError(name, exc) from exc
 
 
 def verify_pipeline(

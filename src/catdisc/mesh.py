@@ -130,14 +130,14 @@ def grid_index(n_a: int, n_t: int, i: int, j: int) -> int:
     return j * (n_a + 1) + i
 
 
-def triangle_fan(k: int, radius: float = 1.0) -> DiscMesh:
-    """k triangles around one interior vertex (vertex 0 = center)."""
+def triangle_fan(k: int) -> DiscMesh:
+    """k triangles around vertex 0 at the origin, the rim on the unit circle."""
     if k < 3:
         raise ValueError("fan needs at least 3 triangles")
     coords = [(0.0, 0.0)]
     for i in range(k):
         ang = 2.0 * math.pi * i / k
-        coords.append((radius * math.cos(ang), radius * math.sin(ang)))
+        coords.append((math.cos(ang), math.sin(ang)))
     tris = [(0, 1 + i, 1 + (i + 1) % k) for i in range(k)]
     return DiscMesh(np.array(coords), np.array(tris))
 

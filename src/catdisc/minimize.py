@@ -19,9 +19,15 @@ from .mesh import MappedGraph
 from .model import Kappa, angle_from_sides
 
 
+# Relaxation stops once no vertex moves by TOL_MOVE.
+TOL_MOVE = 1e-10
+# Induced distances within this of each other count as equal (`dominates`),
+# and so do image points (`non_bubbling`).
+MATCH_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class RelaxConfig:
-    tol_move: float = 1e-10
     max_iters: int = 10_000
     # When set, a vertex move is clipped along the geodesic toward the Fermat
     # point so that no incident edge gets longer; then every shortest path, and
@@ -30,8 +36,8 @@ class RelaxConfig:
     preserve_domination: bool = False
 
     def __post_init__(self):
-        if self.tol_move <= 0 or self.max_iters < 1:
-            raise ValueError("tol_move must be positive, max_iters >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -54,7 +60,8 @@ def relax_graph(mg: MappedGraph, cfg: RelaxConfig = RelaxConfig()) -> RelaxResul
 
     Fixed-set images are preserved bitwise; each sweep visits interior
     vertices in ascending index order and moves each to the Fermat point of
-    its neighbors' current images.
+    its neighbors' current images, until no vertex moves by TOL_MOVE or
+    after `cfg.max_iters` sweeps.
     """
     space = mg.space
     fixed_imgs = [mg.images[v] for v in sorted(mg.fixed)]
@@ -82,7 +89,7 @@ def relax_graph(mg: MappedGraph, cfg: RelaxConfig = RelaxConfig()) -> RelaxResul
             space.distance(images[u], images[v]) for u, v in mg.mesh.edges
         )
         trace.append((sweeps, total, max_move))
-        if max_move < cfg.tol_move:
+        if max_move < TOL_MOVE:
             converged = True
             break
     return RelaxResult(mg.with_images(images), converged, sweeps, tuple(trace))
@@ -142,7 +149,6 @@ def edge_geodesic_defect(
 class VertexAngles:
     vertex: int
     angles: tuple
-    angles_half_scale: tuple
     total: float
     defect: float
     flagged: bool
@@ -176,41 +182,36 @@ def _comparison_angle(space, kappa: Kappa, p, q1, q2, scale: float) -> float:
     return angle_from_sides(kappa, b, c, a)
 
 
-def vertex_angle_sums(mg: MappedGraph, probe_scale: float | None = None) -> AngleReport:
+def vertex_angle_sums(mg: MappedGraph) -> AngleReport:
     """Cyclic sums of Alexandrov comparison angles at interior vertices.
 
     Incident edges are taken in the cyclic order induced by the disc
     coordinates; each consecutive angle is the comparison angle in M_kappa of
-    the triangle spanned at probe scale, with kappa the target's claimed
-    curvature bound.
+    the triangle spanned at the probe scale, 1e-3 times the mean positive
+    edge length, with kappa the target's claimed curvature bound.
     """
     kappa = Kappa(
         mg.space.curvature_bound if math.isfinite(mg.space.curvature_bound) else 0.0
     )
-    if probe_scale is None:
-        lengths = mg.edge_lengths()
-        pos = lengths[lengths > 1e-14]
-        probe_scale = 1e-3 * float(pos.mean()) if pos.size else 1e-3
+    lengths = mg.edge_lengths()
+    pos = lengths[lengths > 1e-14]
+    probe_scale = 1e-3 * float(pos.mean()) if pos.size else 1e-3
     entries = []
     for v in mg.mesh.interior_vertices():
         nbrs = mg.mesh.cyclic_neighbors(v)
         p = mg.images[v]
         flagged = any(mg.edge_length(v, u) < 1e-14 for u in nbrs) or len(nbrs) < 2
-        angles, angles_half = [], []
+        angles = []
         if not flagged:
             for i in range(len(nbrs)):
                 q1 = mg.images[nbrs[i]]
                 q2 = mg.images[nbrs[(i + 1) % len(nbrs)]]
                 angles.append(_comparison_angle(mg.space, kappa, p, q1, q2, probe_scale))
-                angles_half.append(
-                    _comparison_angle(mg.space, kappa, p, q1, q2, probe_scale / 2.0)
-                )
         total = float(sum(angles))
         entries.append(
             VertexAngles(
                 vertex=v,
                 angles=tuple(angles),
-                angles_half_scale=tuple(angles_half),
                 total=total,
                 defect=max(0.0, 2.0 * math.pi - total),
                 flagged=flagged,
@@ -227,8 +228,9 @@ class DominanceReport:
     max_excess: float
 
 
-def dominates(mg_f: MappedGraph, mg_g: MappedGraph, tol: float = 1e-9) -> DominanceReport:
-    """Check f |> g rel Z: the induced length metric of f dominates that of g."""
+def dominates(mg_f: MappedGraph, mg_g: MappedGraph) -> DominanceReport:
+    """Check f |> g rel Z: the induced length metric of f dominates that of g,
+    up to MATCH_TOL."""
     if mg_f.mesh is not mg_g.mesh and (
         mg_f.mesh.n_vertices != mg_g.mesh.n_vertices
         or not np.array_equal(mg_f.mesh.edges, mg_g.mesh.edges)
@@ -250,8 +252,8 @@ def dominates(mg_f: MappedGraph, mg_g: MappedGraph, tol: float = 1e-9) -> Domina
             shortfall = max(shortfall, dg - df)
             excess = max(excess, df - dg)
     return DominanceReport(
-        holds=shortfall <= tol,
-        strict=excess > tol,
+        holds=shortfall <= MATCH_TOL,
+        strict=excess > MATCH_TOL,
         max_shortfall=float(shortfall),
         max_excess=float(excess),
     )
@@ -264,16 +266,16 @@ class NonBubblingReport:
     offending: tuple
 
 
-def non_bubbling(mg: MappedGraph, tol: float = 1e-9) -> NonBubblingReport:
+def non_bubbling(mg: MappedGraph) -> NonBubblingReport:
     """For any image point hit by >= 3 vertices, every component of the
     complement subgraph must touch the fixed set."""
     n = mg.mesh.n_vertices
-    # Cluster vertices whose images coincide within tol.
+    # Cluster vertices whose images coincide within MATCH_TOL.
     cluster = [-1] * n
     centers = []
     for v in range(n):
         for ci, c in enumerate(centers):
-            if mg.space.distance(mg.images[v], mg.images[c]) <= tol:
+            if mg.space.distance(mg.images[v], mg.images[c]) <= MATCH_TOL:
                 cluster[v] = ci
                 break
         else:

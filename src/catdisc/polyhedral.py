@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
@@ -129,12 +129,14 @@ class PolyComplex:
         }
         return json.dumps(payload, sort_keys=True)
 
-    def to_svg_net(self, scale: float = 100.0) -> str:
-        """Unfold the cells into the plane along a dual spanning tree.
+    def to_svg_net(self) -> str:
+        """Unfold the cells into the plane along a dual spanning tree, drawn
+        in a 100 x 100 viewBox.
 
         Cell i is mesh triangle i, so the mesh's adjacency tables are the
         cells' gluing."""
         mesh = self.mesh
+        scale = 100.0
         placed: dict[int, dict[int, np.ndarray]] = {}
         # Place cell 0 with its first side on the x-axis, then unfold
         # neighbors across already-placed shared sides.
@@ -272,7 +274,7 @@ def build_polyhedral_disc(
 class PolyAngleReport:
     # Rows (vertex, angle sum, flagged) for interior mesh vertices.
     entries: tuple
-    tol: float = 1e-6
+    tol: float = field(default=1e-6, init=False)
 
     @property
     def min_total(self) -> float:
@@ -294,10 +296,9 @@ def interior_angle_check(complex_: PolyComplex) -> PolyAngleReport:
     return PolyAngleReport(entries=tuple(entries))
 
 
-def corner_angle_comparison(
-    complex_: PolyComplex, mg: MappedGraph, probe_scale: float = 1e-3
-) -> float:
-    """Max shortfall of chart corner angles below the measured target angles.
+def corner_angle_comparison(complex_: PolyComplex, mg: MappedGraph) -> float:
+    """Max shortfall of chart corner angles below the measured target angles,
+    probed at scale 1e-3.
 
     Comparison angles in M_kappa are at least the Alexandrov angles between
     the corresponding image geodesics; returns the worst violation (<= 0 when
@@ -313,7 +314,7 @@ def corner_angle_comparison(
             q1 = mg.images[vs[(corner + 1) % 3]]
             q2 = mg.images[vs[(corner + 2) % 3]]
             measured = _comparison_angle(
-                mg.space, complex_.kappa, p, q1, q2, probe_scale
+                mg.space, complex_.kappa, p, q1, q2, 1e-3
             )
             worst = max(worst, measured - cell.chart.angles[corner])
     return worst if math.isfinite(worst) else 0.0
@@ -399,7 +400,7 @@ class LipschitzReport:
     n_pairs: int
     max_ratio: float
     max_edge_shortfall: float
-    tol: float = 1e-3
+    tol: float = field(default=1e-3, init=False)
 
     @property
     def ok(self) -> bool:
@@ -502,24 +503,25 @@ class LoopProbeReport:
         return self.shortest_stable < self.threshold
 
 
-def short_loop_probe(
-    complex_: PolyComplex,
-    n_loops: int = 100,
-    refinement: int = 2,
-    seed: int = 0,
-) -> LoopProbeReport:
+# `short_loop_probe` smooths this many random loops on the Steiner graph of
+# this refinement.
+LOOP_PROBES, LOOP_REFINEMENT = 100, 2
+
+
+def short_loop_probe(complex_: PolyComplex, seed: int = 0) -> LoopProbeReport:
     """For kappa > 0, search for closed geodesics shorter than 2 R_kappa by
-    curve-shortening random vertex loops on the Steiner graph."""
+    curve-shortening LOOP_PROBES random vertex loops on the Steiner graph of
+    refinement LOOP_REFINEMENT."""
     kap = complex_.kappa
     threshold = 2.0 * kap.r_kappa
     if not math.isfinite(threshold):
         return LoopProbeReport(0, math.inf, threshold)
-    graph = _complex_graph(complex_, refinement)
+    graph = _complex_graph(complex_, LOOP_REFINEMENT)
     dist = dijkstra(graph.graph, directed=False)
     rng = np.random.default_rng(seed)
     n = complex_.mesh.n_vertices
     shortest = math.inf
-    for _ in range(n_loops):
+    for _ in range(LOOP_PROBES):
         loop = list(rng.choice(n, size=4, replace=False))
         length = sum(
             dist[loop[i], loop[(i + 1) % len(loop)]] for i in range(len(loop))
@@ -550,4 +552,4 @@ def short_loop_probe(
         )
         if new_len > 1e-9 and new_len < 2.0 * maxd - 1e-9:
             shortest = min(shortest, float(new_len))
-    return LoopProbeReport(n_loops, shortest, threshold)
+    return LoopProbeReport(LOOP_PROBES, shortest, threshold)

@@ -721,7 +721,7 @@ def space_from_config(cfg: dict) -> TargetSpace:
 def point_from_config(space: TargetSpace, spec):
     """Parse a point description matching the backend of `space`."""
     if isinstance(space, EuclideanSpace):
-        return np.asarray(spec, dtype=float)
+        return space._coerce(spec)
     if isinstance(space, ModelSpace):
         return space.point(spec)
     if isinstance(space, MetricTree):

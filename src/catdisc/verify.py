@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
@@ -185,20 +185,7 @@ class CertReport:
         return self.verdict == "pass"
 
     def to_json(self) -> str:
-        payload = {
-            "kappa": self.kappa,
-            "n_triples": self.n_triples,
-            "n_skipped": self.n_skipped,
-            "n_samples": self.n_samples,
-            "max_defect": self.max_defect,
-            "mean_positive_defect": self.mean_positive_defect,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "provenance": self.provenance,
-            "seed": self.seed,
-            "refinement": self.refinement,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def samples_csv(samples) -> str:
@@ -212,31 +199,46 @@ def samples_csv(samples) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _aggregate(
-    kappa, all_samples, n_triples, n_skipped, tolerance, provenance, seed,
-    refinement=None,
-):
-    defects = [smp.defect for smp in all_samples]
-    positive = [d for d in defects if d > 0.0]
-    max_defect = max(defects, default=0.0)
-    # With every triple skipped there is no evidence either way.
-    if n_triples == 0:
-        verdict = "inconclusive"
-    else:
-        verdict = "pass" if max_defect <= tolerance else "fail"
-    return CertReport(
-        kappa=float(kappa.value),
-        n_triples=n_triples,
-        n_skipped=n_skipped,
-        n_samples=len(all_samples),
-        max_defect=float(max_defect),
+# What a triple draw gives for a triple counted as skipped unevaluated.
+_SKIP = "skip"
+
+
+def _certify(space, kappa: Kappa, draw, triple_budget, grid, tolerance, seed,
+             collect_samples, provenance, refinement):
+    """The sampler loop of both certifiers.
+
+    `draw(rng, k)` gives the k-th counted triple (k = evaluated plus skipped
+    triples so far): a triple to evaluate, _SKIP to count it skipped, or None
+    to draw again without counting.  A triple that `thinness_defect` rejects
+    is skipped.  The loop stops after `triple_budget` counted triples or
+    20 * `triple_budget` draws; with no triple evaluated the verdict is
+    "inconclusive", since there is no evidence either way.
+    """
+    rng = np.random.default_rng(seed)
+    all_samples = []
+    used = skipped = attempts = 0
+    while used + skipped < triple_budget and attempts < 20 * triple_budget:
+        attempts += 1
+        triple = draw(rng, used + skipped)
+        if triple is None:
+            continue
+        samples = None if triple is _SKIP else thinness_defect(space, kappa, triple, grid)
+        if samples is None:
+            skipped += 1
+            continue
+        used += 1
+        all_samples.extend(samples)
+    max_defect = max((smp.defect for smp in all_samples), default=0.0)
+    positive = [smp.defect for smp in all_samples if smp.defect > 0.0]
+    verdict = "inconclusive" if used == 0 else "pass" if max_defect <= tolerance else "fail"
+    report = CertReport(
+        kappa=float(kappa.value), n_triples=used, n_skipped=skipped,
+        n_samples=len(all_samples), max_defect=float(max_defect),
         mean_positive_defect=float(np.mean(positive)) if positive else 0.0,
-        tolerance=float(tolerance),
-        verdict=verdict,
-        provenance=provenance,
-        seed=int(seed),
-        refinement=refinement,
+        tolerance=float(tolerance), verdict=verdict, provenance=provenance,
+        seed=int(seed), refinement=refinement,
     )
+    return (report, all_samples) if collect_samples else report
 
 
 def certify_cat(
@@ -254,28 +256,14 @@ def certify_cat(
     skipped (and counted), mirroring the restriction of the comparison
     criterion to small triangles.
     """
-    rng = np.random.default_rng(seed)
-    all_samples = []
-    used = skipped = 0
-    attempts = 0
-    while used + skipped < triple_budget and attempts < 20 * triple_budget:
-        attempts += 1
-        triple = (
-            space.random_point(rng),
-            space.random_point(rng),
-            space.random_point(rng),
-        )
-        samples = thinness_defect(space, kappa, triple, grid)
-        if samples is None:
-            skipped += 1
-            continue
-        used += 1
-        all_samples.extend(samples)
-    report = _aggregate(
-        kappa, all_samples, used, skipped, tolerance,
-        provenance=f"backend:{type(space).__name__}", seed=seed,
+
+    def draw(rng, _k):
+        return tuple(space.random_point(rng) for _ in range(3))
+
+    return _certify(
+        space, kappa, draw, triple_budget, grid, tolerance, seed, collect_samples,
+        provenance=f"backend:{type(space).__name__}", refinement=None,
     )
-    return (report, all_samples) if collect_samples else report
 
 
 class InducedGraphSpace:
@@ -446,6 +434,12 @@ class InducedGraphSpace:
             sign_a = edge_dir[0] * rel[1] - edge_dir[1] * rel[0]
             rel = flat - pu
             use_a = (edge_dir[0] * rel[:, 1] - edge_dir[1] * rel[:, 0]) * sign_a >= 0
+            # Not the point locator: these solves use a BLAS `@` and
+            # `_locate_many` an einsum, which differ in the last bit for most
+            # point sets.  Measuring the chords with `_xy_segment_weights`
+            # would be shorter but would move graph weights (by up to about
+            # 5e-15) and every induced number after them, so it belongs in a
+            # change that lets those numbers move.
             bary = np.empty((len(flat), 3))
             for ti, mask in ((ta, use_a), (tb, ~use_a)):
                 st = (flat[mask] - self._p0_stack[ti]) @ self._inv_stack[ti].T
@@ -1144,48 +1138,31 @@ def certify_induced(
     `probes` optionally fixes the triples as parameter-domain positions
     (sequence of 3-point xy triples), each snapped to the nearest mesh
     vertex.  Refinement sweeps certify the same geometric triples that way,
-    so defect trends across refinements are not confounded by sampling.
+    so defect trends across refinements are not confounded by sampling.  A
+    probe triple that snaps to a repeated vertex counts as skipped; a random
+    triple with a repeated vertex is drawn again and not counted.
     """
     oracle = InducedGraphSpace(mg, steiner=steiner)
-    probe_list = None
     if probes is not None:
         xy = np.asarray(mg.mesh.coords, dtype=float)[:, :2]
-        probe_list = [
-            tuple(
-                int(np.argmin(((xy - np.asarray(p, dtype=float)[None, :2]) ** 2).sum(axis=1)))
-                for p in tri
-            )
-            for tri in probes
-        ]
+
+        def snap(p):
+            return int(np.argmin(((xy - np.asarray(p, dtype=float)[None, :2]) ** 2).sum(axis=1)))
+
+        snapped = [tuple(map(snap, tri)) for tri in probes]
+        probe_list = [t if len(set(t)) == 3 else _SKIP for t in snapped]
         triple_budget = len(probe_list)
-    rng = np.random.default_rng(seed)
-    all_samples = []
-    used = skipped = 0
-    attempts = 0
-    while used + skipped < triple_budget and attempts < 20 * triple_budget:
-        attempts += 1
-        if probe_list is not None:
-            triple = probe_list[used + skipped]
-        else:
-            triple = (
-                oracle.random_point(rng),
-                oracle.random_point(rng),
-                oracle.random_point(rng),
-            )
-        if len({int(x) for x in triple}) < 3:
-            if probe_list is not None:
-                skipped += 1
-            continue
-        samples = thinness_defect(oracle, kappa, triple, grid)
+
+    def draw(rng, k):
+        # Each triple is evaluated on an oracle without the temporary nodes
+        # of the one before.
         oracle.clear_temp()
-        if samples is None:
-            skipped += 1
-            continue
-        used += 1
-        all_samples.extend(samples)
-    report = _aggregate(
-        kappa, all_samples, used, skipped, tolerance,
-        provenance=f"induced:{type(mg.space).__name__}", seed=seed,
-        refinement=refinement,
+        if probes is not None:
+            return probe_list[k]
+        triple = tuple(oracle.random_point(rng) for _ in range(3))
+        return triple if len(set(triple)) == 3 else None
+
+    return _certify(
+        oracle, kappa, draw, triple_budget, grid, tolerance, seed, collect_samples,
+        provenance=f"induced:{type(mg.space).__name__}", refinement=refinement,
     )
-    return (report, all_samples) if collect_samples else report

@@ -224,3 +224,32 @@ def test_malformed_counts_exit_2(tmp_path, capsys, field, value, named):
     assert main(["verify-ruled", path]) == 2
     assert f"config error: {named}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, named",
+    [
+        ("verify-ruled", {"target": {"backend": "euclidean"}}, "target.dim"),
+        ("verify-ruled", {"target": {"backend": "torus", "dim": 3}}, "target"),
+        ("verify-ruled", {"target": {"dim": 3}}, "target"),
+        ("verify-ruled", {"target": {"backend": "euclidean", "dim": "x"}}, "target"),
+        ("verify-ruled", {"tolerances": [1]}, "tolerances"),
+        ("verify-ruled", {"tolerances": {"defect": True}}, "tolerances.defect"),
+        ("verify-ruled", {"tolerances": {"defekt": 1e-3}}, "tolerances.defekt"),
+        ("verify-ruled", {"kappa": True}, "kappa"),
+        ("minimize-graph", {"construction": "ruled", "grid": 2,
+                            "preserve_domination": "no"}, "preserve_domination"),
+        ("verify-ruled", {"eta0": [[0.0, 0.0], [1.0, 0.0, 0.0]]}, "eta0"),
+        ("verify-harmonic", {"trace_corners": [[0.0, 0.0, 0.0]] * 3}, "trace_corners"),
+        ("build-polyhedral", {"construction": "ruled", "grid": 2, "epsilon": 0}, "epsilon"),
+    ],
+    ids=["no-dim", "unknown-backend", "no-backend", "bad-dim", "tolerance-list",
+         "bool-tolerance", "unknown-tolerance", "bool-kappa", "string-flag",
+         "short-point", "three-corners", "zero-epsilon"],
+)
+def test_malformed_fields_exit_2(tmp_path, capsys, command, overrides, named):
+    cfg = ruled_config(str(tmp_path / "out"), **overrides)
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, path]) == 2
+    assert f"config error: {named}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

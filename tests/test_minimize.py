@@ -180,6 +180,4 @@ def test_non_bubbling_detects_trapped_component():
 
 def test_relax_rejects_bad_config():
     with pytest.raises(ValueError):
-        RelaxConfig(tol_move=0.0)
-    with pytest.raises(ValueError):
         RelaxConfig(max_iters=0)

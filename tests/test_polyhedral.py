@@ -131,7 +131,7 @@ def test_sphere_cap_loop_probe_finds_nothing():
     imgs = [sp.point((0.4 * (c[0] - 0.5), 0.4 * (c[1] - 0.5))) for c in mesh.coords]
     mg = MappedGraph(mesh, sp, imgs)
     W, _ = build_polyhedral_disc(mg, epsilon=0.5, kappa=1.0)
-    probe = short_loop_probe(W, n_loops=50, refinement=1, seed=0)
+    probe = short_loop_probe(W, seed=0)
     assert not probe.found_short_geodesic
 
 

@@ -1,5 +1,7 @@
 """Thinness certification: self-consistency, cone controls, induced metrics."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -330,6 +332,93 @@ def test_certification_without_evaluated_triples_is_inconclusive():
     )
     assert (report.n_triples, report.n_skipped) == (0, 1)
     assert report.verdict == "inconclusive"
+
+
+def counting_thinness(monkeypatch):
+    """Patch `verify.thinness_defect` to record the triples it evaluates."""
+    seen = []
+    original = verify.thinness_defect
+
+    def counted(space, kappa, triple, grid=16):
+        seen.append(triple)
+        return original(space, kappa, triple, grid)
+
+    monkeypatch.setattr(verify, "thinness_defect", counted)
+    return seen
+
+
+def test_repeated_random_vertices_are_redrawn_uncounted(monkeypatch):
+    seen = counting_thinness(monkeypatch)
+    draws = []
+    original = InducedGraphSpace.random_point
+
+    def drawn(self, rng):
+        draws.append(original(self, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(InducedGraphSpace, "random_point", drawn)
+    # Four vertices: most random triples repeat one.
+    report = certify_induced(flat_identity_grid(1), Kappa(0.0), triple_budget=5,
+                             grid=3, seed=0, steiner=1)
+    assert report.n_triples + report.n_skipped == 5 == len(seen)
+    assert all(len(set(t)) == 3 for t in seen)
+    assert len(draws) > 3 * len(seen)
+
+
+def test_repeated_probe_vertices_count_as_skipped(monkeypatch):
+    seen = counting_thinness(monkeypatch)
+    report = certify_induced(
+        flat_identity_grid(2), Kappa(0.0), grid=3, steiner=1,
+        probes=[[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)],
+                [(0.0, 0.0), (0.01, 0.0), (1.0, 1.0)]],
+    )
+    assert (report.n_triples, report.n_skipped) == (1, 1)
+    assert seen == [(0, 2, 8)]
+    assert report.verdict == "pass"
+
+
+def test_sampler_stops_at_the_attempt_cap(monkeypatch):
+    seen = counting_thinness(monkeypatch)
+    draws = []
+
+    def always_zero(self, rng):
+        draws.append(0)
+        return 0
+
+    monkeypatch.setattr(InducedGraphSpace, "random_point", always_zero)
+    report = certify_induced(flat_identity_grid(2), Kappa(0.0), triple_budget=4,
+                             grid=3, steiner=1)
+    assert (report.n_triples, report.n_skipped, report.n_samples) == (0, 0, 0)
+    assert report.verdict == "inconclusive"
+    # 20 draws per budgeted triple, three points each, none evaluated.
+    assert len(draws) == 3 * 20 * 4 and seen == []
+
+
+def test_every_triple_skipped_is_inconclusive_in_both_certifiers(monkeypatch):
+    seen = counting_thinness(monkeypatch)
+    # certify_cat evaluates each degenerate triple, then counts it skipped.
+    monkeypatch.setattr(EuclideanSpace, "random_point", lambda self, rng: np.zeros(2))
+    report = certify_cat(EuclideanSpace(2), Kappa(0.0), triple_budget=4, grid=3)
+    assert (report.n_triples, report.n_skipped, len(seen)) == (0, 4, 4)
+    assert report.verdict == "inconclusive"
+    # certify_induced skips repeated probe vertices without evaluating them.
+    report = certify_induced(flat_identity_grid(2), Kappa(0.0), grid=3, steiner=1,
+                             probes=[[(0.0, 0.0), (0.0, 0.0), (1.0, 1.0)]] * 3)
+    assert (report.n_triples, report.n_skipped, len(seen)) == (0, 3, 4)
+    assert report.verdict == "inconclusive"
+
+
+def test_report_json_has_exactly_the_report_fields():
+    fields = {f.name for f in dataclasses.fields(verify.CertReport)}
+    reports = [
+        certify_cat(EuclideanSpace(2), Kappa(0.0), triple_budget=2, grid=3),
+        certify_induced(flat_identity_grid(2), Kappa(0.0), triple_budget=2,
+                        grid=3, steiner=1, refinement=2),
+    ]
+    for report in reports:
+        payload = json.loads(report.to_json())
+        assert set(payload) == fields
+        assert payload == dataclasses.asdict(report)
 
 
 def brute_force_locate(oracle, pts):
