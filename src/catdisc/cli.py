@@ -125,6 +125,8 @@ def _space(cfg: dict):
     target = _require(cfg, "target", dict)
     try:
         return space_from_config(target)
+    except ConfigError as exc:
+        raise ConfigError(f"target.{exc.field_path}", exc.message) from exc
     except KeyError as exc:
         raise ConfigError(f"target.{exc.args[0]}", "missing required field") from exc
     except (TypeError, ValueError) as exc:
@@ -315,6 +317,9 @@ def _cmd_minimize_graph(cfg: dict, digest: str) -> int:
 def _cmd_build_polyhedral(cfg: dict, digest: str) -> int:
     space, kappa, seed, _budgets, _tols = _common(cfg)
     epsilon = float(_positive(_require(cfg, "epsilon", (int, float)), "epsilon"))
+    half_r = Kappa(kappa).r_kappa / 2.0
+    if not epsilon < half_r:
+        raise ConfigError("epsilon", f"{epsilon} outside (0, R_kappa/2 = {half_r})")
     outdir = _outdir(cfg)
     mg = _build_construction(cfg, space)
     try:

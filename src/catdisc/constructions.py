@@ -35,6 +35,8 @@ class RuledDiscSpec:
     eta1: tuple
     grid: tuple
     space: TargetSpace
+    # Per curve: its segment lengths and their cumulative sums from 0.
+    arclength: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eta0", tuple(self.eta0))
@@ -44,9 +46,14 @@ class RuledDiscSpec:
             raise ValueError("grid needs at least one cell per side")
         if len(self.eta0) < 1 or len(self.eta1) < 1:
             raise ValueError("each boundary curve needs at least one sample")
+        tables = []
         for name, pts in (("eta0", self.eta0), ("eta1", self.eta1)):
-            if len(pts) > 1 and not math.isfinite(self.space.curve_length(pts)):
+            seg = np.array([self.space.distance(p, q) for p, q in zip(pts, pts[1:])])
+            cum = np.concatenate([[0.0], np.cumsum(seg)])
+            if not math.isfinite(cum[-1]):
                 raise ValueError(f"{name} has unbounded sampled length")
+            tables.append((seg, cum))
+        object.__setattr__(self, "arclength", tuple(tables))
         r = self.space.r_kappa
         if math.isfinite(r):
             for i in range(n_a + 1):
@@ -59,13 +66,11 @@ class RuledDiscSpec:
 
     def curve_point(self, which: int, a: float):
         """Point at parameter a of eta0/eta1 under chord-length parametrization."""
-        pts = self.eta0 if which == 0 else self.eta1
+        pts, (seg, cum) = (
+            (self.eta0, self.arclength[0]) if which == 0 else (self.eta1, self.arclength[1])
+        )
         if len(pts) == 1:
             return pts[0]
-        seg = np.array(
-            [self.space.distance(p, q) for p, q in zip(pts, pts[1:])]
-        )
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
         target = min(max(a, 0.0), 1.0) * cum[-1]
         k = int(np.searchsorted(cum[1:-1], target, side="right"))
         if seg[k] < 1e-15:

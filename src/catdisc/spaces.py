@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import mul, sub, truediv
 
 import numpy as np
 
 from . import model
-from .errors import BackendMismatchError, OutOfConvexityError
+from .errors import BackendMismatchError, ConfigError, OutOfConvexityError
 from .model import Kappa, ModelPoint
 from .steiner import _batch_bary_interp, _batch_distance, tri_point
 
@@ -115,7 +117,9 @@ class EuclideanSpace(TargetSpace):
         return q
 
     def distance(self, p, q) -> float:
-        return float(np.linalg.norm(self._coerce(p) - self._coerce(q)))
+        # What np.linalg.norm computes for a real vector, bit for bit.
+        d = self._coerce(p) - self._coerce(q)
+        return math.sqrt(d.dot(d))
 
     def geodesic(self, p, q, t: float):
         return (1.0 - t) * self._coerce(p) + t * self._coerce(q)
@@ -138,52 +142,80 @@ class EuclideanSpace(TargetSpace):
         return w @ arr
 
     def fermat_point(self, points, weights=None):
+        """Minimizer of sum_i w_i |x - a_i|, from the weighted mean.
+
+        Each iteration takes the Newton step on that sum when it lowers the
+        sum (Newton converges in a few steps where Weiszfeld contracts at a
+        rate close to 1, next to an anchor whose pull barely exceeds its
+        weight), else the Weiszfeld point.  The loop runs on Python floats:
+        a NumPy call per iteration costs more than the arithmetic.
+        """
         pts, w = self._normalized_weights(points, weights)
         arr = np.array([self._coerce(p) for p in pts])
-        x = w @ arr
-        for it in range(10000):
-            d = np.linalg.norm(arr - x, axis=1)
-            hit = np.flatnonzero(d < 1e-14)
-            if hit.size:
+        anchors, cols, ws = arr.tolist(), arr.T.tolist(), w.tolist()
+        x = (w @ arr).tolist()
+        # Set once a step is below 1e-14; the point it reached still takes
+        # the anchor test, so an optimal anchor is returned exactly.
+        done = False
+        for _ in range(10000):
+            d = list(map(math.dist, anchors, repeat(x)))
+            if min(d) < 1e-14:
                 # Anchor is optimal iff the pull of the others fits its weight.
-                i = int(hit[0])
-                mask = d >= 1e-14
-                pull = np.sum(
-                    (w[mask, None] / d[mask, None]) * (arr[mask] - x), axis=0
-                )
-                if np.linalg.norm(pull) <= w[i] + 1e-15:
-                    return arr[i]
-                x = x + 1e-9 * pull / max(np.linalg.norm(pull), 1e-300)
+                hit = next(i for i, di in enumerate(d) if di < 1e-14)
+                pull = [
+                    sum(wi / di * (ak - xk) for ak, wi, di in zip(col, ws, d) if di >= 1e-14)
+                    for col, xk in zip(cols, x)
+                ]
+                size = math.hypot(*pull)
+                if size <= ws[hit] + 1e-15:
+                    return arr[hit]
+                x = [xk + 1e-9 * pk / max(size, 1e-300) for xk, pk in zip(x, pull)]
+                done = False
                 continue
-            coef = w / d
-            x_new = (coef @ arr) / coef.sum()
-            if it >= 200:
-                # Near an anchor whose pull barely exceeds its weight,
-                # Weiszfeld contracts at a rate close to 1; finish with
-                # Newton steps while they lower the objective.
-                x_new = _newton_fermat_step(arr, w, x, d, x_new)
-            if np.linalg.norm(x_new - x) < 1e-14:
-                return x_new
+            if done:
+                return np.array(x)
+            coef = list(map(truediv, ws, d))
+            total = sum(coef)
+            x_new = [sum(map(mul, coef, col)) / total for col in cols]
+            # Gradient sum_i w_i u_i and Hessian sum_i (w_i/d_i)(I - u_i u_i^T)
+            # of the sum at x, with u_i = (x - a_i)/d_i, by coordinate; the
+            # Hessian is singular when x and the anchors are collinear.
+            U = [[(xk - ak) / di for ak, di in zip(col, d)] for col, xk in zip(cols, x)]
+            cU = [list(map(mul, coef, u)) for u in U]
+            hess = [
+                [(total if j == k else 0.0) - sum(map(mul, cu, v)) for k, v in enumerate(U)]
+                for j, cu in enumerate(cU)
+            ]
+            step = _solve(hess, [sum(map(mul, ws, u)) for u in U])
+            if step is not None:
+                newton = list(map(sub, x, step))
+                value = sum(map(mul, ws, map(math.dist, anchors, repeat(newton))))
+                if value < sum(map(mul, ws, d)):
+                    x_new = newton
+            done = math.dist(x_new, x) < 1e-14
             x = x_new
-        return x
+        return np.array(x)
 
 
-def _newton_fermat_step(arr, w, x, d, fallback):
-    """Newton step on sum_i w_i |x - a_i|, or `fallback` unless it lowers it.
+def _solve(a, b):
+    """Solution of the small symmetric system a y = b (lists of floats) by
+    Gaussian elimination, or None unless every pivot is positive.
 
-    The Hessian is sum_i w_i (I - u_i u_i^T) / d_i with u_i = (x - a_i) / d_i;
-    it is singular when all anchors are collinear with x.
+    Without pivoting this is stable for a positive definite `a`; a pivot
+    that is not positive shows that `a` is singular or indefinite.
     """
-    U = (x - arr) / d[:, None]
-    grad = w @ U
-    hess = np.eye(len(x)) * np.sum(w / d) - (U.T * (w / d)) @ U
-    try:
-        x_newton = x - np.linalg.solve(hess, grad)
-    except np.linalg.LinAlgError:
-        return fallback
-    if w @ np.linalg.norm(arr - x_newton, axis=1) < w @ d:
-        return x_newton
-    return fallback
+    n = len(b)
+    m = [row + [bi] for row, bi in zip(a, b)]
+    for c in range(n):
+        if not m[c][c] > 0.0:
+            return None
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    y = [0.0] * n
+    for c in reversed(range(n)):
+        y[c] = (m[c][n] - sum(m[c][k] * y[k] for k in range(c + 1, n))) / m[c][c]
+    return y
 
 
 class ModelSpace(TargetSpace):
@@ -705,16 +737,29 @@ class FlatCone(TargetSpace):
 
 
 def space_from_config(cfg: dict) -> TargetSpace:
-    """Build a backend from its scenario-config description."""
+    """Build a backend from its scenario-config description.
+
+    A boolean where a number belongs raises ConfigError naming the field:
+    `int` and `float` would read it as 0 or 1.
+    """
+
+    def number(name, value):
+        if isinstance(value, bool):
+            raise ConfigError(name, f"expected a number, got {value!r}")
+        return value
+
     backend = cfg.get("backend")
     if backend == "euclidean":
-        return EuclideanSpace(int(cfg["dim"]))
+        return EuclideanSpace(int(number("dim", cfg["dim"])))
     if backend == "model":
-        return ModelSpace(float(cfg["kappa"]))
+        return ModelSpace(float(number("kappa", cfg["kappa"])))
     if backend == "tree":
-        return MetricTree([(str(u), str(v), float(w)) for u, v, w in cfg["edges"]])
+        return MetricTree([
+            (str(u), str(v), float(number(f"edges[{i}]", w)))
+            for i, (u, v, w) in enumerate(cfg["edges"])
+        ])
     if backend == "cone":
-        return FlatCone(float(cfg["total_angle"]))
+        return FlatCone(float(number("total_angle", cfg["total_angle"])))
     raise ValueError(f"unknown backend {backend!r}")
 
 

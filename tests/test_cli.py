@@ -242,10 +242,20 @@ def test_malformed_counts_exit_2(tmp_path, capsys, field, value, named):
         ("verify-ruled", {"eta0": [[0.0, 0.0], [1.0, 0.0, 0.0]]}, "eta0"),
         ("verify-harmonic", {"trace_corners": [[0.0, 0.0, 0.0]] * 3}, "trace_corners"),
         ("build-polyhedral", {"construction": "ruled", "grid": 2, "epsilon": 0}, "epsilon"),
+        ("build-polyhedral", {"construction": "ruled", "grid": 2, "kappa": 1.0,
+                              "epsilon": 2.0}, "epsilon"),
+        ("verify-ruled", {"target": {"backend": "euclidean", "dim": True}}, "target.dim"),
+        ("verify-ruled", {"target": {"backend": "model", "kappa": True}}, "target.kappa"),
+        ("verify-ruled", {"target": {"backend": "cone", "total_angle": True}},
+         "target.total_angle"),
+        ("verify-ruled", {"target": {"backend": "tree", "edges": [["o", "a", 1.0],
+                                                                  ["o", "b", True]]}},
+         "target.edges[1]"),
     ],
     ids=["no-dim", "unknown-backend", "no-backend", "bad-dim", "tolerance-list",
          "bool-tolerance", "unknown-tolerance", "bool-kappa", "string-flag",
-         "short-point", "three-corners", "zero-epsilon"],
+         "short-point", "three-corners", "zero-epsilon", "epsilon-past-half-r",
+         "bool-dim", "bool-target-kappa", "bool-total-angle", "bool-edge-weight"],
 )
 def test_malformed_fields_exit_2(tmp_path, capsys, command, overrides, named):
     cfg = ruled_config(str(tmp_path / "out"), **overrides)

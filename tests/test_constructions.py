@@ -85,6 +85,25 @@ def test_ruled_spec_validates_grid_and_curves():
         RuledDiscSpec(eta0=(), eta1=(np.ones(2),), grid=(2, 2), space=sp)
 
 
+def test_ruled_spec_measures_each_curve_once(monkeypatch):
+    # The spherical disc of the acceptance test at 32x32: two 33-sample
+    # curves, so 64 segments, and 33 rulings whose lengths are checked.
+    sp = ModelSpace(1.0)
+    span, lat, samples = 0.6 * math.pi, 0.75, 32
+    eta0 = [sp.point((span * (i / samples - 0.5), -lat)) for i in range(samples + 1)]
+    eta1 = [sp.point((span * (i / samples - 0.5), lat)) for i in range(samples + 1)]
+    distance = ModelSpace.distance
+    calls = []
+
+    def counting_distance(self, p, q):
+        calls.append(1)
+        return distance(self, p, q)
+
+    monkeypatch.setattr(ModelSpace, "distance", counting_distance)
+    ruled_disc_map(RuledDiscSpec(eta0, eta1, (32, 32), sp))
+    assert len(calls) <= 64 + 33
+
+
 def boundary_trace(mesh, fn):
     return {
         int(v): fn(*mesh.coords[v])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catdisc import spaces
 from catdisc.errors import BackendMismatchError, OutOfConvexityError
 from catdisc.spaces import (
     EuclideanSpace,
@@ -31,6 +32,18 @@ def cone_unfold_distance(theta, p, q):
         p[0] ** 2 + q[0] ** 2 - 2.0 * p[0] * q[0] * math.cos(gap)
     )
     return min(direct, through_apex)
+
+
+def newton_fermat_reference(pts, weights, x):
+    """Minimizer of sum_i w_i |x - a_i| by undamped Newton from `x`, which
+    must lie near it; the gradient there is checked to vanish."""
+    for _ in range(50):
+        d = np.linalg.norm(pts - x, axis=1)
+        U = (x - pts) / d[:, None]
+        hess = sum(w * (np.eye(len(x)) - np.outer(u, u)) / di for w, u, di in zip(weights, U, d))
+        x = x - np.linalg.solve(hess, weights @ U)
+    assert np.linalg.norm(weights @ U) <= 1e-12
+    return x
 
 
 class TestEuclidean:
@@ -66,27 +79,64 @@ class TestEuclidean:
             [0.71089444, 0.83008565],
             [0.53884418, 0.78094282],
         ])
-        norm = np.linalg.norm
+        # Every iteration away from an anchor solves for one Newton step.
+        solve = spaces._solve
         calls = []
 
-        def counting_norm(*args, **kwargs):
+        def counting_solve(a, b):
             calls.append(1)
-            return norm(*args, **kwargs)
+            return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        monkeypatch.setattr(spaces, "_solve", counting_solve)
         f = EuclideanSpace(2).fermat_point(list(pts))
         monkeypatch.undo()
-        assert len(calls) <= 500
-        # Reference optimum: undamped Newton on sum |x - a_i| from a point
-        # near the minimizer.
-        x = np.array([0.5297, 0.7728])
-        for _ in range(50):
-            d = norm(pts - x, axis=1)
-            U = (x - pts) / d[:, None]
-            hess = sum((np.eye(2) - np.outer(u, u)) / di for u, di in zip(U, d))
-            x = x - np.linalg.solve(hess, U.sum(axis=0))
-        assert norm(U.sum(axis=0)) <= 1e-12
-        assert norm(f - x) <= 1e-12
+        assert 1 <= len(calls) <= 40
+        x = newton_fermat_reference(pts, np.ones(4), np.array([0.5297, 0.7728]))
+        assert np.linalg.norm(f - x) <= 1e-12
+
+    def test_fermat_returns_an_optimal_anchor_exactly(self):
+        # The heavy anchor's weight, 3/5, exceeds the others' pull, so the
+        # optimum is that anchor itself.
+        pts = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([-0.5, 0.8])]
+        f = EuclideanSpace(2).fermat_point(pts, [3.0, 1.0, 1.0])
+        assert np.array_equal(f, pts[0])
+
+    @pytest.mark.parametrize(
+        "ts, weights",
+        [((-1.0, 0.3, 2.0), (1.0, 2.0, 1.5)), ((-1.0, 0.3, 2.0, 2.5), (1.0, 1.0, 1.0, 1.0))],
+    )
+    def test_fermat_of_collinear_anchors(self, ts, weights):
+        # The Hessian is singular on the anchors' line: its solve fails, or
+        # its huge step does not lower the sum, so Weiszfeld steps remain.
+        # The optimum is a weighted median.
+        base, direction = np.array([0.1, -0.2]), np.array([0.6, 0.8])
+        pts = [base + t * direction for t in ts]
+        f = EuclideanSpace(2).fermat_point(pts, weights)
+        offset = f - base
+        assert abs(offset[0] * direction[1] - offset[1] * direction[0]) <= 1e-12
+        value = sum(w * np.linalg.norm(p - f) for p, w in zip(pts, weights))
+        best = min(sum(w * np.linalg.norm(p - q) for p, w in zip(pts, weights)) for q in pts)
+        assert value <= best + 1e-12
+
+    def test_fermat_weighted_in_r3_matches_newton(self):
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(5, 3))
+        weights = rng.uniform(0.5, 2.0, size=5)
+        f = EuclideanSpace(3).fermat_point(list(pts), weights)
+        # Start the reference near the optimum: plain Weiszfeld first.
+        x = weights @ pts / weights.sum()
+        for _ in range(2000):
+            coef = weights / np.linalg.norm(pts - x, axis=1)
+            x = coef @ pts / coef.sum()
+        x = newton_fermat_reference(pts, weights, x)
+        assert np.linalg.norm(f - x) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_distance_is_bitwise_the_numpy_norm(self, n):
+        sp = EuclideanSpace(n)
+        rng = np.random.default_rng(n)
+        for p, q in zip(rng.normal(size=(200, n)), 10.0 * rng.normal(size=(200, n))):
+            assert sp.distance(p, q) == float(np.linalg.norm(p - q))
 
     def test_dimension_checked(self):
         sp = EuclideanSpace(2)
