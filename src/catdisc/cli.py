@@ -164,10 +164,15 @@ def _emit_report(outdir: Path, payload: dict, digest: str, seed: int):
 def _points(cfg: dict, space, name: str) -> list:
     """The target points listed at config field `name`."""
     given = _require(cfg, name, list)
-    try:
-        return [point_from_config(space, p) for p in given]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(name, str(exc)) from exc
+    points = []
+    for i, p in enumerate(given):
+        try:
+            points.append(point_from_config(space, p))
+        except ConfigError as exc:
+            raise ConfigError(f"{name}[{i}]{exc.field_path}", exc.message) from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(name, str(exc)) from exc
+    return points
 
 
 def _cmd_verify_ruled(cfg: dict, digest: str) -> int:

@@ -134,7 +134,7 @@ class EuclideanSpace(TargetSpace):
         return np.array([[self._coerce(p) for p in tri] for tri in corners])
 
     def triangle_means(self, tables, tri_idx, weight_rows) -> np.ndarray:
-        return _batch_bary_interp(0.0, tables[tri_idx], weight_rows)
+        return _batch_bary_interp(0.0, tables.take(tri_idx, axis=0), weight_rows)
 
     def barycenter(self, points, weights=None):
         pts, w = self._normalized_weights(points, weights)
@@ -254,7 +254,7 @@ class ModelSpace(TargetSpace):
         return np.array([[self._coerce(p).coords for p in tri] for tri in corners])
 
     def triangle_means(self, tables, tri_idx, weight_rows) -> np.ndarray:
-        return _batch_bary_interp(self.kappa.value, tables[tri_idx], weight_rows)
+        return _batch_bary_interp(self.kappa.value, tables.take(tri_idx, axis=0), weight_rows)
 
     def barycenter(self, points, weights=None):
         pts, w = self._normalized_weights(points, weights)
@@ -764,15 +764,27 @@ def space_from_config(cfg: dict) -> TargetSpace:
 
 
 def point_from_config(space: TargetSpace, spec):
-    """Parse a point description matching the backend of `space`."""
+    """Parse a point description matching the backend of `space`.
+
+    A boolean coordinate raises ConfigError naming its index, `[i]`, as
+    `space_from_config` does for the target's numbers.
+    """
+
+    def numbers(values, first=0):
+        for i, value in enumerate(values, first):
+            if isinstance(value, bool):
+                raise ConfigError(f"[{i}]", f"expected a number, got {value!r}")
+        return values
+
     if isinstance(space, EuclideanSpace):
-        return space._coerce(spec)
+        return space._coerce(numbers(spec))
     if isinstance(space, ModelSpace):
-        return space.point(spec)
+        return space.point(numbers(spec))
     if isinstance(space, MetricTree):
         u, v, off = spec
+        (off,) = numbers([off], first=2)
         return TreePoint(str(u), str(v), float(off))
     if isinstance(space, FlatCone):
-        r, phi = spec
+        r, phi = numbers(spec)
         return space.point(float(r), float(phi))
     raise ValueError(f"unsupported space {type(space).__name__}")

@@ -67,7 +67,8 @@ def _batch_geodesic(k: float, X, Y, T):
 def _batch_distance(k: float, X, Y):
     """Vectorized constant-curvature distances between row-aligned points."""
     if k == 0.0:
-        return np.linalg.norm(X - Y, axis=1)
+        D = X - Y
+        return np.sqrt(_row_sums(D * D))
     if k > 0:
         s = math.sqrt(k)
         chord = np.linalg.norm(X - Y, axis=1)
@@ -79,6 +80,17 @@ def _batch_distance(k: float, X, Y):
         (D[:, 0] ** 2 + D[:, 1] ** 2 - D[:, 2] ** 2) * (-k), 0.0
     )
     return 2.0 * np.arcsinh(0.5 * np.sqrt(msq)) / s
+
+
+def _row_sums(a):
+    """What a.sum(axis=1) computes, bit for bit.  NumPy adds fewer than 8
+    columns in order, and then a sum column by column is the faster."""
+    if a.shape[1] >= 8:
+        return a.sum(axis=1)
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        out += a[:, j]
+    return out
 
 
 def _batch_bary_interp(k: float, corners, B):
@@ -149,9 +161,10 @@ class SteinerGraph:
     def gather(self, tri_idx):
         """Boundary rows of the triangles `tri_idx`, concatenated: the index
         into `tri_idx` of each row and its row in `nodes` and `bary`."""
-        owner = np.repeat(np.arange(len(tri_idx)), np.diff(self.ptr)[tri_idx])
-        rows = [np.arange(self.ptr[t], self.ptr[t + 1]) for t in tri_idx]
-        return owner, np.concatenate(rows)
+        counts = np.diff(self.ptr)[tri_idx]
+        owner = np.repeat(np.arange(len(tri_idx)), counts)
+        first = np.repeat(self.ptr[tri_idx] - np.cumsum(counts) + counts, counts)
+        return owner, first + np.arange(len(owner))
 
     def csr(self, steps, segment_lengths, extra=None):
         """The graph's symmetric CSR matrix.

@@ -24,6 +24,7 @@ from .steiner import (
     SteinerGraph,
     _batch_distance,
     _batch_geodesic,
+    _row_sums,
     append_nodes,
 )
 
@@ -38,6 +39,14 @@ CHORD_SAMPLES = 4
 # point probes the RELAX_OFFSETS multiples of the step across its chord.
 RELAX_LEVELS, RELAX_PASSES, RELAX_SHRINK = 10, 2, 0.5
 RELAX_OFFSETS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+# Point-location raster cells to a bucket cell side.
+RASTER = 4
+# A chord's sample fractions; the weights of its interior sample points at
+# its start and its end, shaped to broadcast over (samples, xy); and the
+# signs of a left normal.
+_LAM = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)
+_INNER_FROM, _INNER_TO = (1.0 - _LAM[1:-1])[:, None], _LAM[1:-1, None]
+_LEFT = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -371,21 +380,24 @@ class InducedGraphSpace:
         barycentrics; row c of `chains` indexes the CHORD_SAMPLES + 1 points
         of polyline c."""
         pts = self._images_at(tri_idx, bary)
-        d = self.space.distance_arrays(pts[chains[:, :-1].ravel()], pts[chains[:, 1:].ravel()])
-        return d.reshape(len(chains), CHORD_SAMPLES).sum(axis=1)
+        shape = (-1, *pts.shape[1:])
+        d = self.space.distance_arrays(
+            pts.take(chains[:, :-1], axis=0).reshape(shape),
+            pts.take(chains[:, 1:], axis=0).reshape(shape),
+        )
+        return _row_sums(d.reshape(len(chains), CHORD_SAMPLES))
 
     def _located_lengths(self, tri_idx, bary, chains):
         """`_chain_lengths` of located points, their barycentrics clipped to
         the triangle."""
-        bary = np.clip(bary, 0.0, None)
-        bary /= bary.sum(axis=1, keepdims=True)
+        bary = np.maximum(bary, 0.0)
+        bary /= _row_sums(bary)[:, None]
         return self._chain_lengths(tri_idx, bary, chains)
 
     def _chord_weights(self, tri_idx, S, E):
         """Image polyline lengths of straight segments between barycentric
         rows S and E of the triangles `tri_idx`."""
-        lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)
-        B = (1.0 - lam)[None, :, None] * S[:, None, :] + lam[None, :, None] * E[:, None, :]
+        B = (1.0 - _LAM)[None, :, None] * S[:, None, :] + _LAM[None, :, None] * E[:, None, :]
         return self._chain_lengths(
             np.repeat(tri_idx, CHORD_SAMPLES + 1), B.reshape(-1, 3), _runs(len(S))
         )
@@ -396,80 +408,94 @@ class InducedGraphSpace:
 
         The straight disc segment between boundary nodes of the two triangles
         crosses the shared edge continuously, so these chords avoid the
-        Steiner snap error at every other triangle crossing.
+        Steiner snap error at every other triangle crossing.  Each edge joins
+        every boundary node of its first triangle off the edge to every one
+        of the second's.
         """
-        mesh = self.mg.mesh
-        coords = mesh.coords
-        lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)
-        # off_edge[t][k]: the boundary nodes of triangle t off its side k,
-        # with their xy.
-        off_edge = []
-        for ti, tri in enumerate(self._tris):
-            nodes, B, sides = self._core.boundary(ti)
-            p0, p1, p2 = (np.asarray(coords[v], dtype=float) for v in tri)
-            xy = B[:, 0:1] * p0 + B[:, 1:2] * p1 + B[:, 2:3] * p2
-            keep = [(sides & (1 << k)) == 0 for k in range(3)]
-            off_edge.append([(nodes[m], xy[m]) for m in keep])
-
+        mesh, core = self.mg.mesh, self._core
         interior = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
         owners = mesh.edge_tris[interior]
         # The side of each owner that is the shared edge.
         side = np.argmax(mesh.tri_edges[owners] == interior[:, None, None], axis=2)
-        rows, cols, tri_idx, barys = [], [], [], []
-        for e, (ta, tb), (ka, kb) in zip(interior, owners.tolist(), side.tolist()):
-            nodes_a, XA = off_edge[ta][ka]
-            nodes_b, XB = off_edge[tb][kb]
-            if not len(nodes_a) or not len(nodes_b):
-                continue
-            # All chord sample points, chord by chord.
+        off = []
+        for o in (0, 1):
+            owner, rows = core.gather(owners[:, o])
+            keep = (core.sides[rows] >> side[owner, o]) & 1 == 0
+            off.append((rows[keep], np.bincount(owner[keep], minlength=len(interior))))
+        (rows_a, n_a), (rows_b, n_b) = off
+        n_c = n_a * n_b
+        edge = np.repeat(np.arange(len(interior)), n_c)
+        if not len(edge):
+            return None
+        k = np.arange(len(edge)) - np.repeat(np.cumsum(n_c) - n_c, n_c)
+        ia = rows_a[np.repeat(np.cumsum(n_a) - n_a, n_c) + k // n_b[edge]]
+        ib = rows_b[np.repeat(np.cumsum(n_b) - n_b, n_c) + k % n_b[edge]]
+        coords = np.asarray(mesh.coords, dtype=float)
+        tris = np.array(self._tris)
+        c = coords[tris[np.repeat(np.arange(len(tris)), np.diff(core.ptr))]]
+        B = core.bary
+        xy = B[:, 0:1] * c[:, 0] + B[:, 1:2] * c[:, 1] + B[:, 2:3] * c[:, 2]
+        # Orientation test against the shared edge line decides which
+        # triangle's chart maps each sample point; the first owner's corner
+        # off the edge gives that owner's side.
+        pu = coords[mesh.edges[interior, 0]]
+        along = coords[mesh.edges[interior, 1]] - pu
+        opp = coords[tris[owners[:, 0], (side[:, 0] + 2) % 3]] - pu
+        side_a = along[:, 0] * opp[:, 1] - along[:, 1] * opp[:, 0]
+        weights = []
+        # In blocks of CHORD_BLOCK chords, so the sample arrays stay a few MB.
+        for lo in range(0, len(edge), CHORD_BLOCK):
+            blk = slice(lo, lo + CHORD_BLOCK)
+            e = np.repeat(edge[blk], CHORD_SAMPLES + 1)
             flat = (
-                (1.0 - lam)[None, None, :, None] * XA[:, None, None, :]
-                + lam[None, None, :, None] * XB[None, :, None, :]
+                (1.0 - _LAM)[None, :, None] * xy[ia[blk], None, :]
+                + _LAM[None, :, None] * xy[ib[blk], None, :]
             ).reshape(-1, 2)
-            # Orientation test against the shared edge line decides which
-            # triangle's chart maps each sample point.
-            pu, pv = (np.asarray(coords[v], dtype=float) for v in mesh.edges[e])
-            edge_dir = pv - pu
-            rel = np.mean(XA, axis=0) - pu
-            sign_a = edge_dir[0] * rel[1] - edge_dir[1] * rel[0]
-            rel = flat - pu
-            use_a = (edge_dir[0] * rel[:, 1] - edge_dir[1] * rel[:, 0]) * sign_a >= 0
-            # Not the point locator: these solves use a BLAS `@` and
-            # `_locate_many` an einsum, which differ in the last bit for most
-            # point sets.  Measuring the chords with `_xy_segment_weights`
-            # would be shorter but would move graph weights (by up to about
-            # 5e-15) and every induced number after them, so it belongs in a
-            # change that lets those numbers move.
-            bary = np.empty((len(flat), 3))
-            for ti, mask in ((ta, use_a), (tb, ~use_a)):
-                st = (flat[mask] - self._p0_stack[ti]) @ self._inv_stack[ti].T
-                bary[mask] = np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
-            tri_idx.append(np.where(use_a, ta, tb))
-            barys.append(bary)
-            rows.append(np.repeat(nodes_a, len(nodes_b)))
-            cols.append(np.tile(nodes_b, len(nodes_a)))
-        if rows:
-            tri_idx, bary = np.concatenate(tri_idx), np.concatenate(barys)
-            # In blocks of CHORD_BLOCK chords, so the sample arrays stay a
-            # few MB.
-            n = CHORD_BLOCK * (CHORD_SAMPLES + 1)
-            weights = [
-                self._located_lengths(
-                    tri_idx[i:i + n], bary[i:i + n],
-                    _runs(len(bary[i:i + n]) // (CHORD_SAMPLES + 1)),
-                )
-                for i in range(0, len(bary), n)
-            ]
-            return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights)
+            rel = flat - pu[e]
+            use_a = (along[e, 0] * rel[:, 1] - along[e, 1] * rel[:, 0]) * side_a[e] >= 0
+            tri_idx = np.where(use_a, owners[e, 0], owners[e, 1])
+            weights.append(self._located_lengths(
+                tri_idx, self._chart_bary(flat, tri_idx, np.where(n_c[e] == 1, e, -1)),
+                _runs(len(e) // (CHORD_SAMPLES + 1)),
+            ))
+        return core.nodes[ia], core.nodes[ib], np.concatenate(weights)
+
+    def _chart_bary(self, xy, tri_idx, alone):
+        """Barycentric coordinates of points xy in the triangles `tri_idx`,
+        by one BLAS `@` per triangle, or per group `alone` >= 0 in it.
+
+        Not the point locator, whose formula differs from `@` in the last
+        bit for most point sets: that would move graph weights (by up to
+        about 5e-15) and every induced number after them.  A row of `@`
+        comes out the same beside any other rows, but a single row takes a
+        matrix-vector product that rounds differently; so a lone row is
+        solved doubled, unless it is all of its group `alone`.
+        """
+        key = tri_idx * (alone.max() + 2) + alone + 1
+        order = np.argsort(key, kind="stable")
+        cut = np.flatnonzero(np.diff(key[order])) + 1
+        d = xy[order] - self._p0_stack[tri_idx[order]]
+        st = np.empty_like(d)
+        for a, b in zip(np.r_[0, cut].tolist(), np.r_[cut, len(d)].tolist()):
+            solve = self._inv_stack[tri_idx[order[a]]].T
+            if b - a == 1 and alone[order[a]] < 0:
+                st[a] = (d[[a, a]] @ solve)[0]
+            else:
+                st[a:b] = d[a:b] @ solve
+        bary = np.empty((len(d), 3))
+        bary[order] = np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
+        return bary
 
     def _build_tri_buckets(self, mesh):
-        """Uniform-grid spatial index: disc cell -> candidate triangles.
+        """The point locator's tables: bucket cells of candidate triangles,
+        and a finer raster of first guesses.
 
-        Cells are sized for about one triangle each.  Each triangle is filed,
-        in index order, under every cell its bounding box overlaps, so a
-        point's containing triangle is always among its cell's candidates.
+        Bucket cells are sized for about one triangle each.  Each triangle is
+        filed, in index order, under every cell its bounding box overlaps, so
+        a point's containing triangle is always among its cell's candidates.
         Each cell also stacks its candidates' barycentric solvers, so that
-        locating a point gathers one row.
+        scanning a cell gathers one row.  Raster cells, RASTER to a bucket
+        cell side, hold the triangle the cell scan finds for their centres.
         """
         coords = np.asarray(mesh.coords, dtype=float)[:, :2]
         lo = coords.min(axis=0)
@@ -489,34 +515,54 @@ class InducedGraphSpace:
         table = np.full((nx * ny, kmax), -1, dtype=int)
         for cell, tris in cells.items():
             table[cell, : len(tris)] = tris
-        self._bucket_lo = lo
-        self._bucket_cs = cs
-        self._bucket_shape = (nx, ny)
+        self._bucket_grid = (*lo.tolist(), cs, nx, ny)
         self._bucket_tris = table
-        # Empty slots hold triangle 0's solver; `_locate_many` never picks them.
-        safe = np.maximum(table, 0)
-        self._bucket_inv = self._inv_stack[safe]
-        self._bucket_p0 = self._p0_stack[safe]
+        # Solver fields (inv00, inv01, inv10, inv11, x0, y0) by triangle, and
+        # by cell and candidate; empty slots hold triangle 0's, and the cell
+        # scan never picks them.
+        self._solvers = np.vstack([self._inv_stack.reshape(-1, 4).T, self._p0_stack.T])
+        self._bucket_solvers = np.ascontiguousarray(self._solvers[:, np.maximum(table, 0)])
+        self._raster_grid = (*lo.tolist(), cs / RASTER, RASTER * nx, RASTER * ny)
+        i, j = np.indices((RASTER * nx, RASTER * ny)).reshape(2, -1)
+        centres = lo + (np.column_stack([i, j]) + 0.5) * (cs / RASTER)
+        # In blocks, so the scan's candidate arrays stay a few MB.
+        self._raster_tris = np.concatenate([
+            np.maximum(self._scan_cells(centres[b:b + 4096])[0], 0)
+            for b in range(0, len(centres), 4096)
+        ])
+
+    def _scan_cells(self, pts):
+        """Containing triangle and barycentric coordinates b0, b1, b2 for
+        many points: the bucket cell candidate with the largest smallest
+        barycentric coordinate, the first such in index order."""
+        cell = _cell_index(pts, self._bucket_grid)
+        cand = self._bucket_tris[cell]  # (n, kmax)
+        b0, s0, s1 = _barycentrics(
+            self._bucket_solvers[:, cell], pts[:, 0, None], pts[:, 1, None]
+        )
+        low = np.minimum(np.minimum(b0, s0), s1)
+        best = np.argmax(np.where(cand >= 0, low, -np.inf), axis=1)
+        best += np.arange(0, cand.size, cand.shape[1])
+        return cand.take(best), b0.take(best), s0.take(best), s1.take(best)
 
     def _locate_many(self, pts):
-        """Containing triangle and barycentric coordinates for many points.
+        """Containing triangle and barycentric coordinates for many points,
+        as the cell scan (`_scan_cells`) finds them.
 
-        The triangle is the cell candidate with the largest smallest
-        barycentric coordinate, the first such in index order.
+        Each point first tries the triangle of its raster cell alone and
+        keeps it where it lies at least 1e-9 inside: in a planar mesh no
+        other triangle then holds the point, and the triangle is among its
+        bucket cell's candidates, so the scan would pick it too, with the
+        same barycentrics.  Mesh vertices, points on or near edges, points
+        outside the disc and wrong guesses go through the scan.
         """
         pts = np.asarray(pts, dtype=float)
-        ij = np.floor((pts - self._bucket_lo) / self._bucket_cs).astype(int)
-        ix = np.clip(ij[:, 0], 0, self._bucket_shape[0] - 1)
-        iy = np.clip(ij[:, 1], 0, self._bucket_shape[1] - 1)
-        cell = ix * self._bucket_shape[1] + iy
-        cand = self._bucket_tris[cell]  # (n, kmax)
-        diff = pts[:, None, :] - self._bucket_p0[cell]
-        st = np.einsum("nkij,nkj->nki", self._bucket_inv[cell], diff)
-        bary = np.concatenate([1.0 - st.sum(axis=2, keepdims=True), st], axis=2)
-        low = np.minimum(np.minimum(bary[:, :, 0], bary[:, :, 1]), bary[:, :, 2])
-        best = np.argmax(np.where(cand >= 0, low, -np.inf), axis=1)
-        rows = np.arange(len(pts))
-        return cand[rows, best], bary[rows, best]
+        tri = self._raster_tris.take(_cell_index(pts, self._raster_grid))
+        b0, s0, s1 = _barycentrics(self._solvers.take(tri, axis=1), pts[:, 0], pts[:, 1])
+        miss = np.flatnonzero(~(np.minimum(np.minimum(b0, s0), s1) >= 1e-9))
+        if len(miss):
+            tri[miss], b0[miss], s0[miss], s1[miss] = self._scan_cells(pts[miss])
+        return tri, np.column_stack([b0, s0, s1])
 
     # -- temporary measurement points --------------------------------------
 
@@ -529,8 +575,7 @@ class InducedGraphSpace:
         """Image polyline lengths of straight disc segments."""
         S = np.asarray(starts_xy, dtype=float)
         E = np.asarray(ends_xy, dtype=float)
-        lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)
-        XY = (1.0 - lam)[None, :, None] * S[:, None, :] + lam[None, :, None] * E[:, None, :]
+        XY = (1.0 - _LAM)[None, :, None] * S[:, None, :] + _LAM[None, :, None] * E[:, None, :]
         tri_idx, bary = self._locate_many(XY.reshape(-1, 2))
         return self._located_lengths(tri_idx, bary, _runs(len(S)))
 
@@ -978,58 +1023,58 @@ class InducedGraphSpace:
         once, then locates the m over-relaxed moves in a second call.
         """
         n_off = len(RELAX_OFFSETS)
-        lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)[1:-1]
-        prev = P[rows - 1]
-        nxt = P[rows + 1]
-        chord = nxt - prev
-        norms = np.linalg.norm(chord, axis=1, keepdims=True)
-        nrm = np.column_stack([-chord[:, 1], chord[:, 0]])
-        nrm /= np.maximum(norms, 1e-15)
+        m = len(rows)
+        # The located points: previous and next neighbours, candidates
+        # (probe-major), then each probe segment's interior samples.
+        X = np.empty(((2 + n_off + 2 * n_off * (CHORD_SAMPLES - 1)) * m, 2))
+        prev, nxt, cands = X[:m], X[m:2 * m], X[2 * m:(2 + n_off) * m]
+        prev[:] = P[rows - 1]
+        nxt[:] = P[rows + 1]
         base = P[rows]
-        m = len(base)
-        cands = (
-            base[None, :, :]
-            + (RELAX_OFFSETS[:, None] * step)[:, :, None] * nrm[None, :, :]
-        ).reshape(-1, 2)
-        half = len(cands)
-        S = np.vstack([np.tile(prev, (n_off, 1)), cands])
-        E = np.vstack([cands, np.tile(nxt, (n_off, 1))])
-        between = (
-            (1.0 - lam)[None, :, None] * S[:, None, :]
-            + lam[None, :, None] * E[:, None, :]
-        )
-        tri_idx, bary = self._locate_many(
-            np.vstack([prev, nxt, cands, between.reshape(-1, 2)])
-        )
-        inside = bary[2 * m:2 * m + half].min(axis=1) >= -1e-9
+        chord = nxt - prev
+        norms = np.sqrt(chord[:, 0] * chord[:, 0] + chord[:, 1] * chord[:, 1])
+        nrm = chord[:, ::-1] * _LEFT
+        nrm /= np.maximum(norms, 1e-15)[:, None]
+        np.add(base, (RELAX_OFFSETS[:, None] * step)[:, :, None] * nrm,
+               out=cands.reshape(n_off, m, 2))
+        between = X[(2 + n_off) * m:].reshape(2, n_off, m, CHORD_SAMPLES - 1, 2)
+        ends = cands.reshape(n_off, m, 1, 2)
+        np.multiply(_INNER_TO, ends, out=between[0])
+        between[0] += _INNER_FROM * prev[:, None, :]
+        np.multiply(_INNER_FROM, ends, out=between[1])
+        between[1] += _INNER_TO * nxt[:, None, :]
+        tri_idx, bary = self._locate_many(X)
         w = self._located_lengths(tri_idx, bary, chains)
+        half = n_off * m
         vals = (w[:half] + w[half:]).reshape(n_off, m)
-        vals[~inside.reshape(n_off, m)] = np.inf
+        if np.isnan(vals).any():
+            raise GeometryError("NaN probe length in curve relaxation")
+        vals[~(_low(bary[2 * m:2 * m + half]) >= -1e-9).reshape(n_off, m)] = np.inf
         best = np.argmin(vals, axis=0)
-        ar = np.arange(m)
         off = RELAX_OFFSETS[best] * step
         # Sub-probe parabolic refinement; without it, corrections smaller
         # than the probe spacing never happen and smooth lateral modes stall
         # at the quantization floor.
         inner = (best >= 1) & (best <= n_off - 2)
-        bi = np.where(inner, best, 2)
-        vm = np.nan_to_num(vals[bi - 1, ar], posinf=0.0)
-        vb = vals[bi, ar]
-        vp = np.nan_to_num(vals[bi + 1, ar], posinf=0.0)
-        finite = np.isfinite(vals[bi - 1, ar]) & np.isfinite(vals[bi + 1, ar])
+        flat = vals.ravel()
+        bi = np.where(inner, best, 2) * m + np.arange(m)
+        vm, vb, vp = flat.take(bi - m), flat.take(bi), flat.take(bi + m)
+        finite = (vm < np.inf) & (vp < np.inf)
+        vm = np.where(finite, vm, 0.0)
+        vp = np.where(finite, vp, 0.0)
         denom = vm - 2.0 * vb + vp
         ok = inner & finite & (denom > 1e-18)
         shift = np.where(ok, 0.5 * (vm - vp) / np.where(ok, denom, 1.0), 0.0)
         probe = 0.5 * step  # probe spacing
-        off = off + np.clip(shift * probe, -probe, probe)
-        off = np.where(np.isfinite(vals[best, ar]), off, 0.0)
+        off = off + np.minimum(np.maximum(shift * probe, -probe), probe)
+        off = np.where(vals.min(axis=0) < np.inf, off, 0.0)
         # Over-relaxation: pointwise descent damps a lateral mode of
         # wavelength w only at rate ~(spacing/w)^2 per sweep; SOR turns that
         # into ~spacing/w. Scaled moves that leave the disc fall back to the
         # probe-checked move.
-        sor = np.clip(1.8 * off, -step, step)
+        sor = np.minimum(np.maximum(1.8 * off, -step), step)
         _, sb = self._locate_many(base + sor[:, None] * nrm)
-        off = np.where(sb.min(axis=1) >= -1e-9, sor, off)
+        off = np.where(_low(sb) >= -1e-9, sor, off)
         P[rows] = base + off[:, None] * nrm
         return np.maximum.reduceat(np.abs(off), starts) > 1e-4 * self._disc_h
 
@@ -1055,6 +1100,37 @@ def _reversed(curve):
         return None
     xy, arcs = curve
     return xy[::-1], arcs[-1] - arcs[::-1]
+
+
+def _barycentrics(solvers, x, y):
+    """Barycentric coordinates b0, b1, b2 of points (x, y) in triangles
+    given by solver fields (inv00, inv01, inv10, inv11, x0, y0)."""
+    inv00, inv01, inv10, inv11, x0, y0 = solvers
+    dx, dy = x - x0, y - y0
+    s0 = inv00 * dx + inv01 * dy
+    s1 = inv10 * dx + inv11 * dy
+    return 1.0 - (s0 + s1), s0, s1
+
+
+def _low(bary):
+    """The smallest of each row of barycentric coordinates."""
+    return np.minimum(np.minimum(bary[:, 0], bary[:, 1]), bary[:, 2])
+
+
+def _cell_index(pts, grid):
+    """Flat index of the cells holding points (rows) in the nx x ny grid of
+    side-cs cells from (x0, y0), grid = (x0, y0, cs, nx, ny), clamped to the
+    grid; truncating toward zero floors every coordinate the clamp keeps."""
+    x0, y0, cs, nx, ny = grid
+    i = ((pts[:, 0] - x0) / cs).astype(int)
+    j = ((pts[:, 1] - y0) / cs).astype(int)
+    np.maximum(i, 0, out=i)
+    np.minimum(i, nx - 1, out=i)
+    np.maximum(j, 0, out=j)
+    np.minimum(j, ny - 1, out=j)
+    i *= ny
+    i += j
+    return i
 
 
 def _runs(n_chains):

@@ -251,11 +251,24 @@ def test_malformed_counts_exit_2(tmp_path, capsys, field, value, named):
         ("verify-ruled", {"target": {"backend": "tree", "edges": [["o", "a", 1.0],
                                                                   ["o", "b", True]]}},
          "target.edges[1]"),
+        ("verify-ruled", {"eta1": [[0.0, 1.0, 0.2], [1.0, True, 0.0]]}, "eta1[1][1]"),
+        ("verify-ruled", {"target": {"backend": "model", "kappa": 1.0},
+                          "eta0": [[0.0, 0.0], [False, 0.0]],
+                          "eta1": [[0.0, 0.5], [0.5, 0.5]]}, "eta0[1][0]"),
+        ("verify-harmonic", {"target": {"backend": "tree",
+                                        "edges": [["o", "a", 1.0], ["o", "b", 1.0]]},
+                             "trace_corners": [["o", "a", 1.0], ["o", "b", 1.0],
+                                               ["o", "b", True], ["o", "a", 0.5]]},
+         "trace_corners[2][2]"),
+        ("verify-harmonic", {"target": {"backend": "cone", "total_angle": 7.0},
+                             "trace_corners": [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0],
+                                               [True, 3.0]]}, "trace_corners[3][0]"),
     ],
     ids=["no-dim", "unknown-backend", "no-backend", "bad-dim", "tolerance-list",
          "bool-tolerance", "unknown-tolerance", "bool-kappa", "string-flag",
          "short-point", "three-corners", "zero-epsilon", "epsilon-past-half-r",
-         "bool-dim", "bool-target-kappa", "bool-total-angle", "bool-edge-weight"],
+         "bool-dim", "bool-target-kappa", "bool-total-angle", "bool-edge-weight",
+         "bool-euclidean-point", "bool-model-point", "bool-tree-point", "bool-cone-point"],
 )
 def test_malformed_fields_exit_2(tmp_path, capsys, command, overrides, named):
     cfg = ruled_config(str(tmp_path / "out"), **overrides)

@@ -1,6 +1,7 @@
 """Thinness certification: self-consistency, cone controls, induced metrics."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -16,7 +17,7 @@ from catdisc.constructions import (
     ruled_disc_map,
 )
 from catdisc.errors import GeometryError
-from catdisc.mesh import MappedGraph, grid_mesh, triangle_fan
+from catdisc.mesh import DiscMesh, MappedGraph, grid_mesh, triangle_fan
 from catdisc.model import Kappa, build_comparison_triangle
 from catdisc.spaces import EuclideanSpace, FlatCone, MetricTree, ModelSpace, TreePoint
 from catdisc.steiner import _batch_distance, _batch_geodesic
@@ -473,35 +474,188 @@ def table_locator(oracle):
     return locate
 
 
-@pytest.mark.parametrize("mesh", [grid_mesh(6), grid_mesh(16), triangle_fan(7)],
-                         ids=["grid6", "grid16", "fan7"])
-def test_point_locator_matches_brute_force(mesh):
+def perturbed_grid_mesh(n, seed):
+    """grid_mesh(n) with its interior vertices moved up to a fifth of a cell
+    each way: a planar mesh with edges at every slope."""
+    mesh = grid_mesh(n)
+    coords = mesh.coords.copy()
+    interior = ~mesh.boundary
+    shift = np.random.default_rng(seed).uniform(-0.2, 0.2, size=(interior.sum(), 2))
+    coords[interior] += shift / n
+    return DiscMesh(coords, mesh.triangles)
+
+
+@pytest.mark.parametrize(
+    "mesh", [grid_mesh(6), grid_mesh(16), triangle_fan(7), perturbed_grid_mesh(9, 2)],
+    ids=["grid6", "grid16", "fan7", "perturbed9"],
+)
+def test_point_locator_matches_brute_force(mesh, monkeypatch):
     oracle = InducedGraphSpace(
         MappedGraph(mesh, EuclideanSpace(2), [np.array(c) for c in mesh.coords]),
         steiner=1,
     )
-    rng = np.random.default_rng(11)
     xy = mesh.coords
+    corners = xy[mesh.triangles]
+    edge = corners[:, [1, 2, 0]] - corners
+    assert (edge[:, 0, 0] * edge[:, 1, 1] - edge[:, 0, 1] * edge[:, 1, 0] > 0).all()
+    rng = np.random.default_rng(11)
     lo, hi = xy.min(axis=0), xy.max(axis=0)
+    # Raster cell boundaries: lines of cells and their corners.
+    x0, y0, rcs = oracle._raster_grid[:3]
+    lines = (x0, y0) + rcs * np.arange(int(np.ceil((hi - lo).max() / rcs)) + 1)[:, None]
+    on_lines = rng.uniform(lo, hi, size=(len(lines), 2))
+    # Within 1e-12 of mesh edges, on both sides.
+    a, b = xy[mesh.edges[:, 0]], xy[mesh.edges[:, 1]]
+    f = rng.uniform(0.0, 1.0, size=(len(a), 1))
+    normal = (b - a)[:, ::-1] * np.array([-1.0, 1.0])
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    near_edge = (1.0 - f) * a + f * b
     pts = np.vstack([
         rng.uniform(lo, hi, size=(5000, 2)),
         xy,
         0.5 * (xy[mesh.edges[:, 0]] + xy[mesh.edges[:, 1]]),
         xy + 1e-10 * rng.normal(size=xy.shape),
+        np.column_stack([lines[:, 0], on_lines[:, 1]]),
+        np.column_stack([on_lines[:, 0], lines[:, 1]]),
+        lines,
+        near_edge + 1e-12 * normal,
+        near_edge - 1e-12 * normal,
         # Outside the disc, also beyond the locator's cells.
         rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), size=(2000, 2)),
     ])
     want_tri, want_bary = brute_force_locate(oracle, pts)
+    scanned = []
+    scan = oracle._scan_cells
+    monkeypatch.setattr(oracle, "_scan_cells", lambda xy: scanned.append(len(xy)) or scan(xy))
     got_tri, got_bary = oracle._locate_many(pts)
+    assert 0 < sum(scanned) < len(pts)
+    # The raster settles most points in general position inside the disc.
+    general = pts[:5000][want_bary[:5000].min(axis=1) > 0.0]
+    scanned.clear()
+    oracle._locate_many(general)
+    assert sum(scanned) < 0.2 * len(general)
     inside = want_bary.min(axis=1) >= -1e-9
     assert 0.5 * len(pts) < inside.sum() < len(pts) - 1000
     np.testing.assert_array_equal(got_tri[inside], want_tri[inside])
     np.testing.assert_array_equal(got_bary[inside], want_bary[inside])
-    # Outside points too: the per-cell solver stacks give every point the
-    # same candidate, in the same order, as a gather per candidate.
+    # Every point, outside ones too: the raster stage gives what the cell
+    # scan alone gives, and the scan's per-cell solver stacks what a gather
+    # per candidate gives.
+    scan_tri, *scan_bary = scan(pts)
+    np.testing.assert_array_equal(got_tri, scan_tri)
+    np.testing.assert_array_equal(got_bary, np.column_stack(scan_bary))
     table_tri, table_bary = table_locator(oracle)(pts)
     np.testing.assert_array_equal(got_tri, table_tri)
     np.testing.assert_array_equal(got_bary, table_bary)
+
+
+def test_skew_oracle_graph_and_relaxed_distances_are_pinned():
+    """The skew 6 x 6 oracle's CSR bytes and three distances that curve
+    relaxation sets (each below its graph distance), bit for bit."""
+    oracle = InducedGraphSpace(skew_ruled_map(6), steiner=4)
+    g = oracle.graph
+    digest = hashlib.sha256(b"".join(
+        a.tobytes() for a in (g.data, g.indices.astype(np.int32), g.indptr.astype(np.int32))
+    ))
+    assert digest.hexdigest() == (
+        "1ec3883958a7cfa3bf040f60e1343272523d7002313ad07bcfd0a683d18ce7a0"
+    )
+    pairs = ((0, 48), (6, 42), (1, 40))
+    got = [oracle.distance(p, q) for p, q in pairs]
+    assert [d.hex() for d in got] == [
+        "0x1.7a9ebab4bbcdfp+0", "0x1.c5bba18f9883dp+0", "0x1.1fe73ad100336p+0",
+    ]
+    assert all(d < oracle._solve(p)[0][q] - 1e-4 for d, (p, q) in zip(got, pairs))
+
+
+def per_edge_quad_chords(oracle):
+    """`_quad_chords` as it was: one pass per interior edge, each side of
+    the edge solved by its own `@`, the side of the first triangle told by
+    the mean of its nodes off the edge."""
+    mesh, coords = oracle.mg.mesh, oracle.mg.mesh.coords
+    lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)
+    off_edge = []
+    for ti, tri in enumerate(oracle._tris):
+        nodes, B, sides = oracle._core.boundary(ti)
+        p0, p1, p2 = (np.asarray(coords[v], dtype=float) for v in tri)
+        xy = B[:, 0:1] * p0 + B[:, 1:2] * p1 + B[:, 2:3] * p2
+        off_edge.append([(nodes[(sides & (1 << k)) == 0], xy[(sides & (1 << k)) == 0])
+                         for k in range(3)])
+    interior = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+    owners = mesh.edge_tris[interior]
+    side = np.argmax(mesh.tri_edges[owners] == interior[:, None, None], axis=2)
+    rows, cols, weights = [], [], []
+    for e, (ta, tb), (ka, kb) in zip(interior, owners.tolist(), side.tolist()):
+        (nodes_a, XA), (nodes_b, XB) = off_edge[ta][ka], off_edge[tb][kb]
+        flat = ((1.0 - lam)[None, None, :, None] * XA[:, None, None, :]
+                + lam[None, None, :, None] * XB[None, :, None, :]).reshape(-1, 2)
+        pu, pv = (np.asarray(coords[v], dtype=float) for v in mesh.edges[e])
+        edge_dir = pv - pu
+        rel = np.mean(XA, axis=0) - pu
+        sign_a = edge_dir[0] * rel[1] - edge_dir[1] * rel[0]
+        rel = flat - pu
+        use_a = (edge_dir[0] * rel[:, 1] - edge_dir[1] * rel[:, 0]) * sign_a >= 0
+        bary = np.empty((len(flat), 3))
+        for ti, mask in ((ta, use_a), (tb, ~use_a)):
+            st = (flat[mask] - oracle._p0_stack[ti]) @ oracle._inv_stack[ti].T
+            bary[mask] = np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
+        weights.append(oracle._located_lengths(
+            np.where(use_a, ta, tb), bary, verify._runs(len(flat) // (CHORD_SAMPLES + 1))
+        ))
+        rows.append(np.repeat(nodes_a, len(nodes_b)))
+        cols.append(np.tile(nodes_b, len(nodes_a)))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights)
+
+
+def kite_maps(n_maps):
+    """Two triangles whose quad chord (at steiner 0) crosses the shared
+    edge near its far end, so one sample alone falls in the second
+    triangle, with random corner images in R^3."""
+    rng = np.random.default_rng(1)
+    for _ in range(n_maps):
+        ax, bx = rng.uniform(0.05, 0.3), rng.uniform(0.3, 0.9)
+        coords = [[0.0, 0.0], [1.0, 0.0], [ax, rng.uniform(0.8, 1.2)],
+                  [bx, -rng.uniform(0.02, 0.1)]]
+        mesh = DiscMesh(np.array(coords), np.array([[0, 1, 2], [0, 3, 1]]))
+        yield MappedGraph(mesh, EuclideanSpace(3), [rng.uniform(-1, 1, 3) for _ in range(4)])
+
+
+def test_quad_chords_equal_the_per_edge_loop():
+    """Bit for bit, also where one `@` of the per-edge loop solved a single
+    row (the kites), and on 6 x 6 skew and tripod maps at 0 to 4 Steiner
+    points."""
+    mesh = perturbed_grid_mesh(5, 3)
+    cases = [(mg, 0) for mg in kite_maps(40)] + [
+        (skew_ruled_map(6), 4), (skew_ruled_map(6), 0), (harmonic_tripod_map(4), 1),
+        (MappedGraph(mesh, EuclideanSpace(3),
+                     [np.array([x, y, np.sin(3.0 * x) * y]) for x, y in mesh.coords]), 0),
+    ]
+    for mg, steiner in cases:
+        oracle = InducedGraphSpace(mg, steiner=steiner)
+        for got, want in zip(oracle._quad_chords(), per_edge_quad_chords(oracle)):
+            assert got.tobytes() == want.tobytes()
+
+
+class NaNLengths(EuclideanSpace):
+    """A Euclidean target whose array distances come out NaN once `broken`
+    is set."""
+
+    broken = False
+
+    def distance_arrays(self, X, Y):
+        d = super().distance_arrays(X, Y)
+        return np.full_like(d, np.nan) if self.broken else d
+
+
+def test_nan_probe_length_is_an_error():
+    mesh = grid_mesh(4)
+    space = NaNLengths(2)
+    oracle = InducedGraphSpace(
+        MappedGraph(mesh, space, [np.array(c) for c in mesh.coords]), steiner=2
+    )
+    space.broken = True
+    with pytest.raises(GeometryError, match="NaN probe length"):
+        oracle.distance(0, 24)
 
 
 def per_triangle_segment_weights(oracle, S, E, m):
