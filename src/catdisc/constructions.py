@@ -18,7 +18,7 @@ from .induced import induced_length_metric, quotient_is_monotone
 from .mesh import DiscMesh, MappedGraph, grid_index, grid_mesh
 from .minimize import RelaxConfig, dominates, non_bubbling, relax_graph
 from .model import Kappa
-from .spaces import TargetSpace
+from .spaces import MetricTree, TargetSpace, TreePoint
 from .verify import CertReport, certify_induced
 
 
@@ -187,8 +187,12 @@ def _grid_columns(mesh: DiscMesh) -> list[list[int]]:
 
 
 # Harmonic sweeps stop once no vertex moves by HARMONIC_TOL, or after
-# HARMONIC_MAX_SWEEPS sweeps.
+# HARMONIC_MAX_SWEEPS sweeps.  The exact minimizer of a tree target is
+# converged when one sweep from it moves no vertex by more than
+# CERTIFICATE_TOL times the tree's diameter (at least 1): the sweep's
+# rounding scales with the distances it sums.
 HARMONIC_TOL, HARMONIC_MAX_SWEEPS = 1e-10, 10_000
+CERTIFICATE_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,8 +229,10 @@ def discrete_energy(mg: MappedGraph) -> float:
 class HarmonicResult:
     graph: MappedGraph
     converged: bool
+    # The number of trace rows: sweeps, or on tree targets linear solves and
+    # the certificate sweep (see `harmonic_relax`).
     sweeps: int
-    # Rows (sweep index, energy, max vertex move).
+    # Rows (row number, energy, largest move).
     trace: tuple
 
     @property
@@ -241,15 +247,24 @@ class HarmonicResult:
 
 
 def harmonic_relax(spec: HarmonicSpec) -> HarmonicResult:
-    """Minimize the discrete energy by barycenter coordinate descent.
+    """Minimize the discrete energy with boundary images fixed to the trace.
 
-    Boundary images are fixed to the trace; each sweep visits interior
+    Interior images start at the trace barycenter.  A sweep visits interior
     vertices in ascending index order and moves each to the unit-weight
     barycenter of its neighbors' images, which minimizes the local quadratic
-    energy; the total energy is non-increasing sweep to sweep up to
-    rounding (once moves are near HARMONIC_TOL it can rise by an ulp: by
-    8.9e-16 in 1 of 55 sweeps of the 8 x 8 tripod map, 8 of 247 on 16 x 16).
-    Sweeps stop below HARMONIC_TOL or at HARMONIC_MAX_SWEEPS.
+    energy.  Trace rows are (row number, energy, largest move).
+
+    On `MetricTree` targets `MetricTree.pair_energy_minimum` finds the
+    minimizer exactly from the seed, one row per linear solve (its move is
+    the largest offset change), and one sweep from its result is the last
+    row: the certificate.  `sweeps` counts the solves plus that sweep, and
+    `converged` means the certificate moved no vertex by more than
+    CERTIFICATE_TOL times max(1, the tree's diameter).
+
+    On every other target sweeps repeat, one row each, until none moves a
+    vertex by HARMONIC_TOL or HARMONIC_MAX_SWEEPS have run.  The energy is
+    then non-increasing sweep to sweep up to rounding: once moves are near
+    HARMONIC_TOL it can rise by an ulp.
     """
     mesh, sp = spec.mesh, spec.space
     images: list = [None] * mesh.n_vertices
@@ -270,22 +285,29 @@ def harmonic_relax(spec: HarmonicSpec) -> HarmonicResult:
         if v in nbrs:
             nbrs[v].append(u)
     trace = []
-    converged = False
-    sweeps = 0
-    for sweep in range(HARMONIC_MAX_SWEEPS):
+
+    def sweep():
         max_move = 0.0
         for v in interior:
             new = sp.barycenter([images[u] for u in nbrs[v]], [1.0] * len(nbrs[v]))
             max_move = max(max_move, sp.distance(images[v], new))
             images[v] = new
-        sweeps = sweep + 1
         energy = discrete_energy(MappedGraph(mesh, sp, images))
-        trace.append((sweeps, energy, max_move))
-        if max_move < HARMONIC_TOL:
-            converged = True
-            break
+        trace.append((len(trace) + 1, energy, max_move))
+        return max_move
+
+    if isinstance(sp, MetricTree):
+        X = sp.as_array(images)
+        for energy, move in sp.pair_energy_minimum(mesh.edges, X, ~mesh.boundary):
+            trace.append((len(trace) + 1, energy, move))
+        for v in interior:
+            u, w, _ = sp.edges[int(X[v, 0])]
+            images[v] = TreePoint(u, w, float(X[v, 1]))
+        converged = sweep() <= CERTIFICATE_TOL * max(1.0, sp.diameter)
+    else:
+        converged = any(sweep() < HARMONIC_TOL for _ in range(HARMONIC_MAX_SWEEPS))
     return HarmonicResult(
-        MappedGraph(mesh, sp, images), converged, sweeps, tuple(trace)
+        MappedGraph(mesh, sp, images), converged, len(trace), tuple(trace)
     )
 
 

@@ -120,31 +120,6 @@ def _clip_to_nonexpanding(space, current, target, nbr_imgs):
     return space.geodesic(current, target, lo) if lo > 0.0 else current
 
 
-def edge_geodesic_defect(
-    mg: MappedGraph, samples: int = 16, polylines: dict | None = None
-) -> float:
-    """Max over edges of |sampled image polyline length - endpoint distance|.
-
-    By default each edge carries geodesic samples; explicit `polylines`
-    (edge tuple -> point list) override that, e.g. for negative controls.
-    """
-    worst = 0.0
-    for u, v in mg.mesh.edges:
-        key = (int(u), int(v))
-        if polylines and key in polylines:
-            pts = polylines[key]
-        else:
-            pts = [
-                mg.space.geodesic(mg.images[u], mg.images[v], i / samples)
-                for i in range(samples + 1)
-            ]
-        d = mg.edge_length(u, v)
-        if d < 1e-15 and len(pts) == 2:
-            continue
-        worst = max(worst, abs(mg.space.curve_length(pts) - d))
-    return worst
-
-
 @dataclass(frozen=True)
 class VertexAngles:
     vertex: int

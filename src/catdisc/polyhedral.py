@@ -18,7 +18,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import EpsilonBoundError
 from .mesh import MappedGraph
-from .minimize import _comparison_angle
 from .model import ComparisonTriangle, Kappa, build_comparison_triangle
 from .steiner import (
     SteinerGraph,
@@ -294,30 +293,6 @@ def interior_angle_check(complex_: PolyComplex) -> PolyAngleReport:
         link = complex_.vertex_link(v)
         entries.append((v, float(sum(link)), len(link) == 0))
     return PolyAngleReport(entries=tuple(entries))
-
-
-def corner_angle_comparison(complex_: PolyComplex, mg: MappedGraph) -> float:
-    """Max shortfall of chart corner angles below the measured target angles,
-    probed at scale 1e-3.
-
-    Comparison angles in M_kappa are at least the Alexandrov angles between
-    the corresponding image geodesics; returns the worst violation (<= 0 when
-    the comparison direction holds).
-    """
-    worst = -math.inf
-    for cell in complex_.cells:
-        if cell.degeneracy is not None:
-            continue
-        vs = cell.mesh_vertices
-        for corner in range(3):
-            p = mg.images[vs[corner]]
-            q1 = mg.images[vs[(corner + 1) % 3]]
-            q2 = mg.images[vs[(corner + 2) % 3]]
-            measured = _comparison_angle(
-                mg.space, complex_.kappa, p, q1, q2, 1e-3
-            )
-            worst = max(worst, measured - cell.chart.angles[corner])
-    return worst if math.isfinite(worst) else 0.0
 
 
 class SteinerComplexGraph:

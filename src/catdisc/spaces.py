@@ -301,6 +301,19 @@ class ModelSpace(TargetSpace):
         return x
 
 
+# Linear solves of one `MetricTree.pair_energy_minimum` call, at most.
+ACTIVE_SET_MAX_SOLVES = 10_000
+
+
+def _ranges(ptr, keys):
+    """(index in `keys`, position) for the positions ptr[k] .. ptr[k + 1] - 1
+    of each key k in `keys`, all concatenated."""
+    counts = ptr[keys + 1] - ptr[keys]
+    row = np.repeat(np.arange(len(keys)), counts)
+    pos = np.arange(counts.sum()) + np.repeat(ptr[keys] - np.cumsum(counts) + counts, counts)
+    return row, pos
+
+
 @dataclass(frozen=True)
 class TreePoint:
     """Point on an edge of a metric tree, `offset` measured from vertex `u`."""
@@ -351,6 +364,7 @@ class MetricTree(TargetSpace):
             self._parent[root] = parent
         names = list(self.adj)
         self._vmat = np.array([[self._vdist[x][y] for y in names] for x in names])
+        self.diameter = float(self._vmat.max())
         index = {x: i for i, x in enumerate(names)}
         self._ends = np.array([[index[u], index[v]] for u, v, _ in self.edges])
         self._lengths = np.array([w for _, _, w in self.edges])
@@ -467,6 +481,136 @@ class MetricTree(TargetSpace):
             np.minimum(rx + D[bx, ay] + oy, rx + D[bx, by] + ry),
         )
         return np.where(ex == ey, np.abs(ox - oy), d)
+
+    def offset_terms(self, ex, ey):
+        """Row-aligned (alpha, beta, gamma) with d((ex, s), (ey, t)) =
+        |alpha s + beta t + gamma| for every pair of offsets on the two
+        closed edges.
+
+        On a shared edge that is |s - t|.  Otherwise the geodesic leaves each
+        edge through its end nearer the other edge, which in a tree does not
+        depend on the offsets, so the distance is each offset measured to
+        that end plus the distance between the two ends.
+        """
+        (ax, bx), (ay, by) = self._ends[ex].T, self._ends[ey].T
+        D = self._vmat
+        x_first, y_first = D[ax, ay] < D[bx, ay], D[ay, ax] < D[by, ax]
+        x, y = np.where(x_first, ax, bx), np.where(y_first, ay, by)
+        gamma = (
+            np.where(x_first, 0.0, self._lengths[ex])
+            + D[x, y]
+            + np.where(y_first, 0.0, self._lengths[ey])
+        )
+        same = ex == ey
+        return (
+            np.where(x_first | same, 1.0, -1.0),
+            np.where(y_first & ~same, 1.0, -1.0),
+            np.where(same, 0.0, gamma),
+        )
+
+    def pair_energy_minimum(self, pairs, X, movable) -> list:
+        """Minimize E = sum of d(X[i], X[j])^2 over the rows (i, j) of
+        `pairs` by moving the array points X[movable], in place.  Returns one
+        (E, largest offset move) row per linear solve.
+
+        With each movable point's edge fixed, E = |A t + c|^2 in the offsets
+        t (`offset_terms`), on the box 0 <= t <= w_e.  A primal active set
+        minimizes it: solve the normal equations (dense, assembled entry by
+        entry) for the offsets not held at a bound, then hold every offset
+        that leaves the box at the bound it crosses if that lowers E, else
+        step to the first bound and hold the offsets that reach it.  When a
+        solve stays in the box, each movable point at a tree vertex takes the
+        incident edge along which E has the most negative one-sided
+        derivative, if any: its own edge releases the held offset, another
+        edge moves the point onto it.  With no such edge the first-order
+        conditions hold, and E is convex on the product of CAT(0) trees, so
+        X is the global minimizer (Korevaar and Schoen, Comm. Anal. Geom.
+        1993; Bacak, Convex Analysis and Optimization in Hadamard Spaces,
+        2014).  Every movable point needs a path in `pairs` to a
+        fixed one, so that each solve has a unique answer.
+        """
+        ends, lengths = self._ends, self._lengths
+        pairs = np.asarray(pairs)
+        pi, pj = pairs.T
+        a, b = pairs[movable[pairs].any(axis=1)].T
+        m, n = len(a), len(X)
+        # Both ends of every row, stacked, and the other end of each.
+        rows, at_row = np.tile(np.arange(m), 2), np.concatenate([a, b])
+        other = np.concatenate([b, a])
+        nbr_ptr = np.concatenate([[0], np.cumsum(np.bincount(at_row, minlength=n))])
+        nbr = other[np.argsort(at_row, kind="stable")]
+        inc_ptr = np.concatenate([[0], np.cumsum(np.bincount(ends.ravel()))])
+        inc = np.argsort(ends.ravel(), kind="stable") // 2
+        E = X[:, 0].astype(np.intp)
+        T = np.clip(X[:, 1], 0.0, lengths[E])
+        free = movable & (T > 0.0) & (T < lengths[E])
+        # A derivative is negative when it is below -16 ulps of the sum of
+        # its terms' sizes, so that rounding moves no point.
+        tiny = 16.0 * np.finfo(float).eps
+        out = []
+        for _ in range(ACTIVE_SET_MAX_SOLVES):
+            F = np.flatnonzero(free)
+            if F.size:
+                # Rows alpha t_a + beta t_b + gamma of A t + c; H = A_F^T A_F
+                # summed entry by entry over the free offsets F.
+                alpha, beta, gamma = self.offset_terms(E[a], E[b])
+                coef, nf = np.concatenate([alpha, beta]), F.size
+                loc = np.full(n, -1)
+                loc[F] = np.arange(nf)
+                li, lj = loc[at_row], loc[other]
+                own, both = li >= 0, (li >= 0) & (lj >= 0)
+                H = np.bincount(li[own] * (nf + 1), coef[own] ** 2, nf * nf) + np.bincount(
+                    li[both] * nf + lj[both], alpha[rows[both]] * beta[rows[both]], nf * nf
+                )
+                fixed = np.where(free, 0.0, T)
+                held = alpha * fixed[a] + beta * fixed[b] + gamma
+
+                def residual(offsets):
+                    return held + np.bincount(rows[own], coef[own] * offsets[li[own]], m)
+
+                x = np.linalg.solve(
+                    H.reshape(nf, nf), -np.bincount(li[own], coef[own] * held[rows[own]], nf)
+                )
+                t, w = T[F], lengths[E[F]]
+                d = x - t
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    room = np.where(d < 0.0, -t / d, np.where(d > 0.0, (w - t) / d, np.inf))
+                step, new = min(1.0, room.min()), x
+                if step < 1.0:
+                    new, hit = np.clip(x, 0.0, w), room < 1.0
+                    r, r0 = residual(new), residual(t)
+                    if r @ r >= r0 @ r0:
+                        hit = room <= step
+                        new = np.where(hit, np.where(d < 0.0, 0.0, w), t + step * d)
+                    free[F[hit]] = False
+                T[F] = np.clip(new, 0.0, w)
+                X[:, 0], X[:, 1] = E, T
+                dist = self.distance_arrays(X[pi], X[pj])
+                out.append((float((dist * dist).sum()), float(np.abs(T[F] - t).max())))
+                if step < 1.0:
+                    continue
+            # One-sided derivatives of E at each movable point on a tree
+            # vertex x, into every edge at x: d/ds of sum r^2 is 2 sum alpha r.
+            at = np.flatnonzero(movable & ((T == 0.0) | (T == lengths[E])))
+            x_at = np.where(T[at] == 0.0, ends[E[at], 0], ends[E[at], 1])
+            k, pos = _ranges(inc_ptr, x_at)
+            cv, cf = at[k], inc[pos]
+            cx = np.where(ends[cf, 0] == x_at[k], 0.0, lengths[cf])
+            j, pos = _ranges(nbr_ptr, cv)
+            u = nbr[pos]
+            alpha, beta, gamma = self.offset_terms(cf[j], E[u])
+            s, o = alpha * cx[j], beta * T[u]
+            slope = np.bincount(j, alpha * (s + o + gamma), len(cv))
+            scale = np.bincount(j, np.abs(s) + np.abs(o) + np.abs(gamma), len(cv))
+            slope = np.where(cx == 0.0, slope, -slope)
+            order = np.lexsort((slope, cv))
+            best = order[np.diff(cv[order], prepend=-1) != 0]
+            best = best[slope[best] < -tiny * scale[best]]
+            if not best.size:
+                break
+            v = cv[best]
+            E[v], T[v], free[v] = cf[best], cx[best], True
+        return out
 
     def triangle_tables(self, corners):
         """Per-triangle tables of `triangle_means` for (p0, p1, p2) triples.

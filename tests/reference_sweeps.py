@@ -1,0 +1,19 @@
+"""Gauss-Seidel barycenter sweeps written against the `TargetSpace`
+interface only, as an independent reference for harmonic maps."""
+
+
+def barycenter_sweep(mesh, space, images):
+    """One sweep over the interior vertices of `mesh` in ascending order,
+    each moved in place to the barycenter of its neighbors' `images`;
+    returns the largest move."""
+    nbrs = {v: [] for v in mesh.interior_vertices()}
+    for u, v in mesh.edges.tolist():
+        for x, y in ((u, v), (v, u)):
+            if x in nbrs:
+                nbrs[x].append(y)
+    worst = 0.0
+    for v, nb in nbrs.items():
+        new = space.barycenter([images[u] for u in nb])
+        worst = max(worst, space.distance(images[v], new))
+        images[v] = new
+    return worst

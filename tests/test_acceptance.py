@@ -45,6 +45,7 @@ from catdisc.polyhedral import (
 )
 from catdisc.spaces import EuclideanSpace, FlatCone, MetricTree, ModelSpace
 from catdisc.verify import certify_cat, certify_induced, recompare, thinness_defect
+from reference_sweeps import barycenter_sweep
 
 KAPPAS = (-1.0, 0.0, 1.0)
 
@@ -451,11 +452,13 @@ def test_harmonic_disc():
         tree.distance(got_pt, oracle_pt),
     )
 
-    # 16x16 instance: the induced metric of the converged map certifies flat.
+    # 16x16 instance: one barycenter sweep from the map moves no vertex by
+    # more than 1e-14, and its induced metric certifies flat.
     mesh16 = grid_mesh(16)
     res16 = harmonic_relax(
         HarmonicSpec(mesh16, _tripod_boundary_trace(tree, mesh16), tree)
     )
+    certificate16 = barycenter_sweep(mesh16, tree, list(res16.graph.images))
     rep16 = certify_induced(
         res16.graph, Kappa(0.0), triple_budget=20, grid=8, tolerance=5e-3,
         seed=1, steiner=4,
@@ -499,15 +502,43 @@ def test_harmonic_disc():
         and res16.converged
         and res4.converged
         and tripod_gap <= 1e-6
+        and certificate16 <= 1e-14
         and rep16.passed
         and euclid_gap <= 1e-8,
         (
-            f"tripod oracle gap {tripod_gap:.1e}, 16x16 induced max defect "
+            f"tripod oracle gap {tripod_gap:.1e}, 16x16 certificate move "
+            f"{certificate16:.1e} <= 1e-14, induced max defect "
             f"{rep16.max_defect:.2e} <= 5e-3, linear-system gap {euclid_gap:.1e}"
         ),
         elapsed,
         300.0,
     )
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason=(
+        "known fail: induced tree defects are ill-conditioned where interior "
+        "images sit at the branch point; awaits the exact oracle of ROADMAP "
+        "'Exact geodesics on the glued complex, then delete curve relaxation'"
+    ),
+)
+def test_harmonic_tripod_10x10_certifies_flat():
+    """The 10x10 tripod map, exact or stopped early by sweeps, reads a
+    defect of 8.09e-3 with the settings of `test_harmonic_disc`.
+
+    Not strict: the defect hangs on rounding-level changes of the map (a
+    banded Cholesky solve gives 3.3e-15 here, and 4.4e-2 on 16x16), so a
+    pass is no more a fix than this fail is a regression.
+    """
+    tree = _tripod()
+    mesh = grid_mesh(10)
+    res = harmonic_relax(HarmonicSpec(mesh, _tripod_boundary_trace(tree, mesh), tree))
+    rep = certify_induced(
+        res.graph, Kappa(0.0), triple_budget=20, grid=8, tolerance=5e-3,
+        seed=1, steiner=4,
+    )
+    assert rep.passed, f"induced max defect {rep.max_defect:.2e} > 5e-3"
 
 
 def _identity_builder(n):

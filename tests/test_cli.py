@@ -1,9 +1,14 @@
 """Command-line scenarios: exit codes, report artifacts, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import catdisc
 from catdisc.cli import main
 
 
@@ -181,32 +186,48 @@ def test_unknown_construction_exits_2(tmp_path):
     assert main(["minimize-graph", cfg]) == 2
 
 
-def test_verify_harmonic_with_every_triple_skipped_is_not_a_pass(tmp_path):
-    # Tripod target; with this seed the one sampled triple is skipped.
-    out = tmp_path / "out"
-    cfg = write_config(
-        tmp_path,
-        "tripod.json",
-        {
-            "target": {
-                "backend": "tree",
-                "edges": [["o", "a", 1.0], ["o", "b", 1.0], ["o", "c", 1.0]],
-            },
-            "kappa": 0.0,
-            "trace_corners": [
-                ["o", "a", 1.0], ["o", "b", 1.0], ["o", "c", 1.0], ["o", "a", 0.0],
-            ],
-            "refinements": [4],
-            "budgets": {"triples": 1, "grid": 3},
-            "seed": 2,
-            "outdir": str(out),
+def tripod_config(outdir, seed):
+    """verify-harmonic on the tripod at refinement 4, one triple."""
+    return {
+        "target": {
+            "backend": "tree",
+            "edges": [["o", "a", 1.0], ["o", "b", 1.0], ["o", "c", 1.0]],
         },
-    )
+        "kappa": 0.0,
+        "trace_corners": [
+            ["o", "a", 1.0], ["o", "b", 1.0], ["o", "c", 1.0], ["o", "a", 0.0],
+        ],
+        "refinements": [4],
+        "budgets": {"triples": 1, "grid": 3},
+        "seed": seed,
+        "outdir": outdir,
+    }
+
+
+def test_verify_harmonic_with_every_triple_skipped_is_not_a_pass(tmp_path):
+    # With this seed the one sampled triple is skipped.
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "tripod.json", tripod_config(str(out), seed=2))
     assert main(["verify-harmonic", cfg]) != 0
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is False
     assert [r["n_triples"] for r in report["reports"]] == [0]
     assert [r["verdict"] for r in report["reports"]] == ["inconclusive"]
+
+
+def test_tree_harmonic_run_leaves_scipy_optimize_unloaded(tmp_path):
+    """Importing scipy.optimize would add to the start-up of every CLI run."""
+    cfg = write_config(tmp_path, "tripod.json", tripod_config(str(tmp_path / "out"), seed=1))
+    code = (
+        "import sys; from catdisc.cli import main; "
+        "print(main(['verify-harmonic', sys.argv[1]]), 'scipy.optimize' in sys.modules)"
+    )
+    src = Path(catdisc.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code, cfg], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["0", "False"]
 
 
 @pytest.mark.parametrize(

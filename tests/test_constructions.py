@@ -19,6 +19,7 @@ from catdisc.constructions import (
 from catdisc.errors import OutOfConvexityError, PipelineStageError
 from catdisc.mesh import MappedGraph, grid_index, grid_mesh
 from catdisc.spaces import EuclideanSpace, MetricTree, ModelSpace
+from reference_sweeps import barycenter_sweep
 
 
 def flat_square_spec(n=4):
@@ -237,6 +238,71 @@ def test_harmonic_tripod_single_interior_matches_scan_oracle():
     )
     assert abs(got_val - oracle_val) <= 1e-6
     assert tree.distance(got, to_point(oracle_label)) <= 1e-6
+
+
+def corner_walk_spec(tree, n, corners):
+    """grid_mesh(n) with its boundary walking the four tree vertices
+    `corners` by geodesics."""
+    mesh = grid_mesh(n)
+    c0, c1, c2, c3 = (tree.vertex_point(c) for c in corners)
+    trace = {}
+    for v in np.flatnonzero(mesh.boundary):
+        a, t = mesh.coords[v]
+        if t == 0.0:
+            trace[int(v)] = tree.geodesic(c0, c1, a)
+        elif t == 1.0:
+            trace[int(v)] = tree.geodesic(c3, c2, a)
+        elif a == 0.0:
+            trace[int(v)] = tree.geodesic(c0, c3, t)
+        else:
+            trace[int(v)] = tree.geodesic(c1, c2, t)
+    return HarmonicSpec(mesh, trace, tree)
+
+
+def swept_reference(spec, tol=1e-12):
+    """Sweeps from the trace barycenter until none moves a vertex by tol."""
+    seed = spec.space.barycenter([spec.trace[v] for v in sorted(spec.trace)])
+    images = [spec.trace.get(v, seed) for v in range(spec.mesh.n_vertices)]
+    while barycenter_sweep(spec.mesh, spec.space, images) >= tol:
+        pass
+    return MappedGraph(spec.mesh, spec.space, images)
+
+
+@pytest.mark.parametrize("corners", [("a", "c", "b", "d"), ("a", "b", "c", "d")])
+def test_tree_solve_matches_sweeps_with_two_branch_points(corners):
+    """With corners a, b, c, d one interior vertex sits at o2."""
+    tree = MetricTree([
+        ("o1", "o2", 0.2), ("o1", "a", 1.0), ("o1", "b", 0.8),
+        ("o2", "c", 1.2), ("o2", "d", 0.7),
+    ])
+    spec = corner_walk_spec(tree, 6, corners)
+    res = harmonic_relax(spec)
+    want = swept_reference(spec)
+    assert res.converged
+    gap = max(tree.distance(p, q) for p, q in zip(res.graph.images, want.images))
+    assert gap <= 1e-9
+    assert res.energy <= discrete_energy(want) + 1e-14
+
+
+@pytest.mark.parametrize("scale", [1.0, 100.0, 1e4])
+def test_tripod_8x8_solve_is_a_certified_minimizer(scale):
+    """Bounds scale with the legs: the certificate's rounding does."""
+    tree = MetricTree([("o", "a", scale), ("o", "b", scale), ("o", "c", scale)])
+    spec = corner_walk_spec(tree, 8, ("a", "b", "c", "o"))
+    res = harmonic_relax(spec)
+    assert res.converged
+    images = list(res.graph.images)
+    assert barycenter_sweep(spec.mesh, tree, images) <= 1e-14 * scale
+    reference = swept_reference(spec, tol=1e-12 * scale)
+    assert res.energy <= discrete_energy(reference) + 1e-14 * scale**2
+    o = tree.vertex_point("o")
+    interior = spec.mesh.interior_vertices()
+    assert any(tree.distance(res.graph.images[v], o) == 0.0 for v in interior)
+    # Trace rows: one per linear solve, then the certificate sweep.
+    energies = [row[1] for row in res.trace]
+    assert res.sweeps == len(res.trace) >= 2
+    assert all(b <= a for a, b in zip(energies, energies[1:]))
+    assert res.trace[-1][2] <= 1e-14 * scale
 
 
 def test_harmonic_spec_validation():

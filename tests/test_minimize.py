@@ -11,7 +11,6 @@ from catdisc.mesh import MappedGraph, SimpleGraph, grid_mesh, triangle_fan
 from catdisc.minimize import (
     RelaxConfig,
     dominates,
-    edge_geodesic_defect,
     non_bubbling,
     relax_graph,
     vertex_angle_sums,
@@ -94,22 +93,6 @@ def test_grid_total_length_matches_subgradient_oracle():
     x0 = np.concatenate([mg.images[v] for v in free])
     opt = scipy_minimize(total, x0, method="L-BFGS-B", tol=1e-14)
     assert abs(got - opt.fun) / opt.fun <= 1e-6
-
-
-def test_edge_geodesic_defect_detour():
-    sp = EuclideanSpace(2)
-    g = SimpleGraph(2, ((0, 1),))
-    mg = MappedGraph(
-        g, sp, [np.array([0.0, 0.0]), np.array([2.0, 0.0])], fixed={0, 1}
-    )
-    # Geodesic edges have zero defect; an explicit detour through (1, 1)
-    # exceeds the endpoint distance by 2*sqrt(2) - 2.
-    assert edge_geodesic_defect(mg) <= 1e-12
-    detour = {
-        (0, 1): [np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([2.0, 0.0])]
-    }
-    defect = edge_geodesic_defect(mg, polylines=detour)
-    assert abs(defect - (2.0 * math.sqrt(2.0) - 2.0)) <= 1e-12
 
 
 def test_dominates_self_and_relaxed():

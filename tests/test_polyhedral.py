@@ -17,7 +17,6 @@ from catdisc.polyhedral import (
     _complex_graph,
     _sample_points,
     build_polyhedral_disc,
-    corner_angle_comparison,
     epsilon_density_check,
     interior_angle_check,
     intrinsic_distance,
@@ -109,20 +108,6 @@ def test_lipschitz_and_density_identity_square():
     assert lip.max_ratio <= 1.0 + 1e-9
     den = epsilon_density_check(pair, W, mg, epsilon=0.5, samples=100, refinement=2)
     assert den.ok
-
-
-def test_corner_angles_dominate_measured_angles():
-    rng = np.random.default_rng(4)
-    sp = EuclideanSpace(3)
-    mesh = grid_mesh(3)
-    # A mildly crumpled (non-flat) embedded grid.
-    imgs = [
-        np.array([c[0], c[1], 0.1 * math.sin(3.0 * c[0]) * c[1]])
-        for c in mesh.coords
-    ]
-    mg = MappedGraph(mesh, sp, imgs)
-    W, _ = build_polyhedral_disc(mg, epsilon=0.8)
-    assert corner_angle_comparison(W, mg) <= 1e-4
 
 
 def test_sphere_cap_loop_probe_finds_nothing():

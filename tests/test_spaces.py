@@ -279,11 +279,28 @@ def test_array_distance_matches_scalar_distance(edges):
         Q[i] = TreePoint(p.u, p.v, float(rng.uniform(0.0, tree.adj[p.u][p.v])))
         Q[i + 1] = TreePoint(p.v, p.u, float(rng.uniform(0.0, tree.adj[p.u][p.v])))
         P[i + 1] = p
-    got = tree.distance_arrays(tree.as_array(P), tree.as_array(Q))
+    X, Y = tree.as_array(P), tree.as_array(Q)
+    got = tree.distance_arrays(X, Y)
     want = np.array([tree.distance(p, q) for p, q in zip(P, Q)])
     assert np.abs(got - want).max() <= 1e-12
     assert np.array_equal(tree.distance_arrays(tree.as_array(P), tree.as_array(P)),
                           np.zeros(len(P)))
+    alpha, beta, gamma = tree.offset_terms(X[:, 0].astype(np.intp), Y[:, 0].astype(np.intp))
+    assert np.abs(np.abs(alpha * X[:, 1] + beta * Y[:, 1] + gamma) - want).max() <= 1e-12
+
+
+def test_pair_energy_minimum_pulls_a_path_across_a_tree_vertex():
+    """Points 1 and 2 of the path 0-1-2 must cross the tree vertex v0 onto
+    the fixed point's edge.  After point 1 moves onto that edge, holding
+    point 2 where its solve leaves the box would not lower the energy, so
+    the solve steps to the first bound instead."""
+    tree = MetricTree([("v1", "v0", 1.1), ("v2", "v0", 0.8)])
+    X = np.array([[0.0, 0.8], [1.0, 0.8], [1.0, 0.4]])
+    rows = tree.pair_energy_minimum(np.array([[1, 0], [2, 1]]), X, np.array([False, True, True]))
+    assert np.array_equal(X, [[0.0, 0.8]] * 3)
+    energies = [e for e, _ in rows]
+    assert energies[-1] == 0.0
+    assert all(b <= a for a, b in zip(energies, energies[1:]))
 
 
 def backend_sample(name, rng, n):
