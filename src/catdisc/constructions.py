@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfConvexityError, PipelineStageError
-from .induced import induced_length_metric, quotient_is_monotone
 from .mesh import DiscMesh, MappedGraph, grid_index, grid_mesh
-from .minimize import RelaxConfig, dominates, non_bubbling, relax_graph
 from .model import Kappa
 from .spaces import MetricTree, TargetSpace, TreePoint
 from .verify import CertReport, certify_induced
@@ -212,11 +210,7 @@ class HarmonicSpec:
         bnd = set(np.flatnonzero(self.mesh.boundary).tolist())
         if set(self.trace) != bnd:
             raise ValueError("trace must assign exactly the boundary vertices")
-        pts = [self.trace[v] for v in sorted(bnd)]
-        if len(pts) > 1 and self.space.spread(pts) >= self.space.r_kappa / 2.0:
-            raise OutOfConvexityError(
-                "boundary trace does not fit in a ball of radius < R_kappa/2"
-            )
+        self.space._check_barycenter_spread([self.trace[v] for v in sorted(bnd)])
 
 
 def discrete_energy(mg: MappedGraph) -> float:
@@ -320,7 +314,6 @@ class PipelineBundle:
     reports: tuple
     # Rows (refinement, max_defect, mean_positive_defect).
     defect_table: tuple
-    extras: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -354,32 +347,19 @@ def verify_pipeline(
     tolerance: float = 5e-3,
     seed: int = 0,
     steiner: int = 4,
-    run_minimizer: bool = False,
 ) -> PipelineBundle:
     """Build a construction at each refinement and certify its induced metric.
 
-    `builder(n)` must return the MappedGraph at refinement n.  Any stage
-    error propagates as PipelineStageError with the failing stage's tag.
-    Optionally relaxes each map with the domination-preserving minimizer and
-    records dominance/non-bubbling diagnostics.
+    `builder(n)` must return the MappedGraph at refinement n.  The stages of
+    refinement n are `build:{n}` (the builder) and `certify:{n}`
+    (`certify_induced`); an error in either propagates as
+    PipelineStageError tagged with its stage.
     """
     reports = []
     table = []
-    extras: dict = {"monotone_quotient": [], "dominance": [], "non_bubbling": []}
     for n in refinements:
         with _stage(f"build:{n}"):
             mg = builder(n)
-        with _stage(f"induced:{n}"):
-            qm = induced_length_metric(mg)
-            extras["monotone_quotient"].append((n, quotient_is_monotone(mg, qm)))
-        if run_minimizer:
-            with _stage(f"minimize:{n}"):
-                res = relax_graph(
-                    mg, RelaxConfig(preserve_domination=True, max_iters=200)
-                )
-                dom = dominates(mg, res.graph)
-                extras["dominance"].append((n, dom))
-                extras["non_bubbling"].append((n, non_bubbling(res.graph)))
         with _stage(f"certify:{n}"):
             report = certify_induced(
                 mg,
@@ -398,5 +378,4 @@ def verify_pipeline(
         kappa=kappa,
         reports=tuple(reports),
         defect_table=tuple(table),
-        extras=extras,
     )

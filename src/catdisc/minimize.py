@@ -65,10 +65,8 @@ def relax_graph(mg: MappedGraph, cfg: RelaxConfig = RelaxConfig()) -> RelaxResul
     """
     space = mg.space
     fixed_imgs = [mg.images[v] for v in sorted(mg.fixed)]
-    if len(fixed_imgs) > 1 and space.spread(fixed_imgs) >= space.r_kappa:
-        raise OutOfConvexityError(
-            "fixed-set images do not fit in a ball of radius < R_kappa/2"
-        )
+    if space.r_kappa < math.inf and space.spread(fixed_imgs) >= space.r_kappa:
+        raise OutOfConvexityError("fixed-set images spread over a distance >= R_kappa")
     images = list(mg.images)
     free = [v for v in range(mg.mesh.n_vertices) if v not in mg.fixed]
     neighbor_lists = {v: mg.mesh.neighbors(v) for v in free}

@@ -83,7 +83,9 @@ class TargetSpace:
         return out
 
     def _check_barycenter_spread(self, points):
-        if self.spread(points) >= self.r_kappa / 2.0:
+        """Refuse points whose spread reaches R_kappa/2; never with an
+        infinite R_kappa, so the O(k^2) spread is skipped there."""
+        if self.r_kappa < math.inf and self.spread(points) >= self.r_kappa / 2.0:
             raise OutOfConvexityError(
                 "points spread over a ball of radius >= R_kappa/2"
             )
@@ -386,11 +388,6 @@ class MetricTree(TargetSpace):
             raise BackendMismatchError(f"offset {p.offset} outside edge of length {w}")
         return p
 
-    def _vertex_distance_to(self, x, p: TreePoint) -> float:
-        """Distance from tree vertex x to point p."""
-        d = self._vdist[x]
-        return min(d[p.u] + p.offset, d[p.v] + (self.adj[p.u][p.v] - p.offset))
-
     def _offset_from(self, p: TreePoint, x) -> float:
         """Offset of p measured from endpoint x of its edge."""
         if x == p.u:
@@ -675,67 +672,38 @@ class MetricTree(TargetSpace):
         u, v, w = self.edges[i]
         return TreePoint(u, v, float(rng.uniform(0.0, w)))
 
-    def _edge_pieces(self, u, v, w_e, pts):
-        """Per anchor: distance along edge (u, v) as a 2-piece linear function.
-
-        Returns (breakpoints, pieces) where pieces[i] = (slope_lo, const_lo,
-        slope_hi, const_hi) so that d(t, p_i) = slope*t + const on each side of
-        breakpoints[i].
-        """
-        breaks, pieces = [], []
-        for p in pts:
-            if {p.u, p.v} == {u, v}:
-                o = self._offset_from(p, u)
-                breaks.append(o)
-                pieces.append((-1.0, o, 1.0, -o))
-            else:
-                du, dv = self._vertex_distance_to(u, p), self._vertex_distance_to(v, p)
-                tb = min(max(0.5 * (w_e + dv - du), 0.0), w_e)
-                breaks.append(tb)
-                pieces.append((1.0, du, -1.0, w_e + dv))
-        return breaks, pieces
-
     def _minimize_on_edges(self, pts, w, squared: bool):
-        """Exact convex minimization of sum w_i d(x, p_i)^(1 or 2) over the tree.
+        """Exact minimizer of sum_i w_i d(x, p_i)^2 (`squared`) or sum_i w_i
+        d(x, p_i) over the tree.
 
-        Edge restrictions are piecewise linear (Fermat) or piecewise quadratic
-        (barycenter); both are minimized in closed form per linear piece.
+        On edge e the distance to p_i is |alpha_i s + c_i| in the offset s,
+        with c_i = beta_i t_i + gamma_i (`offset_terms`).  The squared sum is
+        one quadratic there, least at clip(-sum_i w_i alpha_i c_i / sum_i
+        w_i, 0, L_e) as alpha_i^2 = 1; the plain sum is convex and piecewise
+        linear, least at 0, L_e or an anchor's offset clip(-alpha_i c_i, 0,
+        L_e).  Both sums are convex on a tree, so the least value over every
+        edge's candidates is the global minimum; the first such (edge, s) is
+        returned.
         """
-        best_pt, best_val = None, math.inf
-
-        def value(t, breaks, pieces):
-            total = 0.0
-            for wi, tb, (slo, clo, shi, chi) in zip(w, breaks, pieces):
-                d = slo * t + clo if t <= tb else shi * t + chi
-                total += wi * d * d if squared else wi * d
-            return total
-
-        for u, v, w_e in self.edges:
-            breaks, pieces = self._edge_pieces(u, v, w_e, pts)
-            knots = sorted({0.0, w_e, *(tb for tb in breaks if 0.0 < tb < w_e)})
-            candidates = list(knots)
-            if squared:
-                for lo, hi in zip(knots, knots[1:]):
-                    mid = 0.5 * (lo + hi)
-                    a_coef = b_coef = 0.0
-                    for wi, tb, (slo, clo, shi, chi) in zip(w, breaks, pieces):
-                        s, c = (slo, clo) if mid <= tb else (shi, chi)
-                        a_coef += wi * s * s
-                        b_coef += 2.0 * wi * s * c
-                    if a_coef > 0:
-                        t_star = -b_coef / (2.0 * a_coef)
-                        if lo < t_star < hi:
-                            candidates.append(t_star)
-            for t in candidates:
-                val = value(t, breaks, pieces)
-                if val < best_val:
-                    best_pt, best_val = TreePoint(u, v, t), val
-        return best_pt
+        P = self.as_array(pts)
+        m, k = len(self.edges), len(pts)
+        alpha, beta, gamma = self.offset_terms(
+            np.repeat(np.arange(m), k), np.tile(P[:, 0].astype(np.intp), m)
+        )
+        alpha = alpha.reshape(m, k)
+        c = (beta * np.tile(P[:, 1], m) + gamma).reshape(m, k)
+        L = self._lengths[:, None]
+        if squared:
+            S = np.clip(-(alpha * c) @ w / w.sum(), 0.0, self._lengths)[:, None]
+        else:
+            S = np.hstack([np.zeros_like(L), L, np.clip(-alpha * c, 0.0, L)])
+        r = alpha[:, None, :] * S[:, :, None] + c[:, None, :]
+        best = int(np.argmin((r * r if squared else np.abs(r)) @ w))
+        e, s = divmod(best, S.shape[1])
+        return TreePoint(*self.edges[e][:2], float(S[e, s]))
 
     def barycenter(self, points, weights=None):
-        pts, w = self._normalized_weights(points, weights)
-        pts = [self._coerce(p) for p in pts]
-        return self._minimize_on_edges(pts, w, squared=True)
+        return self._minimize_on_edges(*self._normalized_weights(points, weights), squared=True)
 
     def barycenter_rows(self, points, weight_rows):
         """Frechet means of three anchors under many weight rows at once.
@@ -753,9 +721,7 @@ class MetricTree(TargetSpace):
         return [TreePoint(*self.edges[int(e)][:2], float(o)) for e, o in X]
 
     def fermat_point(self, points, weights=None):
-        pts, w = self._normalized_weights(points, weights)
-        pts = [self._coerce(p) for p in pts]
-        return self._minimize_on_edges(pts, w, squared=False)
+        return self._minimize_on_edges(*self._normalized_weights(points, weights), squared=False)
 
 
 @dataclass(frozen=True)
@@ -868,8 +834,6 @@ class FlatCone(TargetSpace):
     def barycenter(self, points, weights=None):
         pts, w = self._normalized_weights(points, weights)
         pts = [self._coerce(p) for p in pts]
-        if self.curvature_bound == 0.0:
-            self._check_barycenter_spread(pts)
         cost = lambda x: sum(wi * self.distance(x, p) ** 2 for wi, p in zip(w, pts))
         return self._geodesic_descent(pts, cost)
 

@@ -18,13 +18,13 @@ from catdisc.constructions import (
     RuledDiscSpec,
     harmonic_relax,
     ruled_disc_map,
-    verify_pipeline,
 )
-from catdisc.induced import compare_metrics
+from catdisc.induced import compare_metrics, induced_length_metric, quotient_is_monotone
 from catdisc.mesh import MappedGraph, SimpleGraph, grid_mesh, triangle_fan
 from catdisc.minimize import (
     RelaxConfig,
     dominates,
+    non_bubbling,
     relax_graph,
     vertex_angle_sums,
 )
@@ -564,13 +564,13 @@ def test_metric_relations():
     ok = True
     details = []
     for builder, name in ((_identity_builder, "flat"), (_wavy_builder, "wavy")):
-        bundle = verify_pipeline(
-            builder, construction=name, kappa=0.0, refinements=[2, 3],
-            triple_budget=6, grid=4, seed=0, run_minimizer=True,
-        )
-        ok = ok and all(flag for _, flag in bundle.extras["monotone_quotient"])
-        ok = ok and all(rep.ok for _, rep in bundle.extras["non_bubbling"])
-        doms = [rep for _, rep in bundle.extras["dominance"]]
+        doms = []
+        for n in (2, 3):
+            mg = builder(n)
+            ok = ok and quotient_is_monotone(mg, induced_length_metric(mg))
+            res = relax_graph(mg, RelaxConfig(preserve_domination=True, max_iters=200))
+            ok = ok and non_bubbling(res.graph).ok
+            doms.append(dominates(mg, res.graph))
         ok = ok and all(rep.holds for rep in doms)
         details.append(
             f"{name} dominance strict={[rep.strict for rep in doms]}"

@@ -17,7 +17,9 @@ from catdisc.constructions import (
     verify_pipeline,
 )
 from catdisc.errors import OutOfConvexityError, PipelineStageError
+from catdisc.induced import induced_length_metric, quotient_is_monotone
 from catdisc.mesh import MappedGraph, grid_index, grid_mesh
+from catdisc.minimize import RelaxConfig, dominates, non_bubbling, relax_graph
 from catdisc.spaces import EuclideanSpace, MetricTree, ModelSpace
 from reference_sweeps import barycenter_sweep
 
@@ -362,15 +364,19 @@ def test_verify_pipeline_flat_instance_passes():
         triple_budget=6,
         grid=4,
         seed=0,
-        run_minimizer=True,
     )
     assert isinstance(bundle, PipelineBundle)
     assert bundle.passed
     assert [row[0] for row in bundle.defect_table] == [2, 3]
-    assert all(flag for _, flag in bundle.extras["monotone_quotient"])
-    assert all(rep.holds for _, rep in bundle.extras["dominance"])
-    assert all(rep.ok for _, rep in bundle.extras["non_bubbling"])
     assert bundle.defect_csv().startswith("refinement,max_defect")
+    # The identity map's quotient is monotone, and the domination-preserving
+    # relaxation of it dominates it without bubbling.
+    for n in (2, 3):
+        mg = identity_builder(n)
+        assert quotient_is_monotone(mg, induced_length_metric(mg))
+        res = relax_graph(mg, RelaxConfig(preserve_domination=True, max_iters=200))
+        assert dominates(mg, res.graph).holds
+        assert non_bubbling(res.graph).ok
 
 
 def test_verify_pipeline_tags_failing_stage():
@@ -384,9 +390,10 @@ def test_verify_pipeline_tags_failing_stage():
     def wrong_backend(n):
         sp = EuclideanSpace(2)
         mesh = grid_mesh(n)
-        # Images of the wrong dimension surface at the first edge length.
+        # Images of the wrong dimension surface when certification first
+        # measures them.
         return MappedGraph(mesh, sp, [np.zeros(3)] * mesh.n_vertices)
 
     with pytest.raises(PipelineStageError) as exc2:
         verify_pipeline(wrong_backend, "mismatch", 0.0, [2])
-    assert exc2.value.stage == "induced:2"
+    assert exc2.value.stage == "certify:2"

@@ -186,7 +186,7 @@ class TestMetricTree:
         pa, pb = t.vertex_point("a"), t.vertex_point("b")
         mid = t.geodesic(pa, pb, 1.0 / 3.0)
         # One unit along a 3-unit path from the a-leg end is the root.
-        assert abs(t._vertex_distance_to("o", mid)) <= 1e-12
+        assert abs(t.distance(t.vertex_point("o"), mid)) <= 1e-12
 
     def test_same_edge_interpolation(self):
         t = self.tree
@@ -204,7 +204,7 @@ class TestMetricTree:
         cost = lambda x: (1 + x) ** 2 + (2 + x) ** 2 + (3 - x) ** 2
         xs = np.linspace(0.0, 3.0, 30001)
         best = xs[np.argmin([cost(x) for x in xs])]
-        assert abs(t._vertex_distance_to("o", b) - best) <= 1e-4
+        assert abs(t.distance(t.vertex_point("o"), b) - best) <= 1e-4
 
     def test_not_a_tree_rejected(self):
         with pytest.raises(ValueError):
@@ -265,6 +265,44 @@ def test_closed_form_means_match_the_edge_scan(edges):
             )
             worst = max(worst, tree.distance(p, want))
     assert worst <= 1e-12
+
+
+def test_tree_barycenter_and_fermat_point_beat_a_dense_scan():
+    """On every edge of the caterpillar, sampled densely and at each anchor,
+    scalar `distance` finds no better point than `barycenter` or
+    `fermat_point`.  The sum of distances is least at a vertex or an
+    anchor, both scanned, so the Fermat value matches the scan's least one;
+    the barycenter y of normalised weights meets f(x) >= f(y) + d(x, y)^2
+    at every scanned x, which only the minimizer of f does in a CAT(0)
+    space (Sturm 2003)."""
+    tree = MetricTree(CATERPILLAR)
+    rng = np.random.default_rng(8)
+    grid = [
+        TreePoint(u, v, float(s)) for u, v, w in tree.edges for s in np.linspace(0.0, w, 61)
+    ]
+    for trial in range(30):
+        anchors = [random_tree_point(tree, rng) for _ in range(rng.integers(1, 6))]
+        if trial % 3 == 1:
+            anchors += anchors[:2]
+        elif trial % 3 == 2:  # several anchors on one edge, written from either end
+            u, v, w = tree.edges[trial % len(tree.edges)]
+            anchors += [TreePoint(u, v, 0.3 * w), TreePoint(v, u, 0.2 * w), TreePoint(u, v, 0.5 * w)]
+        weights = rng.uniform(0.1, 2.0, size=len(anchors))
+        weights /= weights.sum()
+        scan = grid + anchors
+        D = np.array([[tree.distance(x, p) for p in anchors] for x in scan])
+        bary, fermat = tree.barycenter(anchors, weights), tree.fermat_point(anchors, weights)
+        f_bary = sum(w * tree.distance(bary, p) ** 2 for w, p in zip(weights, anchors))
+        f_fermat = sum(w * tree.distance(fermat, p) for w, p in zip(weights, anchors))
+        to_bary = np.array([tree.distance(x, bary) for x in scan])
+        assert np.all((D * D) @ weights >= f_bary + to_bary**2 - 1e-12)
+        assert abs(f_fermat - (D @ weights).min()) <= 1e-12
+
+    # An anchor whose weight outweighs all the others is the Fermat point.
+    heavy = TreePoint("l1", "m1", 0.35)
+    others = [tree.vertex_point("s4"), TreePoint("s2", "s1", 0.2), tree.vertex_point("l0")]
+    got = tree.fermat_point([heavy] + others, [3.5, 1.0, 1.0, 1.0])
+    assert tree.distance(got, heavy) <= 1e-12
 
 
 @pytest.mark.parametrize("edges", [TRIPOD, CATERPILLAR], ids=["tripod", "caterpillar"])

@@ -19,7 +19,7 @@ from catdisc.constructions import (
 from catdisc.errors import GeometryError
 from catdisc.mesh import DiscMesh, MappedGraph, grid_mesh, triangle_fan
 from catdisc.model import Kappa, build_comparison_triangle
-from catdisc.spaces import EuclideanSpace, FlatCone, MetricTree, ModelSpace, TreePoint
+from catdisc.spaces import EuclideanSpace, FlatCone, MetricTree, ModelSpace
 from catdisc.steiner import _batch_distance, _batch_geodesic
 from catdisc.verify import (
     CHORD_SAMPLES,
@@ -715,25 +715,13 @@ def test_segment_weights_equal_the_per_triangle_loop(target):
 
 
 def edge_scan_rows(tree, corners, W):
-    """Frechet means by minimizing the piecewise-quadratic energy on every
-    tree edge, vectorized over weight rows (the reference interpolant)."""
-    best_val = np.full(len(W), np.inf)
-    best_edge = np.zeros(len(W), dtype=int)
-    best_t = np.zeros(len(W))
-    for ei, (u, v, w_e) in enumerate(tree.edges):
-        breaks, pieces = tree._edge_pieces(u, v, w_e, corners)
-        knots = sorted({0.0, w_e, *(tb for tb in breaks if 0.0 < tb < w_e)})
-        for lo, hi in zip(knots, knots[1:]):
-            mid = 0.5 * (lo + hi)
-            sc = np.array([p[:2] if mid <= tb else p[2:] for tb, p in zip(breaks, pieces)])
-            s, c = sc[:, 0], sc[:, 1]
-            a, b, c0 = W @ (s * s), 2.0 * (W @ (s * c)), W @ (c * c)
-            t = np.where(a > 0.0, -b / (2.0 * np.maximum(a, 1e-300)), mid)
-            t = np.clip(t, lo, hi)
-            val = (a * t + b) * t + c0
-            upd = val < best_val
-            best_val[upd], best_edge[upd], best_t[upd] = val[upd], ei, t[upd]
-    return [TreePoint(*tree.edges[e][:2], float(t)) for e, t in zip(best_edge, best_t)]
+    """Frechet means of the corners under each weight row by
+    `MetricTree.barycenter`, the general minimizer over every tree edge
+    (the reference interpolant); corners of weight zero are dropped."""
+    return [
+        tree.barycenter([p for p, w in zip(corners, row) if w > 0], row[row > 0])
+        for row in W
+    ]
 
 
 def edge_scan_segment_weights(oracle, S, E, m):
