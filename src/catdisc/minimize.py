@@ -1,8 +1,10 @@
 """Constructive surrogate for length-minimizing graph maps.
 
 Interior vertices are moved to geodesic Fermat points of their neighbors'
-images by deterministic coordinate-descent sweeps; the necessary conditions
-of minimality (geodesic edges, interior angle sums >= 2*pi) are verified
+images by deterministic coordinate-descent sweeps; in Euclidean targets a
+global Newton solve of the total length (`EuclideanSpace.length_minimum`)
+runs first, so the sweeps certify its result.  The necessary conditions of
+minimality (geodesic edges, interior angle sums >= 2*pi) are verified
 separately.
 """
 
@@ -17,6 +19,7 @@ from .errors import FixedSetMismatchError, GraphMismatchError, OutOfConvexityErr
 from .induced import induced_length_metric
 from .mesh import MappedGraph
 from .model import Kappa, angle_from_sides
+from .spaces import EuclideanSpace
 
 
 # Relaxation stops once no vertex moves by TOL_MOVE.
@@ -44,8 +47,10 @@ class RelaxConfig:
 class RelaxResult:
     graph: MappedGraph
     converged: bool
+    # len(trace): Newton steps plus sweeps.
     sweeps: int
-    # Rows (sweep index, total edge length, max vertex move).
+    # Rows (row number, total edge length, max vertex move): the Newton
+    # steps of a Euclidean target, if any, then one row per sweep.
     trace: tuple
 
     def trace_csv(self) -> str:
@@ -61,7 +66,14 @@ def relax_graph(mg: MappedGraph, cfg: RelaxConfig = RelaxConfig()) -> RelaxResul
     Fixed-set images are preserved bitwise; each sweep visits interior
     vertices in ascending index order and moves each to the Fermat point of
     its neighbors' current images, until no vertex moves by TOL_MOVE or
-    after `cfg.max_iters` sweeps.
+    after `cfg.max_iters` sweeps.  `converged` means the last sweep moved no
+    vertex by TOL_MOVE.
+
+    On `EuclideanSpace` targets without `cfg.preserve_domination`,
+    `EuclideanSpace.length_minimum` first minimizes the total length by
+    Newton steps, one trace row each, and the sweeps start from its result:
+    one sweep certifies a smooth minimizer, and where the solve gave up
+    (collapsed edges, a singular Hessian) the sweeps go on as before.
     """
     space = mg.space
     fixed_imgs = [mg.images[v] for v in sorted(mg.fixed)]
@@ -71,9 +83,17 @@ def relax_graph(mg: MappedGraph, cfg: RelaxConfig = RelaxConfig()) -> RelaxResul
     free = [v for v in range(mg.mesh.n_vertices) if v not in mg.fixed]
     neighbor_lists = {v: mg.mesh.neighbors(v) for v in free}
     trace = []
+    if isinstance(space, EuclideanSpace) and not cfg.preserve_domination:
+        X = np.array([space._coerce(p) for p in images])
+        movable = np.zeros(len(images), dtype=bool)
+        movable[free] = True
+        for total, move in space.length_minimum(mg.mesh.edges, X, movable):
+            trace.append((len(trace) + 1, total, move))
+        if trace:
+            for v in free:
+                images[v] = X[v]
     converged = False
-    sweeps = 0
-    for sweep in range(cfg.max_iters):
+    for _ in range(cfg.max_iters):
         max_move = 0.0
         for v in free:
             nbr_imgs = [images[u] for u in neighbor_lists[v]]
@@ -82,15 +102,14 @@ def relax_graph(mg: MappedGraph, cfg: RelaxConfig = RelaxConfig()) -> RelaxResul
                 new = _clip_to_nonexpanding(space, images[v], new, nbr_imgs)
             max_move = max(max_move, space.distance(images[v], new))
             images[v] = new
-        sweeps = sweep + 1
         total = sum(
             space.distance(images[u], images[v]) for u, v in mg.mesh.edges
         )
-        trace.append((sweeps, total, max_move))
+        trace.append((len(trace) + 1, total, max_move))
         if max_move < TOL_MOVE:
             converged = True
             break
-    return RelaxResult(mg.with_images(images), converged, sweeps, tuple(trace))
+    return RelaxResult(mg.with_images(images), converged, len(trace), tuple(trace))
 
 
 def _clip_to_nonexpanding(space, current, target, nbr_imgs):

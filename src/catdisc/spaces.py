@@ -101,6 +101,10 @@ class TargetSpace:
         return pts, w / w.sum()
 
 
+# Newton steps of one `EuclideanSpace.length_minimum` call, at most.
+NEWTON_MAX_STEPS = 100
+
+
 class EuclideanSpace(TargetSpace):
     """R^n with the Euclidean metric; points are n-vectors."""
 
@@ -197,6 +201,101 @@ class EuclideanSpace(TargetSpace):
             done = math.dist(x_new, x) < 1e-14
             x = x_new
         return np.array(x)
+
+    def length_minimum(self, pairs, X, movable) -> list:
+        """Minimize L = sum of |X[i] - X[j]| over the rows (i, j) of `pairs`
+        by moving the points X[movable] of the (points, n) array X, in place.
+        Returns one (L, largest point move) row per Newton step.
+
+        L is convex, and smooth where no row has length zero, so damped
+        Newton converges quadratically there (Overton, Math. Prog. 1983).
+        The gradient sums the rows' unit vectors u and the Hessian their
+        blocks (I - u u^T)/d, d the row's length; a Cholesky factor gives
+        the step, which is halved until L, measured by its change along the
+        step, does not rise.  The loop stops once a step would move no point
+        by more than rounding.  It gives up, keeping the best X, when a row
+        at a movable point is shorter than 1e-14, when the Hessian is not
+        positive definite (one-dimensional targets, collinear stars), when
+        no halving lowers L, or after NEWTON_MAX_STEPS steps.
+        """
+        pairs = np.asarray(pairs)
+        pi, pj = pairs.T
+        a, b = pairs[movable[pairs].any(axis=1)].T
+        if not len(a):
+            return []
+        F, k = np.flatnonzero(movable), self.n
+        # Coordinate indices: nk in all, cf of the movable points, ca and cb
+        # of each row's ends.  A row adds its block to Hessian blocks (a, a)
+        # and (b, b) and subtracts it from (a, b) and (b, a), and adds its
+        # unit vector to the gradient at a and subtracts it at b; the rows
+        # and columns of fixed points are then dropped.
+        kk, nk = np.arange(k), len(X) * k
+        cf = (F[:, None] * k + kk).ravel()
+        ca, cb = a[:, None] * k + kk, b[:, None] * k + kk
+        hr, hc = np.concatenate([ca, cb, ca, cb]), np.concatenate([ca, cb, cb, ca])
+        h_idx = (hr[:, :, None] * nk + hc[:, None, :]).ravel()
+        h_sign = np.repeat([1.0, 1.0, -1.0, -1.0], len(a))[:, None, None]
+        g_idx = np.concatenate([ca, cb]).ravel()
+        pick = np.ix_(cf, cf)
+        tiny = 16.0 * np.finfo(float).eps * max(1.0, float(np.abs(X).max()))
+        out = []
+        for _ in range(NEWTON_MAX_STEPS):
+            D = X[a] - X[b]
+            d = np.sqrt(np.einsum("ij,ij->i", D, D))
+            if d.min() < 1e-14:
+                break
+            U = D / d[:, None]
+            B = (np.eye(k) - U[:, :, None] * U[:, None, :]) / d[:, None, None]
+            H = np.bincount(h_idx, (h_sign * np.concatenate([B] * 4)).ravel(), nk * nk)
+            H = H.reshape(nk, nk)[pick]
+            g = np.bincount(g_idx, np.concatenate([U, -U]).ravel(), nk)[cf]
+            x = _cholesky_solve(H, g)
+            if x is None:
+                break
+            P = np.zeros_like(X)
+            P[F] = -x.reshape(-1, k)
+            move = float(np.sqrt(np.einsum("ij,ij->i", P, P)).max())
+            if move <= tiny:
+                break
+            # The change of L along t * P, summed from the exact per-row
+            # differences |D + s|^2 - |D|^2 = s.(2D + s), so that it stays
+            # accurate where rounding swamps L itself.
+            dP, t = P[a] - P[b], 1.0
+            while True:
+                s = t * dP
+                E = D + s
+                e = np.sqrt(np.einsum("ij,ij->i", E, E))
+                if (np.einsum("ij,ij->i", s, D + E) / (e + d)).sum() <= 0.0:
+                    break
+                t *= 0.5
+                if t * move <= tiny:
+                    return out
+            X[F] += t * P[F]
+            out.append((float(self.distance_arrays(X[pi], X[pj]).sum()), t * move))
+        return out
+
+
+def _cholesky_solve(H, g):
+    """Solution x of H x = g from the Cholesky factor of the symmetric H, or
+    None when a pivot is not positive, that is when H is not positive
+    definite.
+
+    Column by column with elementwise NumPy products: LAPACK, or a BLAS
+    product, would page in OpenBLAS kernels that nothing else of a
+    relaxation uses, 0.3-0.6 MB of peak RSS.  g rides along as a last row
+    of H, so the factor's last row is the forward solution.
+    """
+    n = len(g)
+    A, L = np.vstack([H, g]), np.zeros((n + 1, n))
+    for j in range(n):
+        v = A[j:, j] - (L[j:, :j] * L[j, :j]).sum(axis=1)
+        if not v[0] > 0.0:
+            return None
+        L[j:, j] = v / math.sqrt(v[0])
+    y, x = L[n], np.empty(n)
+    for j in reversed(range(n)):
+        x[j] = (y[j] - (L[j + 1 : n, j] * x[j + 1 :]).sum()) / L[j, j]
+    return x
 
 
 def _solve(a, b):
