@@ -189,7 +189,7 @@ def _cmd_verify_ruled(cfg: dict, digest: str) -> int:
         return built[n][1]
 
     bundle = verify_pipeline(
-        builder, "ruled", kappa, refinements, triple_budget=budgets["triples"],
+        builder, kappa, refinements, triple_budget=budgets["triples"],
         grid=budgets["grid"], tolerance=tols["defect"], seed=seed, steiner=budgets["steiner"],
     )
     spec0, mg0 = built[refinements[0]]
@@ -256,7 +256,7 @@ def _cmd_verify_harmonic(cfg: dict, digest: str) -> int:
         return res.graph
 
     bundle = verify_pipeline(
-        builder, "harmonic", kappa, refinements, triple_budget=budgets["triples"],
+        builder, kappa, refinements, triple_budget=budgets["triples"],
         grid=budgets["grid"], tolerance=tols["defect"], seed=seed, steiner=budgets["steiner"],
     )
     converged = all(results[n].converged for n in refinements)

@@ -223,11 +223,14 @@ def discrete_energy(mg: MappedGraph) -> float:
 class HarmonicResult:
     graph: MappedGraph
     converged: bool
-    # The number of trace rows: sweeps, or on tree targets linear solves and
-    # the certificate sweep (see `harmonic_relax`).
-    sweeps: int
     # Rows (row number, energy, largest move).
     trace: tuple
+
+    # The number of trace rows: sweeps, or on tree targets linear solves and
+    # the certificate sweep (see `harmonic_relax`).
+    @property
+    def sweeps(self) -> int:
+        return len(self.trace)
 
     @property
     def energy(self) -> float:
@@ -271,13 +274,8 @@ def harmonic_relax(spec: HarmonicSpec) -> HarmonicResult:
         seed = sp.barycenter([spec.trace[v] for v in sorted(spec.trace)])
         for v in interior:
             images[v] = seed
-    # Neighbors in mesh edge order, which fixes the barycenter's sum order.
-    nbrs: dict[int, list] = {v: [] for v in interior}
-    for u, v in mesh.edges.tolist():
-        if u in nbrs:
-            nbrs[u].append(v)
-        if v in nbrs:
-            nbrs[v].append(u)
+    # Ascending neighbors, which fixes the barycenter's sum order.
+    nbrs = {v: mesh.neighbors(v) for v in interior}
     trace = []
 
     def sweep():
@@ -300,20 +298,14 @@ def harmonic_relax(spec: HarmonicSpec) -> HarmonicResult:
         converged = sweep() <= CERTIFICATE_TOL * max(1.0, sp.diameter)
     else:
         converged = any(sweep() < HARMONIC_TOL for _ in range(HARMONIC_MAX_SWEEPS))
-    return HarmonicResult(
-        MappedGraph(mesh, sp, images), converged, len(trace), tuple(trace)
-    )
+    return HarmonicResult(MappedGraph(mesh, sp, images), converged, tuple(trace))
 
 
 @dataclass(frozen=True)
 class PipelineBundle:
     """Reports of one construction certified across a refinement schedule."""
 
-    construction: str
-    kappa: float
     reports: tuple
-    # Rows (refinement, max_defect, mean_positive_defect).
-    defect_table: tuple
 
     @property
     def passed(self) -> bool:
@@ -321,8 +313,9 @@ class PipelineBundle:
 
     def defect_csv(self) -> str:
         lines = ["refinement,max_defect,mean_positive_defect"]
-        for n, mx, mean in self.defect_table:
-            lines.append(f"{n},{mx:.12g},{mean:.12g}")
+        for r in self.reports:
+            mean = r.mean_positive_defect
+            lines.append(f"{r.refinement},{r.max_defect:.12g},{mean:.12g}")
         return "\n".join(lines) + "\n"
 
 
@@ -339,7 +332,6 @@ def _stage(name: str):
 
 def verify_pipeline(
     builder,
-    construction: str,
     kappa: float,
     refinements,
     triple_budget: int = 20,
@@ -356,7 +348,6 @@ def verify_pipeline(
     PipelineStageError tagged with its stage.
     """
     reports = []
-    table = []
     for n in refinements:
         with _stage(f"build:{n}"):
             mg = builder(n)
@@ -372,10 +363,4 @@ def verify_pipeline(
                 steiner=steiner,
             )
         reports.append(report)
-        table.append((n, report.max_defect, report.mean_positive_defect))
-    return PipelineBundle(
-        construction=construction,
-        kappa=kappa,
-        reports=tuple(reports),
-        defect_table=tuple(table),
-    )
+    return PipelineBundle(tuple(reports))

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import FixedSetMismatchError, GraphMismatchError, OutOfConvexityError
 from .induced import induced_length_metric
 from .mesh import MappedGraph
-from .model import Kappa, angle_from_sides
+from .model import SIDE_FLOOR, Kappa, angle_from_sides
 from .spaces import EuclideanSpace
 
 
@@ -47,11 +47,14 @@ class RelaxConfig:
 class RelaxResult:
     graph: MappedGraph
     converged: bool
-    # len(trace): Newton steps plus sweeps.
-    sweeps: int
     # Rows (row number, total edge length, max vertex move): the Newton
     # steps of a Euclidean target, if any, then one row per sweep.
     trace: tuple
+
+    # Trace rows: Newton steps plus sweeps.
+    @property
+    def sweeps(self) -> int:
+        return len(self.trace)
 
     def trace_csv(self) -> str:
         lines = ["sweep,total_length,max_move"]
@@ -109,7 +112,7 @@ def relax_graph(mg: MappedGraph, cfg: RelaxConfig = RelaxConfig()) -> RelaxResul
         if max_move < TOL_MOVE:
             converged = True
             break
-    return RelaxResult(mg.with_images(images), converged, len(trace), tuple(trace))
+    return RelaxResult(mg.with_images(images), converged, tuple(trace))
 
 
 def _clip_to_nonexpanding(space, current, target, nbr_imgs):
@@ -180,7 +183,9 @@ def vertex_angle_sums(mg: MappedGraph) -> AngleReport:
     Incident edges are taken in the cyclic order induced by the disc
     coordinates; each consecutive angle is the comparison angle in M_kappa of
     the triangle spanned at the probe scale, 1e-3 times the mean positive
-    edge length, with kappa the target's claimed curvature bound.
+    edge length, with kappa the target's claimed curvature bound.  A vertex
+    with fewer than two neighbors, or with an incident edge shorter than
+    `model.SIDE_FLOOR`, where its angles are undefined, is flagged instead.
     """
     kappa = Kappa(
         mg.space.curvature_bound if math.isfinite(mg.space.curvature_bound) else 0.0
@@ -192,7 +197,7 @@ def vertex_angle_sums(mg: MappedGraph) -> AngleReport:
     for v in mg.mesh.interior_vertices():
         nbrs = mg.mesh.cyclic_neighbors(v)
         p = mg.images[v]
-        flagged = any(mg.edge_length(v, u) < 1e-14 for u in nbrs) or len(nbrs) < 2
+        flagged = any(mg.edge_length(v, u) < SIDE_FLOOR for u in nbrs) or len(nbrs) < 2
         angles = []
         if not flagged:
             for i in range(len(nbrs)):

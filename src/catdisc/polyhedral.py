@@ -94,11 +94,12 @@ class PolyComplex:
     def vertex_link(self, v: int) -> list[float]:
         """Corner angles around mesh vertex v in cyclic order; degenerate
         cells contribute nothing (their corners are identified away)."""
-        incident = []
-        for cell in self.cells:
-            if v in cell.mesh_vertices and cell.degeneracy is None:
-                corner = cell.mesh_vertices.index(v)
-                incident.append((cell, corner))
+        # Cell i is mesh triangle i: its corners are that triangle's.
+        incident = [
+            (self.cells[i], k)
+            for i, k in zip(*np.nonzero(self.mesh.triangles == v))
+            if self.cells[i].degeneracy is None
+        ]
         order = {
             u: k for k, u in enumerate(self.mesh.cyclic_neighbors(v))
         }

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import GeometryError, NonUniqueGeodesicError, TooLargeTriangleError
 from .mesh import MappedGraph
 from .model import Kappa, build_comparison_triangle
-from .spaces import MetricTree
+from .spaces import MetricTree, TreePoint
 from .steiner import (
     CHORD_BLOCK,
     SteinerGraph,
@@ -306,10 +306,9 @@ class InducedGraphSpace:
         self.mg = mg
         self.space = mg.space
         self.steiner = int(steiner)
+        # Both caches evict their oldest entry, in insertion order.
         self._cache: dict = {}
-        self._cache_order: list = []
         self._curves: dict = {}
-        self._curve_order: list = []
         self._aug = None
         self._build()
 
@@ -566,11 +565,6 @@ class InducedGraphSpace:
 
     # -- temporary measurement points --------------------------------------
 
-    def _locate_tri(self, xy):
-        """Triangle index whose barycentric coordinates of xy are largest."""
-        tri_idx, _ = self._locate_many(np.asarray(xy, dtype=float)[None, :])
-        return int(tri_idx[0])
-
     def _xy_segment_weights(self, starts_xy, ends_xy):
         """Image polyline lengths of straight disc segments."""
         S = np.asarray(starts_xy, dtype=float)
@@ -581,15 +575,13 @@ class InducedGraphSpace:
 
     # -- contour-following routes (tree targets) ---------------------------
 
-    def _node_image(self, n):
-        n = int(n)
+    def _node_image(self, n, tri, bary):
+        """Image of graph node n, a tree point; a temporary node's is the
+        interpolant at barycentrics `bary` of triangle `tri`, where it lies."""
         if n < self.n_nodes:
             return self.node_images[n]
-        xy = self._temp[n - self.n_nodes]["xy"]
-        ti, bb = self._locate_many(np.asarray(xy, dtype=float)[None, :])
-        b = np.clip(bb[0], 0.0, None)[None, :]
-        tri = self._tris[int(ti[0])]
-        return self.space.barycenter_rows([self.mg.images[v] for v in tri], b)[0]
+        e, o = self._images_at([tri], np.clip(bary, 0.0, None)[None, :])[0]
+        return TreePoint(*self.space.edges[int(e)][:2], float(o))
 
     def _edge_level_crossing(self, u, v, lam):
         """Disc point on mesh edge (u, v) whose image is lam, if any.
@@ -639,9 +631,9 @@ class InducedGraphSpace:
             prev_edge, cur = e, _across(mesh, e, cur)
         return None
 
-    def _fiber_route(self, x_xy, x_img, y_xy, y_img):
-        """Shortest contour-following disc curve from x to y, as its disc
-        chain and arclengths, or None.
+    def _fiber_route(self, x, y):
+        """Shortest contour-following disc chain, with its arclengths, from
+        x to y, each given as (disc point, image, triangle); or None.
 
         Follows the level set of x's image through the triangulation, then
         hops to y inside y's triangle.  Graph paths and relaxed curves pay
@@ -652,10 +644,7 @@ class InducedGraphSpace:
         straight disc segment sampled like any other chord, hence a sound
         upper bound whenever the march reaches y.
         """
-        x_xy = np.asarray(x_xy, dtype=float)
-        y_xy = np.asarray(y_xy, dtype=float)
-        tx = self._locate_tri(x_xy)
-        ty = self._locate_tri(y_xy)
+        (x_xy, x_img, tx), (y_xy, _, ty) = x, y
         if tx == ty:
             return None
         mesh = self.mg.mesh
@@ -682,18 +671,22 @@ class InducedGraphSpace:
         """
         if not isinstance(self.space, MetricTree):
             return out
-        sinfo = [(self._node_pos(s), self._node_image(s)) for s in sources]
-        tinfo = [(self._node_pos(q), self._node_image(q)) for q in targets]
-        for i, (sxy, simg) in enumerate(sinfo):
-            for j, (qxy, qimg) in enumerate(tinfo):
+        nodes = [int(n) for n in (*sources, *targets)]
+        xy = np.array([self._node_pos(n) for n in nodes])
+        tri, bary = self._locate_many(xy)
+        info = [
+            (p, self._node_image(n, t, b), t)
+            for n, p, t, b in zip(nodes, xy, tri.tolist(), bary)
+        ]
+        for i, x in enumerate(info[:len(sources)]):
+            for j, y in enumerate(info[len(sources):]):
                 cur = out[i][j]
                 # Only entries at the 1-Lipschitz lower bound, up to
                 # rounding, are skipped: any slack left here shows up in
                 # full in geodesic samples and thinness defects.
-                if cur <= self.space.distance(simg, qimg) + 1e-12:
+                if cur <= self.space.distance(x[1], y[1]) + 1e-12:
                     continue
-                routes = [self._fiber_route(sxy, simg, qxy, qimg),
-                          _reversed(self._fiber_route(qxy, qimg, sxy, simg))]
+                routes = [self._fiber_route(x, y), _reversed(self._fiber_route(y, x))]
                 routes = [r for r in routes if r is not None and r[1][-1] < cur]
                 if not routes:
                     continue
@@ -708,7 +701,7 @@ class InducedGraphSpace:
     def _add_temp_point(self, xy) -> int:
         """Register a continuous disc point as a temporary graph node."""
         xy = np.asarray(xy, dtype=float)
-        ti = self._locate_tri(xy)
+        ti = int(self._locate_many(xy[None, :])[0][0])
         mesh = self.mg.mesh
         nbrs = mesh.edge_tris[mesh.tri_edges[ti]].ravel()
         nodes, node_pos = [], []
@@ -736,7 +729,6 @@ class InducedGraphSpace:
     def clear_temp(self):
         self._temp = []
         self._cache = {k: v for k, v in self._cache.items() if k[1] == 0}
-        self._cache_order = [k for k in self._cache_order if k[1] == 0]
         self._aug = None
 
     # -- oracle interface -------------------------------------------------
@@ -758,9 +750,8 @@ class InducedGraphSpace:
                 self.graph if base else self._matrix(), directed=False,
                 indices=key[0], return_predecessors=True,
             )
-            self._cache_order.append(key)
-            if len(self._cache_order) > 64:
-                del self._cache[self._cache_order.pop(0)]
+            if len(self._cache) > 64:
+                del self._cache[next(iter(self._cache))]
         return self._cache[key]
 
     def _node_pos(self, n):
@@ -927,11 +918,9 @@ class InducedGraphSpace:
     def _keep_curve(self, key, xy, arcs):
         """Cache the disc polyline xy of a vertex pair, with its arclengths;
         its length."""
-        if key not in self._curves:
-            self._curve_order.append(key)
         self._curves[key] = (xy, arcs)
-        if len(self._curve_order) > 16:
-            del self._curves[self._curve_order.pop(0)]
+        if len(self._curves) > 16:
+            del self._curves[next(iter(self._curves))]
         return float(arcs[-1])
 
     def _relax_lengths(self, groups):

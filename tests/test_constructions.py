@@ -358,7 +358,6 @@ def identity_builder(n):
 def test_verify_pipeline_flat_instance_passes():
     bundle = verify_pipeline(
         identity_builder,
-        construction="identity",
         kappa=0.0,
         refinements=[2, 3],
         triple_budget=6,
@@ -367,8 +366,10 @@ def test_verify_pipeline_flat_instance_passes():
     )
     assert isinstance(bundle, PipelineBundle)
     assert bundle.passed
-    assert [row[0] for row in bundle.defect_table] == [2, 3]
-    assert bundle.defect_csv().startswith("refinement,max_defect")
+    assert [r.refinement for r in bundle.reports] == [2, 3]
+    rows = bundle.defect_csv().splitlines()
+    assert rows[0] == "refinement,max_defect,mean_positive_defect"
+    assert [row.split(",")[0] for row in rows[1:]] == ["2", "3"]
     # The identity map's quotient is monotone, and the domination-preserving
     # relaxation of it dominates it without bubbling.
     for n in (2, 3):
@@ -384,7 +385,7 @@ def test_verify_pipeline_tags_failing_stage():
         raise ValueError("no mesh for you")
 
     with pytest.raises(PipelineStageError) as exc:
-        verify_pipeline(broken, "broken", 0.0, [2])
+        verify_pipeline(broken, 0.0, [2])
     assert exc.value.stage == "build:2"
 
     def wrong_backend(n):
@@ -395,5 +396,5 @@ def test_verify_pipeline_tags_failing_stage():
         return MappedGraph(mesh, sp, [np.zeros(3)] * mesh.n_vertices)
 
     with pytest.raises(PipelineStageError) as exc2:
-        verify_pipeline(wrong_backend, "mismatch", 0.0, [2])
+        verify_pipeline(wrong_backend, 0.0, [2])
     assert exc2.value.stage == "certify:2"

@@ -22,6 +22,7 @@ from catdisc.minimize import (
     relax_graph,
     vertex_angle_sums,
 )
+from catdisc.model import SIDE_FLOOR
 from catdisc.spaces import EuclideanSpace
 
 
@@ -74,6 +75,22 @@ def test_monotone_descent_and_fixed_preservation():
     assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
     for v in mg.fixed:
         assert res.graph.images[v] is mg.images[v]
+
+
+def test_angle_sums_flag_vertices_with_edges_below_the_side_floor():
+    """The relaxed map of the test above has edges 1.07e-13 long at vertex
+    9, too short for a comparison angle: the vertex is flagged, not a crash."""
+    mg = noisy_grid(3, 0.3, 2)
+    res = relax_graph(mg)
+    assert res.converged
+    report = vertex_angle_sums(res.graph)
+    short = {
+        v for v in mg.mesh.interior_vertices()
+        if min(res.graph.edge_length(v, u) for u in mg.mesh.neighbors(v)) < SIDE_FLOOR
+    }
+    assert {e.vertex for e in report.entries if e.flagged} == short == {9, 10}
+    assert all(e.angles == () for e in report.entries if e.flagged)
+    assert abs(report.min_total - 2.0 * math.pi) <= 1e-9
 
 
 def test_grid_total_length_matches_subgradient_oracle():

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catdisc import spaces
+from catdisc import model, spaces
+from catdisc.constructions import HarmonicSpec, harmonic_relax
 from catdisc.errors import BackendMismatchError, OutOfConvexityError
+from catdisc.mesh import MappedGraph, grid_mesh
+from catdisc.minimize import relax_graph
 from catdisc.spaces import (
     EuclideanSpace,
     FlatCone,
@@ -165,6 +168,58 @@ class TestModelSpace:
         pts = [sp.point((0.0, 0.0)), sp.point((2.0, 0.0))]
         with pytest.raises(OutOfConvexityError):
             sp.barycenter(pts)
+
+    @pytest.mark.parametrize("kappa", [-1.0, 1.0])
+    def test_symmetric_points_center_on_the_base_point(self, kappa):
+        sp = ModelSpace(kappa)
+        o = model.base_point(sp.kappa)
+        pts = [sp.point(xy) for xy in ((0.4, 0.0), (-0.4, 0.0), (0.0, 0.3), (0.0, -0.3))]
+        assert sp.distance(sp.barycenter(pts), o) <= 1e-12
+        assert sp.distance(sp.fermat_point(pts), o) <= 1e-12
+
+    @pytest.mark.parametrize("kappa", [-1.0, 1.0])
+    def test_weighted_barycenter_and_fermat_point_are_critical(self, kappa):
+        """Sum w_i log_x(p_i) vanishes at the barycenter; the weighted unit
+        log vectors vanish at a Fermat point off the anchors, and at an
+        anchor the others' pull fits its weight."""
+        sp = ModelSpace(kappa)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            pts = [sp.point(rng.uniform(-0.5, 0.5, size=2)) for _ in range(5)]
+            w = rng.uniform(0.5, 1.5, size=5)
+            w /= w.sum()
+            x = sp.barycenter(pts, w)
+            logs = [model.log_map(sp.kappa, x, p) for p in pts]
+            assert np.linalg.norm(sum(wi * v for wi, v in zip(w, logs))) <= 1e-11
+            x = sp.fermat_point(pts, w)
+            logs = [model.log_map(sp.kappa, x, p) for p in pts]
+            d = np.array([np.linalg.norm(v) for v in logs])
+            pull = sum(wi * v / di for wi, v, di in zip(w, logs, d) if di > 1e-9)
+            near = np.flatnonzero(d <= 1e-9)
+            if near.size:
+                assert np.linalg.norm(pull) <= w[near[0]] + 1e-9
+            else:
+                assert np.linalg.norm(pull) <= 1e-9
+
+    def test_sphere_harmonic_map_and_length_minimizer_converge(self):
+        """On a 3 x 3 grid into M_1: the harmonic map balances the log
+        vectors to its neighbors at every interior vertex, and the length
+        minimizer balances their unit vectors."""
+        sp = ModelSpace(1.0)
+        mesh = grid_mesh(3)
+        rng = np.random.default_rng(4)
+        imgs = [sp.point(0.8 * (c - 0.5) + 0.1 * rng.normal(size=2)) for c in mesh.coords]
+        mg = MappedGraph(mesh, sp, imgs)
+        harmonic = harmonic_relax(HarmonicSpec(mesh, {v: imgs[v] for v in mg.fixed}, sp))
+        minimal = relax_graph(mg)
+        assert harmonic.converged and minimal.converged
+        for v in mesh.interior_vertices():
+            x = harmonic.graph.images[v]
+            logs = [model.log_map(sp.kappa, x, harmonic.graph.images[u]) for u in mesh.neighbors(v)]
+            assert np.linalg.norm(sum(logs)) <= 1e-9
+            x = minimal.graph.images[v]
+            logs = [model.log_map(sp.kappa, x, minimal.graph.images[u]) for u in mesh.neighbors(v)]
+            assert np.linalg.norm(sum(u / np.linalg.norm(u) for u in logs)) <= 1e-9
 
 
 class TestMetricTree:

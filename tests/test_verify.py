@@ -972,9 +972,8 @@ class PerCallOracle(InducedGraphSpace):
         key, flip = ((p, q), False) if p <= q else ((q, p), True)
         if key not in self._curves:
             self._curves[key] = self.ref_curve(*key)
-            self._curve_order.append(key)
-            if len(self._curve_order) > 16:
-                del self._curves[self._curve_order.pop(0)]
+            if len(self._curves) > 16:
+                del self._curves[next(iter(self._curves))]
         xy, arcs = self._curves[key]
         if flip:
             xy, arcs = xy[::-1], arcs[-1] - arcs[::-1]
@@ -1203,4 +1202,32 @@ def test_dijkstra_cache_stays_within_its_cap():
             graph = oracle.graph if base else oracle._matrix()
             assert np.array_equal(dist, dijkstra(graph, directed=False, indices=s))
             assert len(oracle._cache) <= 64
-    assert len(oracle._cache) == len(oracle._cache_order) == 64
+    # First in, first out: the last 64 keys of the loop remain, in order.
+    assert list(oracle._cache) == [(s, t) for s in range(70) for t in (0, 1)][-64:]
+
+
+def test_curve_cache_keeps_the_last_16_pairs_in_order():
+    oracle = InducedGraphSpace(flat_identity_grid(4), steiner=2)
+    for q in range(1, 21):
+        oracle.distance(0, q)
+    oracle.distance(0, 20)  # a cached pair keeps its place
+    assert list(oracle._curves) == [(0, q) for q in range(5, 21)]
+
+
+def test_temporary_node_images_are_the_triangle_means_of_their_triangle():
+    """A temporary node's image, read from the oracle's own triangle tables,
+    is bit for bit `MetricTree.barycenter_rows` of the triangle that holds it."""
+    mg = harmonic_tripod_map(8)
+    oracle = InducedGraphSpace(mg, steiner=4)
+    rng = np.random.default_rng(8)
+    nodes = []
+    for _ in range(6):
+        p, q = (int(v) for v in rng.choice(oracle.n_vertices, size=2, replace=False))
+        nodes += [oracle.geodesic(p, q, t) for t in (0.2, 0.5, 0.7)]
+    nodes = [n for n in nodes if n >= oracle.n_nodes]
+    assert len(nodes) >= 12
+    tri, bary = oracle._locate_many(np.array([oracle._node_pos(n) for n in nodes]))
+    for n, t, b in zip(nodes, tri.tolist(), bary):
+        corners = [mg.images[v] for v in mg.mesh.triangles[t]]
+        want = mg.space.barycenter_rows(corners, np.clip(b, 0.0, None)[None, :])[0]
+        assert oracle._node_image(n, t, b) == want
