@@ -116,42 +116,53 @@ class SteinerGraph:
 
     Nodes 0 .. n_vertices - 1 are the mesh vertices.  The chain nodes of each
     edge (u, v), u < v, follow in the order of `edges`, at the ascending
-    interior fractions `fracs[i]` measured from u.  Triangle t's boundary
+    interior fractions `fracs[i]` measured from u: `counts[i]` nodes from
+    `first[i]` on.  Triangle t's boundary
     nodes are rows `ptr[t]:ptr[t + 1]` of `nodes`, `bary` and `sides`: its
     three sides in turn from corner 0, each without its end corner.  Bit k of
     `sides` is set on the nodes of side (corner k, corner k + 1).
+
+    Every table is filled by array passes over all edges and triangle sides.
     """
 
     def __init__(self, n_vertices: int, edges, fracs, tris):
-        self.chains = {}
-        nxt = int(n_vertices)
-        for (u, v), fr in zip(edges, fracs):
-            ids = list(range(nxt, nxt + len(fr)))
-            nxt += len(fr)
-            self.chains[(int(u), int(v))] = ([int(u), *ids, int(v)], np.r_[0.0, fr, 1.0])
-        self.n_nodes = nxt
-        eye = np.eye(3)
-        nodes, bary, sides, ptr = [], [], [], [0]
-        for tri in tris:
-            for k in range(3):
-                chain, fr = self._side(tri[k], tri[(k + 1) % 3])
-                mask = np.full(len(fr) - 1, 1 << k)
-                mask[0] |= 1 << ((k - 1) % 3)
-                nodes.extend(chain[:-1])
-                bary.append(eye[k] + fr[:-1, None] * (eye[(k + 1) % 3] - eye[k]))
-                sides.append(mask)
-            ptr.append(len(nodes))
-        self.ptr = np.array(ptr)
-        self.nodes = np.array(nodes, dtype=int)
-        self.bary = np.concatenate(bary)
-        self.sides = np.concatenate(sides)
-
-    def _side(self, a, b):
-        """Chain nodes and fractions of side a -> b."""
-        if a < b:
-            return self.chains[(a, b)]
-        chain, fr = self.chains[(b, a)]
-        return chain[::-1], 1.0 - fr[::-1]
+        self.edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+        tris = np.asarray(tris, dtype=int).reshape(-1, 3)
+        self.counts = np.array([len(f) for f in fracs], dtype=int)
+        off = np.cumsum(self.counts) - self.counts
+        self.first = n_vertices + off
+        self.n_nodes = int(n_vertices) + int(self.counts.sum())
+        # Each edge's interior fractions, after a 0.0 that stands for the
+        # side's first corner.
+        fr = np.concatenate([[0.0], *(np.asarray(f, dtype=float).ravel() for f in fracs)])
+        # Sides (corner k, corner k + 1) of every triangle, t-major, and the
+        # edge of each.
+        a, b = tris.ravel(), np.roll(tris, -1, axis=1).ravel()
+        n = int(n_vertices)
+        keys = self.edges[:, 0] * n + self.edges[:, 1]
+        side_keys = np.minimum(a, b) * n + np.maximum(a, b)
+        by_key = np.argsort(keys)
+        side_edge = by_key[np.searchsorted(keys, side_keys, sorter=by_key).clip(0, len(keys) - 1)]
+        if not np.array_equal(keys[side_edge], side_keys):
+            raise ValueError("a triangle side is not among the edges")
+        # Each side's rows: its first corner, then its chain nodes from there.
+        n_rows = 1 + self.counts[side_edge]
+        side = np.repeat(np.arange(len(a)), n_rows)
+        j = np.arange(len(side)) - np.repeat(np.cumsum(n_rows) - n_rows, n_rows)
+        e, k = side_edge[side], side % 3
+        fwd = (a < b)[side]
+        i = np.where(fwd, j - 1, self.counts[e] - j)
+        self.nodes = np.where(j == 0, a[side], self.first[e] + i)
+        f = fr[np.where(j == 0, 0, off[e] + i + 1)]
+        f = np.where(fwd | (j == 0), f, 1.0 - f)
+        self.ptr = np.r_[0, np.cumsum(n_rows.reshape(-1, 3).sum(axis=1))]
+        # 1 - f and f on the side's corners, as eye[k] + f * (eye[k + 1] -
+        # eye[k]) gives them.
+        rows = np.arange(len(side))
+        self.bary = np.zeros((len(side), 3))
+        self.bary[rows, k] = 1.0 - f
+        self.bary[rows, (k + 1) % 3] = f
+        self.sides = (1 << k) | np.where(j == 0, 1 << ((k - 1) % 3), 0)
 
     def boundary(self, t):
         """Boundary nodes, barycentrics and side bits of triangle t."""
@@ -175,18 +186,24 @@ class SteinerGraph:
         `tri_idx`, and weighs every chord from the later boundary node to the
         earlier one.  `extra` holds more (rows, cols, weights) entries.
         """
-        tri_idx, starts, ends = [], [], []
-        for t, lo in enumerate(self.ptr[:-1]):
-            i, j = np.tril_indices(self.ptr[t + 1] - lo, -1)
-            cross = (self.sides[lo + i] & self.sides[lo + j]) == 0
-            tri_idx.append(np.full(int(cross.sum()), t))
-            starts.append(lo + i[cross])
-            ends.append(lo + j[cross])
-        tri_idx = np.concatenate(tri_idx)
-        starts, ends = np.concatenate(starts), np.concatenate(ends)
-        chains = [chain for chain, _ in self.chains.values()]
-        rows = [*(c[:-1] for c in chains), self.nodes[starts]]
-        cols = [*(c[1:] for c in chains), self.nodes[ends]]
+        # Every pair of a triangle's boundary rows, later row first, in the
+        # order of np.tril_indices, triangle after triangle.
+        m = np.diff(self.ptr)
+        tri = np.repeat(np.arange(len(m)), m - 1)
+        later = np.arange(len(tri)) - np.repeat(np.cumsum(m - 1) - (m - 1), m - 1) + 1
+        tri = np.repeat(tri, later)
+        earlier = np.arange(len(tri)) - np.repeat(np.cumsum(later) - later, later)
+        starts = self.ptr[tri] + np.repeat(later, later)
+        ends = self.ptr[tri] + earlier
+        cross = (self.sides[starts] & self.sides[ends]) == 0
+        tri_idx, starts, ends = tri[cross], starts[cross], ends[cross]
+        # Chain steps: edge i walks u, its chain nodes, v.
+        n_steps = self.counts + 1
+        edge = np.repeat(np.arange(len(n_steps)), n_steps)
+        s = np.arange(len(edge)) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
+        ids = self.first[edge] + s
+        rows = [np.where(s == 0, self.edges[edge, 0], ids - 1), self.nodes[starts]]
+        cols = [np.where(s == self.counts[edge], self.edges[edge, 1], ids), self.nodes[ends]]
         # In blocks, so the callers' sample arrays stay a few MB.
         blocks = [slice(i, i + CHORD_BLOCK) for i in range(0, len(tri_idx), CHORD_BLOCK)]
         weights = [*steps, *(
@@ -199,12 +216,22 @@ class SteinerGraph:
 
 def min_csr(n: int, rows, cols, weights):
     """Symmetric n x n CSR matrix of the entries; duplicate entries (in either
-    orientation) would sum in CSR, so the least weight is kept instead."""
-    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-    order = np.lexsort((weights, hi, lo))
-    lo, hi, w = lo[order], hi[order], np.asarray(weights)[order]
-    first = np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])]
-    lo, hi, w = lo[first], hi[first], w[first]
+    orientation) would sum in CSR, so the least weight is kept instead, the
+    first given of equal ones."""
+    weights = np.asarray(weights, dtype=float)
+    key = np.minimum(rows, cols) * np.int64(n) + np.maximum(rows, cols)
+    order = np.argsort(key)
+    first = np.r_[True, key[order[1:]] != key[order[:-1]]]
+    if not first.all():
+        # Order each repeated pair's entries by weight, then as given.
+        rep = np.flatnonzero(~first | np.r_[~first[1:], False])
+        sub = np.sort(order[rep])
+        order[rep] = sub[np.lexsort((weights[sub], key[sub]))]
+    order = order[first]
+    lo, hi = np.divmod(key[order], n)
+    w = weights[order]
+    # Freed before the CSR conversion, whose arrays set the peak memory.
+    del key, order, first
     return coo_matrix(
         (np.r_[w, w], (np.r_[lo, hi], np.r_[hi, lo])), shape=(n, n)
     ).tocsr()

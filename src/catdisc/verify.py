@@ -118,6 +118,7 @@ def thinness_defect(space, kappa: Kappa, triple, grid: int = 16):
     Returns None (a skipped-triple marker) when the triple is degenerate or,
     for kappa > 0, when its perimeter reaches 2 R_kappa.
     """
+    _require_grid(grid)
     p, q, r = triple
     (dpq, dpr), (dqr,) = (rows[0] for rows in _distance_blocks(
         space, [([p], [q, r]), ([q], [r])]
@@ -160,6 +161,12 @@ def thinness_defect(space, kappa: Kappa, triple, grid: int = 16):
         for s, t, m, c in zip(S.tolist(), T.tolist(), measured.tolist(),
                               compared.tolist())
     ]
+
+
+def _require_grid(grid):
+    """A lattice without points would evaluate triples with no sample."""
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
 
 
 def _require_finite(values, what: str, sides):
@@ -223,6 +230,7 @@ def _certify(space, kappa: Kappa, draw, triple_budget, grid, tolerance, seed,
     20 * `triple_budget` draws; with no triple evaluated the verdict is
     "inconclusive", since there is no evidence either way.
     """
+    _require_grid(grid)
     rng = np.random.default_rng(seed)
     all_samples = []
     used = skipped = attempts = 0
@@ -306,10 +314,12 @@ class InducedGraphSpace:
         self.mg = mg
         self.space = mg.space
         self.steiner = int(steiner)
+        if self.steiner < 0:
+            raise ValueError("steiner must be >= 0")
         # Both caches evict their oldest entry, in insertion order.
         self._cache: dict = {}
         self._curves: dict = {}
-        self._aug = None
+        self.clear_temp()
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -319,53 +329,45 @@ class InducedGraphSpace:
         mesh = mg.mesh
         self._build_tri_geometry(mesh)
         images, space = mg.images, self.space
-        node_images = list(images)
-        node_xy = [np.asarray(c[:2], dtype=float) for c in mesh.coords]
-        fracs, steps = [], []
-        for u, v in mesh.edges:
-            fr = [(i + 1) / (self.steiner + 1) for i in range(self.steiner)]
-            if isinstance(space, MetricTree):
-                # Place nodes exactly where the image geodesic crosses tree
-                # vertices: paths hugging a branch-point fiber then hop along
-                # exact branch-point nodes instead of paying a detour per
-                # edge crossing.
-                fr.extend(space.geodesic_breakpoints(images[u], images[v]))
-            kept = []
-            for f in sorted(f for f in fr if 1e-9 < f < 1.0 - 1e-9):
-                if not kept or f - kept[-1] > 1e-9:
-                    kept.append(f)
-            chain = [images[u]] + [space.geodesic(images[u], images[v], f) for f in kept]
-            chain.append(images[v])
+        fr = (np.arange(self.steiner) + 1.0) / (self.steiner + 1)
+        if isinstance(space, MetricTree):
+            # Place nodes exactly where the image geodesic crosses tree
+            # vertices: paths hugging a branch-point fiber then hop along
+            # exact branch-point nodes instead of paying a detour per edge
+            # crossing.
+            fracs = [
+                _chain_fracs([*fr.tolist(), *space.geodesic_breakpoints(images[u], images[v])])
+                for u, v in mesh.edges.tolist()
+            ]
+        else:
+            fracs = [_chain_fracs(fr.tolist())] * len(mesh.edges)
+        node_images, steps = list(images), []
+        for (u, v), kept in zip(mesh.edges.tolist(), fracs):
+            chain = [images[u], *(space.geodesic(images[u], images[v], f) for f in kept), images[v]]
             node_images.extend(chain[1:-1])
-            node_xy.extend((1.0 - f) * node_xy[u] + f * node_xy[v] for f in kept)
-            fracs.append(kept)
             steps.append([space.distance(a, b) for a, b in zip(chain, chain[1:])])
-        self._core = SteinerGraph(mesh.n_vertices, mesh.edges, fracs, self._tris)
+        self._core = SteinerGraph(mesh.n_vertices, mesh.edges, fracs, mesh.triangles)
+        xy = mesh.coords[:, :2]
+        counts = self._core.counts
+        f = np.concatenate([[], *fracs])[:, None]
+        ends = np.repeat(mesh.edges, counts, axis=0)
         self.node_images = node_images
-        self.node_xy = np.array(node_xy)
+        self.node_xy = np.concatenate([xy, (1.0 - f) * xy[ends[:, 0]] + f * xy[ends[:, 1]]])
         self.n_vertices = mesh.n_vertices
         self.n_nodes = self._core.n_nodes
-        disc_l = [
-            float(np.linalg.norm(self.node_xy[int(a)] - self.node_xy[int(b)]))
-            for a, b in mesh.edges
-        ]
-        self._disc_h = max(disc_l) if disc_l else 1.0
-        self._temp: list = []
+        d = xy[mesh.edges[:, 0]] - xy[mesh.edges[:, 1]]
+        # What np.linalg.norm gives each edge, bit for bit.
+        self._disc_h = float(np.sqrt(d[:, None, :] @ d[:, :, None]).max())
         self.graph = self._core.csr(steps, self._chord_weights, self._quad_chords())
 
     def _build_tri_geometry(self, mesh):
         """Per-triangle caches: barycentric solvers, the backend's triangle
         tables and the point locator."""
-        self._tris = [tuple(int(x) for x in t) for t in mesh.triangles]
-        inv_stack, p0_stack = [], []
-        for tri in self._tris:
-            c0, c1, c2 = (np.asarray(mesh.coords[v][:2], dtype=float) for v in tri)
-            inv_stack.append(np.linalg.inv(np.column_stack([c1 - c0, c2 - c0])))
-            p0_stack.append(c0)
-        self._inv_stack = np.array(inv_stack)
-        self._p0_stack = np.array(p0_stack)
+        c = mesh.coords[mesh.triangles][:, :, :2]
+        self._inv_stack = np.linalg.inv(np.stack([c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]], axis=2))
+        self._p0_stack = c[:, 0].copy()
         self._tables = self.space.triangle_tables(
-            [[self.mg.images[v] for v in tri] for tri in self._tris]
+            [[self.mg.images[v] for v in tri] for tri in mesh.triangles.tolist()]
         )
         self._build_tri_buckets(mesh)
 
@@ -430,7 +432,7 @@ class InducedGraphSpace:
         ia = rows_a[np.repeat(np.cumsum(n_a) - n_a, n_c) + k // n_b[edge]]
         ib = rows_b[np.repeat(np.cumsum(n_b) - n_b, n_c) + k % n_b[edge]]
         coords = np.asarray(mesh.coords, dtype=float)
-        tris = np.array(self._tris)
+        tris = mesh.triangles
         c = coords[tris[np.repeat(np.arange(len(tris)), np.diff(core.ptr))]]
         B = core.bary
         xy = B[:, 0:1] * c[:, 0] + B[:, 1:2] * c[:, 1] + B[:, 2:3] * c[:, 2]
@@ -441,48 +443,61 @@ class InducedGraphSpace:
         along = coords[mesh.edges[interior, 1]] - pu
         opp = coords[tris[owners[:, 0], (side[:, 0] + 2) % 3]] - pu
         side_a = along[:, 0] * opp[:, 1] - along[:, 1] * opp[:, 0]
+        (pu0, pu1), (al0, al1) = pu.T.copy(), along.T.copy()
+        owner_a, owner_b = owners.T.copy()
+        alone = np.where(n_c == 1, np.arange(len(interior)), -1)
         weights = []
         # In blocks of CHORD_BLOCK chords, so the sample arrays stay a few MB.
         for lo in range(0, len(edge), CHORD_BLOCK):
             blk = slice(lo, lo + CHORD_BLOCK)
             e = np.repeat(edge[blk], CHORD_SAMPLES + 1)
-            flat = (
-                (1.0 - _LAM)[None, :, None] * xy[ia[blk], None, :]
-                + _LAM[None, :, None] * xy[ib[blk], None, :]
-            ).reshape(-1, 2)
-            rel = flat - pu[e]
-            use_a = (along[e, 0] * rel[:, 1] - along[e, 1] * rel[:, 0]) * side_a[e] >= 0
-            tri_idx = np.where(use_a, owners[e, 0], owners[e, 1])
+            a, b = xy.take(ia[blk], axis=0), xy.take(ib[blk], axis=0)
+            flat = np.stack([
+                ((1.0 - _LAM) * a[:, j, None] + _LAM * b[:, j, None]).ravel() for j in (0, 1)
+            ], axis=1)
+            rel0, rel1 = flat[:, 0] - pu0.take(e), flat[:, 1] - pu1.take(e)
+            use_a = (al0.take(e) * rel1 - al1.take(e) * rel0) * side_a.take(e) >= 0
+            tri_idx = np.where(use_a, owner_a.take(e), owner_b.take(e))
             weights.append(self._located_lengths(
-                tri_idx, self._chart_bary(flat, tri_idx, np.where(n_c[e] == 1, e, -1)),
+                tri_idx, self._chart_bary(flat, tri_idx, alone.take(e)),
                 _runs(len(e) // (CHORD_SAMPLES + 1)),
             ))
         return core.nodes[ia], core.nodes[ib], np.concatenate(weights)
 
     def _chart_bary(self, xy, tri_idx, alone):
         """Barycentric coordinates of points xy in the triangles `tri_idx`,
-        by one BLAS `@` per triangle, or per group `alone` >= 0 in it.
+        as one BLAS `@` per triangle, or per group `alone` >= 0 in it, would
+        give them.
 
         Not the point locator, whose formula differs from `@` in the last
         bit for most point sets: that would move graph weights (by up to
         about 5e-15) and every induced number after them.  A row of `@`
-        comes out the same beside any other rows, but a single row takes a
-        matrix-vector product that rounds differently; so a lone row is
-        solved doubled, unless it is all of its group `alone`.
+        comes out the same beside any other rows, zero rows too, so the
+        groups are padded to one length and solved by one stacked `@`.  A
+        single row takes a matrix-vector product that rounds differently, so
+        only a lone row that is all of its group `alone` is solved alone.
         """
         key = tri_idx * (alone.max() + 2) + alone + 1
-        order = np.argsort(key, kind="stable")
-        cut = np.flatnonzero(np.diff(key[order])) + 1
-        d = xy[order] - self._p0_stack[tri_idx[order]]
-        st = np.empty_like(d)
-        for a, b in zip(np.r_[0, cut].tolist(), np.r_[cut, len(d)].tolist()):
-            solve = self._inv_stack[tri_idx[order[a]]].T
-            if b - a == 1 and alone[order[a]] < 0:
-                st[a] = (d[[a, a]] @ solve)[0]
-            else:
-                st[a:b] = d[a:b] @ solve
-        bary = np.empty((len(d), 3))
-        bary[order] = np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
+        order = np.argsort(key)
+        k = key[order]
+        start = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+        size = np.diff(np.r_[start, len(k)])
+        width = max(2, size.max())
+        # Row i sits at padded row pos[i]; padding rows read a zero row.
+        pos = np.empty(len(k), dtype=np.intp)
+        pos[order] = np.arange(len(k)) + np.repeat(np.arange(len(start)) * width - start, size)
+        src = np.full(len(start) * width, len(k))
+        src[pos] = np.arange(len(k))
+        d = np.vstack([xy - self._p0_stack.take(tri_idx, axis=0), [0.0, 0.0]])
+        solve = self._inv_stack.take(tri_idx[order[start]], axis=0).transpose(0, 2, 1)
+        padded = d.take(src, axis=0).reshape(len(start), width, 2)
+        st = (padded @ np.ascontiguousarray(solve)).reshape(-1, 2).take(pos, axis=0)
+        lone = (size == 1) & (alone[order[start]] >= 0)
+        rows = order[start[lone]]
+        st[rows] = (d[rows, None, :] @ solve[lone])[:, 0]
+        bary = np.empty((len(st), 3))
+        bary[:, 1:] = st
+        bary[:, 0] = 1.0 - st[:, 0] - st[:, 1]
         return bary
 
     def _build_tri_buckets(self, mesh):
@@ -499,21 +514,26 @@ class InducedGraphSpace:
         coords = np.asarray(mesh.coords, dtype=float)[:, :2]
         lo = coords.min(axis=0)
         hi = coords.max(axis=0)
-        cs = max(math.sqrt(float(np.prod(hi - lo)) / len(self._tris)), 1e-12)
+        n_tris = len(mesh.triangles)
+        cs = max(math.sqrt(float(np.prod(hi - lo)) / n_tris), 1e-12)
         nx = max(1, int(np.ceil((hi[0] - lo[0]) / cs)))
         ny = max(1, int(np.ceil((hi[1] - lo[1]) / cs)))
-        cells: dict[int, list[int]] = {}
-        for ti, tri in enumerate(self._tris):
-            pts = coords[list(tri)]
-            i0, j0 = np.floor((pts.min(axis=0) - lo) / cs).astype(int)
-            i1, j1 = np.floor((pts.max(axis=0) - lo) / cs).astype(int)
-            for ci in range(max(i0, 0), min(i1, nx - 1) + 1):
-                for cj in range(max(j0, 0), min(j1, ny - 1) + 1):
-                    cells.setdefault(ci * ny + cj, []).append(ti)
-        kmax = max(len(v) for v in cells.values())
-        table = np.full((nx * ny, kmax), -1, dtype=int)
-        for cell, tris in cells.items():
-            table[cell, : len(tris)] = tris
+        pts = coords[mesh.triangles]
+        ij0 = np.maximum(np.floor((pts.min(axis=1) - lo) / cs).astype(int), 0)
+        ij1 = np.minimum(np.floor((pts.max(axis=1) - lo) / cs).astype(int), [nx - 1, ny - 1])
+        # Every (triangle, cell) of the boxes, triangle by triangle, then
+        # sorted stably by cell, so each cell lists its triangles in order.
+        span = np.maximum(ij1 - ij0 + 1, 0)
+        n_cells = span[:, 0] * span[:, 1]
+        tri = np.repeat(np.arange(n_tris), n_cells)
+        r = np.arange(len(tri)) - np.repeat(np.cumsum(n_cells) - n_cells, n_cells)
+        ci, cj = ij0[tri, 0] + r // span[tri, 1], ij0[tri, 1] + r % span[tri, 1]
+        cell = ci * ny + cj
+        order = np.argsort(cell, kind="stable")
+        per_cell = np.bincount(cell, minlength=nx * ny)
+        slot = np.arange(len(tri)) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
+        table = np.full((nx * ny, per_cell.max()), -1, dtype=int)
+        table[cell[order], slot] = tri[order]
         self._bucket_grid = (*lo.tolist(), cs, nx, ny)
         self._bucket_tris = table
         # Solver fields (inv00, inv01, inv10, inv11, x0, y0) by triangle, and
@@ -575,13 +595,17 @@ class InducedGraphSpace:
 
     # -- contour-following routes (tree targets) ---------------------------
 
-    def _node_image(self, n, tri, bary):
-        """Image of graph node n, a tree point; a temporary node's is the
-        interpolant at barycentrics `bary` of triangle `tri`, where it lies."""
-        if n < self.n_nodes:
-            return self.node_images[n]
-        e, o = self._images_at([tri], np.clip(bary, 0.0, None)[None, :])[0]
-        return TreePoint(*self.space.edges[int(e)][:2], float(o))
+    def _node_images(self, nodes, tri, bary):
+        """Images of graph nodes, tree points; a temporary node's is the
+        interpolant at its barycentrics `bary` of its triangle `tri`, where it
+        lies, all of them from one `triangle_means` call."""
+        out = [self.node_images[n] if n < self.n_nodes else None for n in nodes]
+        temp = [i for i, n in enumerate(nodes) if n >= self.n_nodes]
+        if temp:
+            means = self._images_at(tri[temp], np.clip(bary[temp], 0.0, None))
+            for i, (e, o) in zip(temp, means.tolist()):
+                out[i] = TreePoint(*self.space.edges[int(e)][:2], o)
+        return out
 
     def _edge_level_crossing(self, u, v, lam):
         """Disc point on mesh edge (u, v) whose image is lam, if any.
@@ -648,7 +672,7 @@ class InducedGraphSpace:
         if tx == ty:
             return None
         mesh = self.mg.mesh
-        limit = 4 * len(self._tris)
+        limit = 4 * len(mesh.triangles)
         best = None
         for e in mesh.tri_edges[tx].tolist():
             cxy = self._edge_level_crossing(*mesh.edges[e].tolist(), x_img)
@@ -674,10 +698,7 @@ class InducedGraphSpace:
         nodes = [int(n) for n in (*sources, *targets)]
         xy = np.array([self._node_pos(n) for n in nodes])
         tri, bary = self._locate_many(xy)
-        info = [
-            (p, self._node_image(n, t, b), t)
-            for n, p, t, b in zip(nodes, xy, tri.tolist(), bary)
-        ]
+        info = list(zip(xy, self._node_images(nodes, tri, bary), tri.tolist()))
         for i, x in enumerate(info[:len(sources)]):
             for j, y in enumerate(info[len(sources):]):
                 cur = out[i][j]
@@ -699,35 +720,53 @@ class InducedGraphSpace:
         return out
 
     def _add_temp_point(self, xy) -> int:
-        """Register a continuous disc point as a temporary graph node."""
-        xy = np.asarray(xy, dtype=float)
-        ti = int(self._locate_many(xy[None, :])[0][0])
-        mesh = self.mg.mesh
-        nbrs = mesh.edge_tris[mesh.tri_edges[ti]].ravel()
-        nodes, node_pos = [], []
-        seen = set()
-        for tj in [ti, *np.unique(nbrs[(nbrs >= 0) & (nbrs != ti)]).tolist()]:
-            for node, bary, _ in zip(*self._core.boundary(tj)):
-                if node in seen:
-                    continue
-                seen.add(node)
-                nodes.append(node)
-                node_pos.append(bary @ self.node_xy[list(self._tris[tj])])
-        # Direct edges to nearby existing temp points; without them, close
-        # pairs of temp points would be forced through far boundary nodes.
-        near = [
-            j for j, e in enumerate(self._temp)
-            if np.linalg.norm(e["xy"] - xy) <= 3.0 * self._disc_h
-        ]
-        ends = np.array(node_pos + [self._temp[j]["xy"] for j in near])
-        ws = self._xy_segment_weights(np.repeat(xy[None, :], len(ends), axis=0), ends)
-        cols = nodes + [self.n_nodes + j for j in near]
-        me = self.n_nodes + len(self._temp)
-        self._temp.append({"xy": xy, "links": (np.full(len(cols), me), cols, ws)})
-        return me
+        """Register a continuous disc point as a temporary graph node; it is
+        wired (`_wire_temps`) when the augmented graph is next needed."""
+        self._temp.append(np.asarray(xy, dtype=float))
+        return self.n_nodes + len(self._temp) - 1
+
+    def _wire_temps(self):
+        """Links of every temporary node not yet wired, in one pass.
+
+        Each node links to the boundary nodes of its triangle and of that
+        triangle's neighbours, each once, placed by the first of those
+        triangles that holds it, and to every earlier temporary node within
+        3 disc spacings; without those direct links, close pairs of
+        temporary nodes would be forced through far boundary nodes.  Links
+        weigh straight disc segments (`_xy_segment_weights`), and every
+        node gets the links, bit for bit, that wiring it alone would give.
+        """
+        mesh, core = self.mg.mesh, self._core
+        X = np.array(self._temp)
+        new = np.arange(self._wired, len(X))
+        tri = self._locate_many(X[new])[0]
+        # The triangle, then its neighbours in ascending order.
+        owners = mesh.edge_tris[mesh.tri_edges[tri]]
+        around = np.where(owners[:, :, 0] == tri[:, None], owners[:, :, 1], owners[:, :, 0])
+        tris = np.column_stack([tri, np.sort(around, axis=1)])
+        point = np.repeat(np.arange(len(new)), 4)[tris.ravel() >= 0]
+        tris = tris[tris >= 0]
+        owner, rows = core.gather(tris)
+        point = point[owner]
+        _, first = np.unique(point * core.n_nodes + core.nodes[rows], return_index=True)
+        first = np.sort(first)
+        corners = self.node_xy[mesh.triangles[tris[owner[first]]]]
+        node_pos = (core.bary[rows[first], None, :] @ corners)[:, 0]
+        pi, pj = np.nonzero(np.arange(len(X))[None, :] < new[:, None])
+        d = X[pj] - X[new[pi]]
+        near = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0] <= 3.0 * self._disc_h
+        pi, pj = pi[near], pj[near]
+        who = np.r_[point[first], pi]
+        order = np.argsort(who, kind="stable")
+        who = who[order]
+        ends = np.concatenate([node_pos, X[pj]])[order]
+        cols = np.r_[core.nodes[rows[first]], self.n_nodes + pj][order]
+        ws = self._xy_segment_weights(X[new[who]], ends)
+        self._links.append((self.n_nodes + new[who], cols, ws))
+        self._wired = len(X)
 
     def clear_temp(self):
-        self._temp = []
+        self._temp, self._links, self._wired = [], [], 0
         self._cache = {k: v for k, v in self._cache.items() if k[1] == 0}
         self._aug = None
 
@@ -737,7 +776,9 @@ class InducedGraphSpace:
         """Base graph, augmented with any temporary nodes."""
         t = len(self._temp)
         if t and (self._aug is None or self._aug[0] != t):
-            links = zip(*(e["links"] for e in self._temp))
+            if self._wired < t:
+                self._wire_temps()
+            links = zip(*self._links)
             self._aug = (t, append_nodes(self.graph, t, *map(np.concatenate, links)))
         return self._aug[1] if t else self.graph
 
@@ -756,7 +797,7 @@ class InducedGraphSpace:
 
     def _node_pos(self, n):
         n = int(n)
-        return self.node_xy[n] if n < self.n_nodes else self._temp[n - self.n_nodes]["xy"]
+        return self.node_xy[n] if n < self.n_nodes else self._temp[n - self.n_nodes]
 
     def distance(self, p, q) -> float:
         return self.distances_from(p, [q])[0]
@@ -1070,6 +1111,16 @@ class InducedGraphSpace:
     def random_point(self, rng) -> int:
         # Sample among original mesh vertices only.
         return int(rng.integers(self.n_vertices))
+
+
+def _chain_fracs(fr):
+    """Chain-node fractions of one edge: those in (1e-9, 1 - 1e-9), sorted,
+    each more than 1e-9 above the one before."""
+    kept = []
+    for f in sorted(f for f in fr if 1e-9 < f < 1.0 - 1e-9):
+        if not kept or f - kept[-1] > 1e-9:
+            kept.append(f)
+    return kept
 
 
 def _across(mesh, e, t):

@@ -20,7 +20,7 @@ from catdisc.errors import GeometryError
 from catdisc.mesh import DiscMesh, MappedGraph, grid_mesh, triangle_fan
 from catdisc.model import Kappa, build_comparison_triangle
 from catdisc.spaces import EuclideanSpace, FlatCone, MetricTree, ModelSpace
-from catdisc.steiner import _batch_distance, _batch_geodesic
+from catdisc.steiner import _batch_distance, _batch_geodesic, append_nodes
 from catdisc.verify import (
     CHORD_SAMPLES,
     RELAX_LEVELS,
@@ -335,6 +335,27 @@ def test_certification_without_evaluated_triples_is_inconclusive():
     assert report.verdict == "inconclusive"
 
 
+@pytest.mark.parametrize("grid", [0, -1])
+def test_a_grid_without_points_is_refused(grid):
+    """Such a grid evaluated triples with no sample, and a "pass" followed."""
+    with pytest.raises(ValueError, match="grid must be >= 1"):
+        certify_cat(ModelSpace(0.0), Kappa(0.0), triple_budget=3, grid=grid)
+    with pytest.raises(ValueError, match="grid must be >= 1"):
+        certify_induced(flat_identity_grid(2), Kappa(0.0), triple_budget=3, grid=grid,
+                        steiner=1)
+    sp = ModelSpace(0.0)
+    with pytest.raises(ValueError, match="grid must be >= 1"):
+        thinness_defect(sp, Kappa(0.0), [sp.point(xy) for xy in ((0, 0), (0.5, 0), (0, 0.5))],
+                        grid=grid)
+
+
+@pytest.mark.parametrize("steiner", [-1, -2])
+def test_negative_steiner_counts_are_refused(steiner):
+    """They built the steiner-0 graph without a word."""
+    with pytest.raises(ValueError, match="steiner must be >= 0"):
+        InducedGraphSpace(flat_identity_grid(2), steiner=steiner)
+
+
 def counting_thinness(monkeypatch):
     """Patch `verify.thinness_defect` to record the triples it evaluates."""
     seen = []
@@ -441,11 +462,11 @@ def table_locator(oracle):
     solver gathered separately, (points x kmax)."""
     coords = np.asarray(oracle.mg.mesh.coords, dtype=float)[:, :2]
     lo, hi = coords.min(axis=0), coords.max(axis=0)
-    cs = max(math.sqrt(float(np.prod(hi - lo)) / len(oracle._tris)), 1e-12)
+    cs = max(math.sqrt(float(np.prod(hi - lo)) / len(oracle.mg.mesh.triangles)), 1e-12)
     nx = max(1, int(np.ceil((hi[0] - lo[0]) / cs)))
     ny = max(1, int(np.ceil((hi[1] - lo[1]) / cs)))
     cells = {}
-    for ti, tri in enumerate(oracle._tris):
+    for ti, tri in enumerate(oracle.mg.mesh.triangles.tolist()):
         pts = coords[list(tri)]
         i0, j0 = np.floor((pts.min(axis=0) - lo) / cs).astype(int)
         i1, j1 = np.floor((pts.max(axis=0) - lo) / cs).astype(int)
@@ -549,15 +570,18 @@ def test_point_locator_matches_brute_force(mesh, monkeypatch):
     np.testing.assert_array_equal(got_bary, table_bary)
 
 
+def csr_sha256(g):
+    """sha256 of a CSR matrix's data, column indices and row pointers."""
+    return hashlib.sha256(b"".join(
+        a.tobytes() for a in (g.data, g.indices.astype(np.int32), g.indptr.astype(np.int32))
+    )).hexdigest()
+
+
 def test_skew_oracle_graph_and_relaxed_distances_are_pinned():
     """The skew 6 x 6 oracle's CSR bytes and three distances that curve
     relaxation sets (each below its graph distance), bit for bit."""
     oracle = InducedGraphSpace(skew_ruled_map(6), steiner=4)
-    g = oracle.graph
-    digest = hashlib.sha256(b"".join(
-        a.tobytes() for a in (g.data, g.indices.astype(np.int32), g.indptr.astype(np.int32))
-    ))
-    assert digest.hexdigest() == (
+    assert csr_sha256(oracle.graph) == (
         "1ec3883958a7cfa3bf040f60e1343272523d7002313ad07bcfd0a683d18ce7a0"
     )
     pairs = ((0, 48), (6, 42), (1, 40))
@@ -568,6 +592,99 @@ def test_skew_oracle_graph_and_relaxed_distances_are_pinned():
     assert all(d < oracle._solve(p)[0][q] - 1e-4 for d, (p, q) in zip(got, pairs))
 
 
+def folded_square():
+    """grid_mesh(1) with v01 folded onto v10: both map to (1, 0)."""
+    return MappedGraph(grid_mesh(1), EuclideanSpace(2),
+                       [np.array(p, dtype=float) for p in ((0, 0), (1, 0), (1, 0), (1, 1))])
+
+
+PINNED_GRAPHS = {
+    "tripod8": (lambda: harmonic_tripod_map(8), 4,
+                "41a8de1fc2251a8f13e87761104a0c07921672f4b82fe06deac5f04075bcd5ca"),
+    "sphere8": (lambda: _model_ruled_map(1.0, 8, 0.6 * math.pi, 0.75), 4,
+                "e3a1aab14b55200d8a32caaca307ada65486da1ad0d2e8940ad7e2dd367d1ce5"),
+    "cone6": (lambda: cone_fan_map(6, 1.5 * math.pi), 3,
+              "8498d614887113548f40977fe586f27543f668c1a99a1346bc942e725a61540f"),
+    "fold": (folded_square, 3,
+             "387c28d5575ed332c28fa43f8436465d563b93980c93955232ee2aad54b9a8c6"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_GRAPHS))
+def test_oracle_graphs_are_pinned(name):
+    """CSR bytes of base graphs with uneven chains (the tripod's breakpoint
+    nodes), model-surface and cone interpolants, and a folded map."""
+    build, steiner, want = PINNED_GRAPHS[name]
+    assert csr_sha256(InducedGraphSpace(build(), steiner=steiner).graph) == want
+
+
+@pytest.mark.parametrize("name, triple, want", [
+    ("skew6", (2, 40, 30),
+     "5236d0f8b27a3e48ce0b85375ed45f6a9e2db99e8df453b220fd7b1cffe7a896"),
+    ("tripod8", (3, 70, 44),
+     "c4bb505c3e6110cdb068eb55ca20141d4018c8106b7a5d1e293ee60d65f6c0f0"),
+])
+def test_augmented_graphs_are_pinned(name, triple, want):
+    """CSR bytes of the graph with one thinness triple's temporary nodes."""
+    mg = skew_ruled_map(6) if name == "skew6" else harmonic_tripod_map(8)
+    oracle = InducedGraphSpace(mg, steiner=4)
+    assert thinness_defect(oracle, Kappa(0.0), triple, grid=4) is not None
+    assert len(oracle._temp) == 8
+    assert csr_sha256(oracle._matrix()) == want
+
+
+def one_by_one_links(oracle, points):
+    """Temporary-node links as wiring each point alone made them: one
+    locator call, one `@` per boundary node and one norm per earlier point."""
+    mesh, core = oracle.mg.mesh, oracle._core
+    links, placed = [], []
+    for xy in points:
+        ti = int(oracle._locate_many(xy[None, :])[0][0])
+        nbrs = mesh.edge_tris[mesh.tri_edges[ti]].ravel()
+        nodes, node_pos = [], []
+        for tj in [ti, *np.unique(nbrs[(nbrs >= 0) & (nbrs != ti)]).tolist()]:
+            for node, bary, _ in zip(*core.boundary(tj)):
+                if node not in nodes:
+                    nodes.append(node)
+                    node_pos.append(bary @ oracle.node_xy[list(mesh.triangles[tj])])
+        near = [j for j, e in enumerate(placed)
+                if np.linalg.norm(e - xy) <= 3.0 * oracle._disc_h]
+        ends = np.array(node_pos + [placed[j] for j in near])
+        ws = oracle._xy_segment_weights(np.repeat(xy[None, :], len(ends), axis=0), ends)
+        cols = nodes + [oracle.n_nodes + j for j in near]
+        links.append((np.full(len(cols), oracle.n_nodes + len(placed)), cols, ws))
+        placed.append(xy)
+    return [np.concatenate(a) for a in zip(*links)]
+
+
+@pytest.mark.parametrize("name", ["skew6", "tripod6"])
+def test_temporary_nodes_wired_in_batches_get_the_one_by_one_links(name):
+    """Points in general position, close clusters, mesh vertices and edge
+    midpoints, wired in two batches, the second linking to the first."""
+    mg = skew_ruled_map(6) if name == "skew6" else harmonic_tripod_map(6)
+    oracle = InducedGraphSpace(mg, steiner=3)
+    rng = np.random.default_rng(3)
+    xy, edges = mg.mesh.coords, mg.mesh.edges
+    spread = rng.uniform(0.0, 1.0, size=(12, 2))
+    points = np.vstack([
+        spread,
+        spread[:4] + rng.normal(scale=0.02, size=(4, 2)).clip(-0.05, 0.05),
+        xy[rng.choice(len(xy), 4, replace=False)],
+        0.5 * (xy[edges[:4, 0]] + xy[edges[:4, 1]]),
+    ]).clip(0.0, 1.0)
+    for i, p in enumerate(points):
+        assert oracle._add_temp_point(p) == oracle.n_nodes + i
+        if i == 9:
+            oracle._matrix()
+    graph = oracle._matrix()
+    got = [np.concatenate(a) for a in zip(*oracle._links)]
+    want = one_by_one_links(oracle, points)
+    assert len(oracle._links) == 2 and (got[1] >= oracle.n_nodes).sum() > 20
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert csr_sha256(graph) == csr_sha256(append_nodes(oracle.graph, len(points), *want))
+
+
 def per_edge_quad_chords(oracle):
     """`_quad_chords` as it was: one pass per interior edge, each side of
     the edge solved by its own `@`, the side of the first triangle told by
@@ -575,7 +692,7 @@ def per_edge_quad_chords(oracle):
     mesh, coords = oracle.mg.mesh, oracle.mg.mesh.coords
     lam = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)
     off_edge = []
-    for ti, tri in enumerate(oracle._tris):
+    for ti, tri in enumerate(oracle.mg.mesh.triangles.tolist()):
         nodes, B, sides = oracle._core.boundary(ti)
         p0, p1, p2 = (np.asarray(coords[v], dtype=float) for v in tri)
         xy = B[:, 0:1] * p0 + B[:, 1:2] * p1 + B[:, 2:3] * p2
@@ -670,7 +787,7 @@ def per_triangle_segment_weights(oracle, S, E, m):
         mask = tri_idx == ti
         bary = np.clip(bary_sel[mask], 0.0, None)
         bary /= bary.sum(axis=1, keepdims=True)
-        imgs = [oracle.mg.images[v] for v in oracle._tris[ti]]
+        imgs = [oracle.mg.images[v] for v in oracle.mg.mesh.triangles[ti]]
         corners = np.array([getattr(p, "coords", p) for p in imgs], dtype=float)
         X, Y, Z = (np.broadcast_to(c, (len(bary), len(c))) for c in corners)
         b0, b1, b2 = bary[:, 0], bary[:, 1], bary[:, 2]
@@ -736,7 +853,7 @@ def edge_scan_segment_weights(oracle, S, E, m):
     pts = [None] * len(bary)
     for ti in np.unique(tri_idx):
         idxs = np.flatnonzero(tri_idx == ti)
-        corners = [oracle.mg.images[v] for v in oracle._tris[ti]]
+        corners = [oracle.mg.images[v] for v in oracle.mg.mesh.triangles[ti]]
         for i, p in zip(idxs, edge_scan_rows(tree, corners, bary[idxs])):
             pts[i] = p
     return np.array([
@@ -1227,7 +1344,7 @@ def test_temporary_node_images_are_the_triangle_means_of_their_triangle():
     nodes = [n for n in nodes if n >= oracle.n_nodes]
     assert len(nodes) >= 12
     tri, bary = oracle._locate_many(np.array([oracle._node_pos(n) for n in nodes]))
-    for n, t, b in zip(nodes, tri.tolist(), bary):
+    for got, t, b in zip(oracle._node_images(nodes, tri, bary), tri.tolist(), bary):
         corners = [mg.images[v] for v in mg.mesh.triangles[t]]
         want = mg.space.barycenter_rows(corners, np.clip(b, 0.0, None)[None, :])[0]
-        assert oracle._node_image(n, t, b) == want
+        assert got == want
