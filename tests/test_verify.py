@@ -633,6 +633,52 @@ def test_augmented_graphs_are_pinned(name, triple, want):
     assert csr_sha256(oracle._matrix()) == want
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of `CertReport.to_json()` and of `samples_csv` for certify_cat on the
+# model surfaces (12 triples, grid 10) and on wide and narrow flat cones (30
+# triples, grid 8), by seed: the values of the per-sample scalar path.
+PINNED_CERTIFICATES = {
+    ("model", -1.0, 17): ("e94cb0d43ac22383b50d3598db56093c31637e833a7098d6523e98577a7b9f94",
+                          "66932e87c12dbfdc6ac9c5c2a8351c46f0b34a5ee808eb12f23ccbbf07d42e6c"),
+    ("model", 0.0, 17): ("5dfec0b3789293146c147b35650a42525662f2e90e9e194a2c7c4bbcc3f34e4b",
+                         "6e448bac487238fe6a5822329e7f25776b0cf15e89f80c77a611efcd97070db3"),
+    ("model", 1.0, 17): ("e4e29a23ef68293e0e639bad0ff960e961e47a4238eeef397dc4f9f85eda661d",
+                         "9b1d14f13bba8023438f82a26bb4df2a17df97b989bcd823385be9e2c1cd4988"),
+    ("cone", 2.5, 17): ("071a7881a3d29b2a5a22e956c9bd1837e62ab4aa122c02ae5e6c013a07ca9f41",
+                        "822afb8e238e5411734a14f0f69ef8354d7d5ad7627aeb27690c9fd73ca9f0c4"),
+    ("cone", 1.5, 17): ("a31e2e1484ed31d863fdde4c9d69214bf95993608e790348dc141f8a3142a57e",
+                        "e1f416d28a3f7c91018f121114ffbbe8afd0ac9182fd147c9cdbc2bac55ab15b"),
+    ("model", -1.0, 503): ("291b0e256005963f3a985850c05911b100bcf8be3bc1ded67bb436b04978174f",
+                           "51cc351ea5a52bcc56fcaf5e32299805d5621c9057544bb1c20be8fe7de5f480"),
+    ("model", 0.0, 503): ("1cf520dd6422e358124e553f00f0baa852299e2b0fa630a45304e364f55f4b05",
+                          "881a54a1de1b5ad49b0d18449580a50a2e861bb82bc9450ef41ac2a6586a31c9"),
+    ("model", 1.0, 503): ("39431f01b28be4fa8b3f9d63c0b8f80611040ec82b33f97b6351e056c0e89dfe",
+                          "5e5e8af516ac3785570f2ae7904b11a0da1fc5c8b307c854086e475b8021f77e"),
+    ("cone", 2.5, 503): ("446e048008d69a4a6c3578c772c8e09e183b85a0f44de6e97cb57625713e2935",
+                         "634a466e9dc4a421569b89ddcc8ac5de4c3e7482774764115e84316bf034cacb"),
+    ("cone", 1.5, 503): ("a32f32afc55eca6149deba6df5293227faaaf6ab20980d6b4b7c94ce78c173bc",
+                         "2a8dd3d77a0b65aec4ac1163c3536eb69a89c2d9bb82202f37bf3e63190d0ee2"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_CERTIFICATES))
+def test_model_and_cone_certificates_are_pinned(case):
+    """certify_cat's report and sample CSV, byte for byte."""
+    kind, value, seed = case
+    if kind == "model":
+        space, kappa, triples, grid = ModelSpace(value), Kappa(value), 12, 10
+    else:
+        space, kappa, triples, grid = FlatCone(value * math.pi), Kappa(0.0), 30, 8
+    report, samples = certify_cat(space, kappa, triple_budget=triples, grid=grid,
+                                  seed=seed, collect_samples=True)
+    assert (_sha256(report.to_json()), _sha256(verify.samples_csv(samples))) == (
+        PINNED_CERTIFICATES[case]
+    )
+
+
 def one_by_one_links(oracle, points):
     """Temporary-node links as wiring each point alone made them: one
     locator call, one `@` per boundary node and one norm per earlier point."""
