@@ -100,6 +100,23 @@ def _minkowski_sq(c) -> float:
     return x * x + y * y - z * z
 
 
+def _row_dots(C: np.ndarray) -> np.ndarray:
+    """Each row's dot product with itself, bit for bit as `ndarray.dot`
+    gives it for the row alone: a stacked (1, k) @ (k, 1) product."""
+    return (C[:, None, :] @ C[:, :, None])[:, 0, 0]
+
+
+def _minkowski_rows(C: np.ndarray) -> np.ndarray:
+    """`_minkowski_sq` of each row."""
+    return C[:, 0] * C[:, 0] + C[:, 1] * C[:, 1] - C[:, 2] * C[:, 2]
+
+
+def _mapped(fn, X: np.ndarray) -> np.ndarray:
+    """The `math` function fn on each value: NumPy's own transcendental
+    loops may round differently."""
+    return np.array(list(map(fn, X.tolist())), dtype=float)
+
+
 def quadric_residual(kappa: Kappa, coords) -> float:
     """Deviation of coordinates from the model's quadric constraint."""
     c = np.asarray(coords, dtype=float)
@@ -243,6 +260,43 @@ def model_distance(kappa: Kappa, p: ModelPoint, q: ModelPoint) -> float:
     return 2.0 * math.asinh(0.5 * math.sqrt(msq)) / s
 
 
+def model_distances(kappa: Kappa, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """`model_distance` of each row-aligned pair of coordinate rows of P and
+    Q, bit for bit, after its quadric check of every row.
+
+    The interpolant's kernel, `steiner._batch_distance`, rounds differently;
+    it stays apart because the induced graphs are built on its values.
+    """
+    k = kappa.value
+    for C in (P, Q):
+        res = _quadric_residuals(kappa, C)
+        bad = np.flatnonzero(res > 1e-9)
+        if len(bad):
+            raise InvalidPointError(
+                f"point off the kappa={k} quadric (residual {res[bad[0]]:.3e})"
+            )
+    D = P - Q
+    if k == 0:
+        return np.sqrt(_row_dots(D))
+    s = kappa.scale
+    if k > 0:
+        half = np.minimum(1.0, 0.5 * np.sqrt(_row_dots(D)) * s)
+        return 2.0 * _mapped(math.asin, half) / s
+    msq = np.maximum(_minkowski_rows(D) * (-k), 0.0)
+    return 2.0 * _mapped(math.asinh, 0.5 * np.sqrt(msq)) / s
+
+
+def _quadric_residuals(kappa: Kappa, C: np.ndarray) -> np.ndarray:
+    """`quadric_residual` of each coordinate row."""
+    k = kappa.value
+    if k > 0:
+        return np.abs(k * _row_dots(C) - 1.0)
+    if k == 0:
+        return np.abs(C[:, 2])
+    res = np.abs(-k * _minkowski_rows(C) + 1.0)
+    return np.where(C[:, 2] <= 0, np.maximum(res, 1.0), res)
+
+
 def geodesic_point(kappa: Kappa, p: ModelPoint, q: ModelPoint, t: float) -> ModelPoint:
     """Point at parameter t on the geodesic from p to q (proportional to arclength)."""
     if not -1e-12 <= t <= 1.0 + 1e-12:
@@ -254,6 +308,46 @@ def geodesic_point(kappa: Kappa, p: ModelPoint, q: ModelPoint, t: float) -> Mode
     if t == 1.0:
         return q
     return exp_map(kappa, p, t * v)
+
+
+def geodesic_points(kappa: Kappa, p: ModelPoint, q: ModelPoint, T) -> np.ndarray:
+    """Coordinate rows of `geodesic_point(kappa, p, q, t)` for each t of T,
+    bit for bit: one `log_map`, then `exp_map` and `_project` in array
+    passes, in the scalar code's order of operations."""
+    T = np.asarray(T, dtype=float)
+    outside = ~((T >= -1e-12) & (T <= 1.0 + 1e-12))
+    if outside.any():
+        raise ValueError(f"t={T[outside][0]} outside [0, 1]")
+    T = np.minimum(np.maximum(T, 0.0), 1.0)
+    v = log_map(kappa, p, q)
+    out = np.empty((len(T), 3))
+    out[:] = p.coords
+    out[T == 1.0] = q.coords
+    V = T[:, None] * v
+    k = kappa.value
+    if k < 0:
+        d = np.sqrt(np.maximum(_minkowski_rows(V), 0.0))
+    else:
+        d = np.sqrt(_row_dots(V))
+    # exp_map returns p itself for a step below SIDE_FLOOR.
+    move = np.flatnonzero((T != 0.0) & (T != 1.0) & ~(d < SIDE_FLOOR))
+    V, d = V[move], d[move]
+    if k == 0:
+        C = p.coords + V
+        C[:, 2] = 0.0
+    else:
+        s = kappa.scale
+        if k > 0:
+            f, g = _mapped(math.cos, s * d), _mapped(math.sin, s * d) / s
+        else:
+            f, g = _mapped(math.cosh, s * d), _mapped(math.sinh, s * d) / s
+        C = f[:, None] * p.coords + g[:, None] * (V / d[:, None])
+        if k > 0:
+            C *= (1.0 / (s * np.sqrt(_row_dots(C))))[:, None]
+        else:
+            C *= (1.0 / np.sqrt(-_minkowski_rows(C) * (-k)))[:, None]
+    out[move] = C
+    return out
 
 
 def _check_triangle_sides(kappa: Kappa, a: float, b: float, c: float):

@@ -6,16 +6,18 @@ arclength), curve length, a weighted squared-distance barycenter, a Fermat
 point (weighted sum-of-distances minimizer) and seeded point sampling.
 Backends are immutable after construction.
 
-The array interface (`distance_arrays`, `triangle_tables`, `triangle_means`)
-runs on the `steiner` kernels for Euclidean and model-surface coordinates, on
-(edge index, offset) rows for trees, and by default point by point on object
-arrays of the backend's own points.
+The induced oracle's array interface (`distance_arrays`, `triangle_tables`,
+`triangle_means`, `polyline_lengths`) runs on the `steiner` kernels for
+Euclidean and model-surface coordinates, on (edge index, offset) rows for
+trees, and on object arrays of ConePoints for cones.  `distance_blocks`,
+`geodesics` and `chains` give what `distance` and `geodesic` give, bit for
+bit; by default they call them once per entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import mul, sub, truediv
 
@@ -23,8 +25,21 @@ import numpy as np
 
 from . import model
 from .errors import BackendMismatchError, ConfigError, OutOfConvexityError
-from .model import Kappa, ModelPoint
-from .steiner import _batch_bary_interp, _batch_distance, tri_point
+from .model import Kappa, ModelPoint, _mapped, _row_dots
+from .steiner import _batch_bary_interp, _batch_distance, _row_sums, tri_point
+
+
+def _block_matrices(blocks, rows, pair_distances):
+    """Distance matrices of (sources, targets) blocks from one array pass
+    over all their pairs: `rows` turns each side into an array of point
+    rows, and `pair_distances` measures row-aligned pairs of them."""
+    sides = [(rows(sources), rows(targets)) for sources, targets in blocks]
+    d = pair_distances(
+        np.concatenate([np.repeat(S, len(T), axis=0) for S, T in sides]),
+        np.concatenate([T for S, T in sides for _ in range(len(S))]),
+    )
+    ends = np.cumsum([len(S) * len(T) for S, T in sides])
+    return [d[e - len(S) * len(T):e].reshape(len(S), len(T)) for e, (S, T) in zip(ends.tolist(), sides)]
 
 
 class TargetSpace:
@@ -67,12 +82,48 @@ class TargetSpace:
         )
 
     def distance_arrays(self, X, Y) -> np.ndarray:
-        """Distances between row-aligned array points."""
-        return np.array([self.distance(x, y) for x, y in zip(X, Y)])
+        """Distances between row-aligned array points, for the induced
+        oracle's interpolant; may round differently from `distance`."""
+        raise NotImplementedError
+
+    def distance_blocks(self, blocks):
+        """Distance matrices of (sources, targets) blocks, each entry as
+        `distance` gives it; by default one call per pair."""
+        return [[[self.distance(s, t) for t in targets] for s in sources]
+                for sources, targets in blocks]
+
+    def geodesics(self, p, q, T):
+        """The points `geodesic(p, q, t)` for each fraction t of the array T,
+        in a form `distance_blocks` takes; by default one call per fraction."""
+        return [self.geodesic(p, q, t) for t in T.tolist()]
+
+    def chains(self, ends, fracs):
+        """Chain points and chain step lengths of geodesics: for each
+        (p, q) of `ends`, the points `geodesic(p, q, f)` at the fractions f
+        of its row of `fracs`, and the `distance` of each step of the chain
+        p, points..., q.  Returns the points of all chains in one list, and
+        one row of step lengths per chain; by default one call per point
+        and per step."""
+        points, steps = [], []
+        for (p, q), kept in zip(ends, fracs):
+            chain = [p, *(self.geodesic(p, q, f) for f in kept), q]
+            points.extend(chain[1:-1])
+            steps.append([self.distance(a, b) for a, b in zip(chain, chain[1:])])
+        return points, steps
 
     def triangle_tables(self, corners):
         """Per-triangle tables of `triangle_means` for (p0, p1, p2) triples."""
         return list(corners)
+
+    def polyline_lengths(self, points, chains) -> np.ndarray:
+        """Lengths of polylines through array points, by `distance_arrays`:
+        row c of `chains` indexes the points of polyline c."""
+        shape = (-1, *points.shape[1:])
+        d = self.distance_arrays(
+            points.take(chains[:, :-1], axis=0).reshape(shape),
+            points.take(chains[:, 1:], axis=0).reshape(shape),
+        )
+        return _row_sums(d.reshape(len(chains), -1))
 
     def triangle_means(self, tables, tri_idx, weight_rows) -> np.ndarray:
         """The triangle interpolant, as array points, in the triangles
@@ -136,11 +187,42 @@ class EuclideanSpace(TargetSpace):
     def distance_arrays(self, X, Y) -> np.ndarray:
         return _batch_distance(0.0, X, Y)
 
+    def chains(self, ends, fracs):
+        """`TargetSpace.chains` in one array pass over chains with rows of
+        `fracs` of one length: (1 - f) p + f q, and the square roots of the
+        steps' dot products, as `geodesic` and `distance` compute them."""
+        P = np.array([[self._coerce(p), self._coerce(q)] for p, q in ends]).reshape(-1, 2, self.n)
+        F = np.array(fracs, dtype=float).reshape(len(P), -1, 1)
+        X = (1.0 - F) * P[:, :1] + F * P[:, 1:]
+        C = np.concatenate([P[:, :1], X, P[:, 1:]], axis=1)
+        D = C[:, :-1] - C[:, 1:]
+        steps = np.sqrt(_row_dots(D.reshape(-1, self.n))).reshape(len(P), -1)
+        return list(X.reshape(-1, self.n)), steps
+
     def triangle_tables(self, corners):
-        return np.array([[self._coerce(p) for p in tri] for tri in corners])
+        """Corner coordinates as a (3, n, triangles) table, coordinate-major."""
+        return np.ascontiguousarray(
+            np.array([[self._coerce(p) for p in tri] for tri in corners]).reshape(-1, 3, self.n).transpose(1, 2, 0)
+        )
 
     def triangle_means(self, tables, tri_idx, weight_rows) -> np.ndarray:
-        return _batch_bary_interp(0.0, tables.take(tri_idx, axis=0), weight_rows)
+        """The interpolant on an (N, 3, n) view of (3, n, N) corners: every
+        elementwise pass loops over N points per coordinate, and the means
+        come as an (N, n) view of (n, N) rows."""
+        corners = tables.take(tri_idx, axis=2).transpose(2, 0, 1)
+        return _batch_bary_interp(0.0, corners, weight_rows)
+
+    def polyline_lengths(self, points, chains) -> np.ndarray:
+        """`TargetSpace.polyline_lengths`, gathering coordinate-major means
+        by coordinate rows.  The row sums of distances with 8 or more
+        coordinates would round differently on that layout, so those points
+        are gathered row by row."""
+        if self.n >= 8:
+            return super().polyline_lengths(points, chains)
+        P = points.T
+        d = self.distance_arrays(P.take(chains[:, :-1].ravel(), axis=1).T,
+                                 P.take(chains[:, 1:].ravel(), axis=1).T)
+        return _row_sums(d.reshape(len(chains), -1))
 
     def barycenter(self, points, weights=None):
         pts, w = self._normalized_weights(points, weights)
@@ -349,7 +431,38 @@ class ModelSpace(TargetSpace):
         return model.from_tangent(self.kappa, rng.uniform(-1.0, 1.0, size=2))
 
     def distance_arrays(self, X, Y) -> np.ndarray:
+        """The interpolant's kernel on coordinate rows (`steiner`); the
+        array form of `distance` itself is `model.model_distances`."""
         return _batch_distance(self.kappa.value, X, Y)
+
+    def _coords(self, points) -> np.ndarray:
+        """Coordinate rows of ModelPoints; rows from `geodesics` pass as
+        they are."""
+        if isinstance(points, np.ndarray):
+            return points
+        return np.array([self._coerce(p).coords for p in points]).reshape(-1, 3)
+
+    def distance_blocks(self, blocks):
+        return _block_matrices(
+            blocks, self._coords, lambda X, Y: model.model_distances(self.kappa, X, Y)
+        )
+
+    def geodesics(self, p, q, T):
+        """Coordinate rows of `geodesic(p, q, t)` for each t of T."""
+        return model.geodesic_points(self.kappa, self._coerce(p), self._coerce(q), T)
+
+    def chains(self, ends, fracs):
+        """`TargetSpace.chains` with each chain's points in one
+        `geodesics` call and all steps in one `model.model_distances` call,
+        for rows of `fracs` of one length."""
+        C = np.array([
+            [p.coords, *self.geodesics(p, q, np.asarray(f, dtype=float)), q.coords]
+            for (p, q), f in zip(ends, fracs)
+        ]).reshape(len(ends), -1, 3)
+        steps = model.model_distances(
+            self.kappa, C[:, :-1].reshape(-1, 3), C[:, 1:].reshape(-1, 3)
+        )
+        return list(map(ModelPoint, C[:, 1:-1].reshape(-1, 3))), steps.reshape(len(C), -1)
 
     def triangle_tables(self, corners):
         return np.array([[self._coerce(p).coords for p in tri] for tri in corners])
@@ -829,7 +942,6 @@ class ConePoint:
 
     r: float
     phi: float
-    nonunique: bool = field(default=False, compare=False)
 
 
 class FlatCone(TargetSpace):
@@ -879,28 +991,81 @@ class FlatCone(TargetSpace):
             max(p.r * p.r + q.r * q.r - 2.0 * p.r * q.r * math.cos(gap), 0.0)
         )
 
+    def _polar(self, points) -> np.ndarray:
+        """(r, phi) rows of ConePoints, each checked by `_coerce`; float
+        rows from `geodesics` pass as they are."""
+        if isinstance(points, np.ndarray) and points.dtype == float:
+            return points
+        return np.array(
+            [(c.r, c.phi) for c in map(self._coerce, points)], dtype=float
+        ).reshape(-1, 2)
+
+    def _polar_distances(self, X, Y) -> np.ndarray:
+        """`distance` of row-aligned pairs of (r, phi) rows, bit for bit:
+        Python's float % is np.remainder, and the cosine is math.cos."""
+        r1, r2 = X[:, 0], Y[:, 0]
+        delta = np.remainder(Y[:, 1] - X[:, 1], self.theta)
+        gap = np.minimum(delta, self.theta - delta)
+        chord = np.sqrt(np.maximum(
+            r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * _mapped(math.cos, gap), 0.0
+        ))
+        # Radii are not negative, so the smaller is 0 where either is.
+        return np.where((np.minimum(r1, r2) == 0.0) | (gap >= math.pi), r1 + r2, chord)
+
+    def distance_arrays(self, X, Y) -> np.ndarray:
+        """`distance` of row-aligned ConePoints, bit for bit."""
+        return self._polar_distances(self._polar(X), self._polar(Y))
+
+    def distance_blocks(self, blocks):
+        return _block_matrices(blocks, self._polar, self._polar_distances)
+
     def geodesic(self, p, q, t: float):
         p, q = self._coerce(p), self._coerce(q)
         d = self.distance(p, q)
         if d < 1e-15:
             return p
         gap, sign = self._gap(p, q)
-        nonunique = p.r > 0 and q.r > 0 and abs(gap - math.pi) < 1e-12
         through_apex = (p.r == 0.0 or q.r == 0.0) or gap >= math.pi
         if through_apex:
             s = t * d
             if s <= p.r:
-                return ConePoint(p.r - s, p.phi if p.r > 0 else q.phi, nonunique)
-            return ConePoint(s - p.r, q.phi, nonunique)
+                return ConePoint(p.r - s, p.phi if p.r > 0 else q.phi)
+            return ConePoint(s - p.r, q.phi)
         # Unfold the sector spanned by the two radii into the plane.
         a = np.array([p.r, 0.0])
         b = np.array([q.r * math.cos(gap), q.r * math.sin(gap)])
         z = (1.0 - t) * a + t * b
         r = float(np.linalg.norm(z))
         if r < 1e-15:
-            return ConePoint(0.0, 0.0, nonunique)
+            return ConePoint(0.0, 0.0)
         psi = math.atan2(z[1], z[0])
-        return ConePoint(r, (p.phi + sign * psi) % self.theta, nonunique)
+        return ConePoint(r, (p.phi + sign * psi) % self.theta)
+
+    def geodesics(self, p, q, T):
+        """(r, phi) rows of `geodesic(p, q, t)` for each fraction t of T, bit
+        for bit, from array passes in the scalar code's order of
+        operations."""
+        p, q = self._coerce(p), self._coerce(q)
+        d = self.distance(p, q)
+        if d < 1e-15:
+            return np.tile([p.r, p.phi], (len(T), 1))
+        gap, sign = self._gap(p, q)
+        if (p.r == 0.0 or q.r == 0.0) or gap >= math.pi:
+            s = T * d
+            first = s <= p.r
+            r = np.where(first, p.r - s, s - p.r)
+            phi = np.where(first, p.phi if p.r > 0 else q.phi, q.phi)
+        else:
+            b0, b1 = q.r * math.cos(gap), q.r * math.sin(gap)
+            Z = np.empty((len(T), 2))
+            Z[:, 0] = (1.0 - T) * p.r + T * b0
+            Z[:, 1] = (1.0 - T) * 0.0 + T * b1
+            r = np.sqrt(_row_dots(Z))
+            psi = np.array(list(map(math.atan2, Z[:, 1].tolist(), Z[:, 0].tolist())))
+            apex = r < 1e-15
+            r = np.where(apex, 0.0, r)
+            phi = np.where(apex, 0.0, np.remainder(p.phi + sign * psi, self.theta))
+        return np.column_stack([r, phi])
 
     def random_point(self, rng):
         return ConePoint(

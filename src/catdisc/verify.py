@@ -67,10 +67,36 @@ class ThinnessSample:
     defect: float
 
 
-def _compared_distances(kappa: Kappa, sides, S, T) -> np.ndarray:
-    """Model distances between the points at fractions S[i] on side AB and
-    T[i] on side AC of the comparison triangle with side lengths
-    `sides` = (a, b, c); S and T are row-aligned."""
+class ThinnessSamples:
+    """The thinness samples of one triple as row-aligned arrays: fractions
+    `S` and `T`, `measured` and `compared` distances and their `defect`,
+    with the triple's `sides`.  As a sequence its items are the
+    ThinnessSample objects, built on first access."""
+
+    def __init__(self, sides, S, T, measured, compared):
+        self.sides, self.S, self.T = sides, S, T
+        self.measured, self.compared = measured, compared
+        self.defect = measured - compared
+        self._items = None
+
+    def __len__(self):
+        return len(self.S)
+
+    def __getitem__(self, i):
+        if self._items is None:
+            self._items = [
+                ThinnessSample(s=s, t=t, sides=self.sides, measured=m, compared=c, defect=d)
+                for s, t, m, c, d in zip(self.S.tolist(), self.T.tolist(),
+                                         self.measured.tolist(), self.compared.tolist(),
+                                         self.defect.tolist())
+            ]
+        return self._items[i]
+
+
+def _comparison_points(kappa: Kappa, sides, S, T):
+    """Coordinate rows of the points at fractions S on side AB and T on
+    side AC of the comparison triangle with side lengths `sides` =
+    (a, b, c)."""
     S = np.asarray(S, dtype=float)
     T = np.asarray(T, dtype=float)
     for F in (S, T):
@@ -81,10 +107,19 @@ def _compared_distances(kappa: Kappa, sides, S, T) -> np.ndarray:
     k = kappa.value
     if k > 0 and max(tri.sides[1:]) > kappa.r_kappa - 1e-9:
         raise NonUniqueGeodesicError("comparison side joins antipodal points")
-    A, B, C = (np.broadcast_to(v.coords, (len(S), 3)) for v in tri.vertices)
-    X = _batch_geodesic(k, A, B, np.clip(S, 0.0, 1.0))
-    Y = _batch_geodesic(k, A, C, np.clip(T, 0.0, 1.0))
-    return _batch_distance(k, X, Y)
+    A, B, C = (v.coords for v in tri.vertices)
+    return tuple(
+        _batch_geodesic(k, np.broadcast_to(A, (len(F), 3)), np.broadcast_to(E, (len(F), 3)),
+                        np.clip(F, 0.0, 1.0))
+        for E, F in ((B, S), (C, T))
+    )
+
+
+def _compared_distances(kappa: Kappa, sides, S, T) -> np.ndarray:
+    """Model distances between the points at fractions S[i] on side AB and
+    T[i] on side AC of the comparison triangle with side lengths
+    `sides` = (a, b, c); S and T are row-aligned."""
+    return _batch_distance(kappa.value, *_comparison_points(kappa, sides, S, T))
 
 
 def recompare(samples, kappa: Kappa):
@@ -103,25 +138,17 @@ def recompare(samples, kappa: Kappa):
     return out
 
 
-def _distance_blocks(space, blocks):
-    """Distance matrices of (sources, targets) blocks: in one batch where
-    the space has `distance_blocks`, else one `distance` call per pair."""
-    if hasattr(space, "distance_blocks"):
-        return space.distance_blocks(blocks)
-    return [[[space.distance(s, t) for t in targets] for s in sources]
-            for sources, targets in blocks]
-
-
 def thinness_defect(space, kappa: Kappa, triple, grid: int = 16):
-    """Thinness samples of one triple on a grid x grid parameter lattice.
+    """Thinness samples of one triple on a grid x grid parameter lattice,
+    as ThinnessSamples, from the space's `geodesics` and `distance_blocks`.
 
     Returns None (a skipped-triple marker) when the triple is degenerate or,
     for kappa > 0, when its perimeter reaches 2 R_kappa.
     """
     _require_grid(grid)
     p, q, r = triple
-    (dpq, dpr), (dqr,) = (rows[0] for rows in _distance_blocks(
-        space, [([p], [q, r]), ([q], [r])]
+    (dpq, dpr), (dqr,) = (rows[0] for rows in space.distance_blocks(
+        [([p], [q, r]), ([q], [r])]
     ))
     sides = (float(dqr), float(dpr), float(dpq))
     _require_finite(sides, "side", sides)
@@ -142,25 +169,24 @@ def thinness_defect(space, kappa: Kappa, triple, grid: int = 16):
         dqr, dpr, dpq = sides
     if kappa.value > 0 and sum(sides) >= 2.0 * kappa.r_kappa - 1e-9:
         return None
+    fracs = np.arange(1, grid + 1) / (grid + 1)
     try:
-        xs = [space.geodesic(p, q, (i + 1) / (grid + 1)) for i in range(grid)]
-        ys = [space.geodesic(p, r, (j + 1) / (grid + 1)) for j in range(grid)]
+        xs = space.geodesics(p, q, fracs)
+        ys = space.geodesics(p, r, fracs)
     except NonUniqueGeodesicError:
         return None
     arc_a, arc_b, measured = (
         np.asarray(rows, dtype=float).ravel()
-        for rows in _distance_blocks(space, [([p], xs), ([p], ys), (xs, ys)])
+        for rows in space.distance_blocks([([p], xs), ([p], ys), (xs, ys)])
     )
     _require_finite(np.concatenate([arc_a, arc_b, measured]), "measured", sides)
-    S = np.repeat(np.minimum(arc_a / dpq, 1.0), grid)
-    T = np.tile(np.minimum(arc_b / dpr, 1.0), grid)
-    compared = _compared_distances(kappa, sides, S, T)
+    # The comparison points are computed once per fraction of each side.
+    fa, fb = np.minimum(arc_a / dpq, 1.0), np.minimum(arc_b / dpr, 1.0)
+    X, Y = _comparison_points(kappa, sides, fa, fb)
+    compared = _batch_distance(kappa.value, np.repeat(X, grid, axis=0), np.concatenate([Y] * grid))
     _require_finite(compared, "compared", sides)
-    return [
-        ThinnessSample(s=s, t=t, sides=sides, measured=m, compared=c, defect=m - c)
-        for s, t, m, c in zip(S.tolist(), T.tolist(), measured.tolist(),
-                              compared.tolist())
-    ]
+    S, T = np.repeat(fa, grid), np.concatenate([fb] * grid)
+    return ThinnessSamples(sides, S, T, measured, compared)
 
 
 def _require_grid(grid):
@@ -228,11 +254,12 @@ def _certify(space, kappa: Kappa, draw, triple_budget, grid, tolerance, seed,
     to draw again without counting.  A triple that `thinness_defect` rejects
     is skipped.  The loop stops after `triple_budget` counted triples or
     20 * `triple_budget` draws; with no triple evaluated the verdict is
-    "inconclusive", since there is no evidence either way.
+    "inconclusive", since there is no evidence either way.  Samples stay
+    arrays; ThinnessSample objects are built only for `collect_samples`.
     """
     _require_grid(grid)
     rng = np.random.default_rng(seed)
-    all_samples = []
+    batches = []
     used = skipped = attempts = 0
     while used + skipped < triple_budget and attempts < 20 * triple_budget:
         attempts += 1
@@ -244,18 +271,21 @@ def _certify(space, kappa: Kappa, draw, triple_budget, grid, tolerance, seed,
             skipped += 1
             continue
         used += 1
-        all_samples.extend(samples)
-    max_defect = max((smp.defect for smp in all_samples), default=0.0)
-    positive = [smp.defect for smp in all_samples if smp.defect > 0.0]
+        batches.append(samples)
+    defects = np.concatenate([np.zeros(0), *(b.defect for b in batches)])
+    max_defect = max(defects.tolist(), default=0.0)
+    positive = defects[defects > 0.0]
     verdict = "inconclusive" if used == 0 else "pass" if max_defect <= tolerance else "fail"
     report = CertReport(
         kappa=float(kappa.value), n_triples=used, n_skipped=skipped,
-        n_samples=len(all_samples), max_defect=float(max_defect),
-        mean_positive_defect=float(np.mean(positive)) if positive else 0.0,
+        n_samples=len(defects), max_defect=float(max_defect),
+        mean_positive_defect=float(np.mean(positive)) if len(positive) else 0.0,
         tolerance=float(tolerance), verdict=verdict, provenance=provenance,
         seed=int(seed), refinement=refinement,
     )
-    return (report, all_samples) if collect_samples else report
+    if collect_samples:
+        return report, [smp for b in batches for smp in b]
+    return report
 
 
 def certify_cat(
@@ -341,17 +371,15 @@ class InducedGraphSpace:
             ]
         else:
             fracs = [_chain_fracs(fr.tolist())] * len(mesh.edges)
-        node_images, steps = list(images), []
-        for (u, v), kept in zip(mesh.edges.tolist(), fracs):
-            chain = [images[u], *(space.geodesic(images[u], images[v], f) for f in kept), images[v]]
-            node_images.extend(chain[1:-1])
-            steps.append([space.distance(a, b) for a, b in zip(chain, chain[1:])])
+        points, steps = space.chains(
+            [(images[u], images[v]) for u, v in mesh.edges.tolist()], fracs
+        )
         self._core = SteinerGraph(mesh.n_vertices, mesh.edges, fracs, mesh.triangles)
         xy = mesh.coords[:, :2]
         counts = self._core.counts
         f = np.concatenate([[], *fracs])[:, None]
         ends = np.repeat(mesh.edges, counts, axis=0)
-        self.node_images = node_images
+        self.node_images = list(images) + list(points)
         self.node_xy = np.concatenate([xy, (1.0 - f) * xy[ends[:, 0]] + f * xy[ends[:, 1]]])
         self.n_vertices = mesh.n_vertices
         self.n_nodes = self._core.n_nodes
@@ -380,13 +408,7 @@ class InducedGraphSpace:
         """Image polyline lengths through disc points given by triangle and
         barycentrics; row c of `chains` indexes the CHORD_SAMPLES + 1 points
         of polyline c."""
-        pts = self._images_at(tri_idx, bary)
-        shape = (-1, *pts.shape[1:])
-        d = self.space.distance_arrays(
-            pts.take(chains[:, :-1], axis=0).reshape(shape),
-            pts.take(chains[:, 1:], axis=0).reshape(shape),
-        )
-        return _row_sums(d.reshape(len(chains), CHORD_SAMPLES))
+        return self.space.polyline_lengths(self._images_at(tri_idx, bary), chains)
 
     def _located_lengths(self, tri_idx, bary, chains):
         """`_chain_lengths` of located points, their barycentrics clipped to
@@ -898,6 +920,10 @@ class InducedGraphSpace:
             ]
             out.append(self._fiber_post(sources, targets, rows))
         return out
+
+    def geodesics(self, p, q, T):
+        """`geodesic(p, q, t)` for each fraction t of the array T."""
+        return [self.geodesic(p, q, t) for t in T.tolist()]
 
     def geodesic(self, p, q, t: float):
         """Temporary node at arclength fraction t of the cached p-q curve,

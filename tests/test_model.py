@@ -16,15 +16,18 @@ from catdisc.errors import (
 )
 from catdisc.model import (
     Kappa,
+    ModelPoint,
     angle_from_sides,
     base_point,
     build_comparison_triangle,
     exp_map,
     from_tangent,
     geodesic_point,
+    geodesic_points,
     log_map,
     make_point,
     model_distance,
+    model_distances,
     side_from_angle,
 )
 
@@ -177,3 +180,50 @@ def test_from_tangent_preserves_radius(kappa, x, y):
         return
     p = from_tangent(kap, (x, y))
     assert abs(model_distance(kap, base_point(kap), p) - r) <= 1e-9
+
+
+def coords(points):
+    return np.array([p.coords for p in points])
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_array_forms_equal_the_scalar_kernel_bit_for_bit(kappa):
+    """`model_distances` is `model_distance` per pair and `geodesic_points`
+    is `geodesic_point` per fraction, byte for byte, on random pairs and on
+    coincident, nearly coincident and far pairs, with fractions whose step
+    t |v| falls below SIDE_FLOOR (the row is p itself)."""
+    kap = Kappa(kappa)
+    rng = np.random.default_rng(23)
+    pts = random_points(kappa, rng, 120)
+    near = from_tangent(kap, np.array([pts[1].x, pts[1].y]) + 1e-9)
+    P = pts[:60] + [pts[0], pts[1], pts[2]]
+    Q = pts[60:] + [pts[0], near, from_tangent(kap, (-pts[2].x, -pts[2].y))]
+    got = model_distances(kap, coords(P), coords(Q))
+    want = np.array([model_distance(kap, p, q) for p, q in zip(P, Q)])
+    assert got.tobytes() == want.tobytes()
+    T = np.array([0.0, 1e-13, 0.1, 1.0 / 3.0, 0.5, 0.9, 1.0 - 1e-16, 1.0, 1.0 + 1e-13])
+    for p, q in zip(P, Q):
+        want = coords([geodesic_point(kap, p, q, t) for t in T.tolist()])
+        assert geodesic_points(kap, p, q, T).tobytes() == want.tobytes()
+
+
+def test_array_forms_keep_the_scalar_checks():
+    """Near-antipodal sphere pairs raise in `log_map`, rows off the quadric
+    fail its 1e-9 check, and fractions outside [0, 1] are refused."""
+    kap = Kappa(1.0)
+    p = make_point(kap, (0.0, 0.0, 1.0))
+    q = make_point(kap, (math.sin(1e-10), 0.0, -math.cos(1e-10)))
+    with pytest.raises(NonUniqueGeodesicError):
+        geodesic_point(kap, p, q, 0.5)
+    with pytest.raises(NonUniqueGeodesicError):
+        geodesic_points(kap, p, q, np.array([0.0, 0.5]))
+    for k, off in ((1.0, (0.0, 0.0, 1.0 + 2e-9)), (0.0, (0.1, 0.2, 2e-9)), (-1.0, (0.0, 0.0, -1.0))):
+        kap = Kappa(k)
+        good, bad = base_point(kap), ModelPoint(np.array(off))
+        with pytest.raises(InvalidPointError):
+            model_distance(kap, good, bad)
+        with pytest.raises(InvalidPointError):
+            model_distances(kap, coords([good, good]), coords([good, bad]))
+    o = base_point(Kappa(0.0))
+    with pytest.raises(ValueError, match="outside"):
+        geodesic_points(Kappa(0.0), o, o, np.array([0.5, 1.1]))

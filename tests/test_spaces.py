@@ -13,10 +13,12 @@ from catdisc.errors import BackendMismatchError, OutOfConvexityError
 from catdisc.mesh import MappedGraph, grid_mesh
 from catdisc.minimize import relax_graph
 from catdisc.spaces import (
+    ConePoint,
     EuclideanSpace,
     FlatCone,
     MetricTree,
     ModelSpace,
+    TargetSpace,
     TreePoint,
     point_from_config,
     space_from_config,
@@ -444,6 +446,63 @@ def test_array_interface_matches_the_point_methods(name):
     else:
         assert np.abs(got - want).max() <= 1e-12
         assert space.distance_arrays(means, to_array(ref)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["euclidean", "model+1", "model-1"])
+def test_chains_equal_the_per_point_calls(name):
+    """Chain points and step lengths from array passes are the ones of one
+    `geodesic` call per point and one `distance` call per step, byte for
+    byte, coincident ends and chains without points included."""
+    rng = np.random.default_rng(5)
+    space, pts, to_array = backend_sample(name, rng, 40)
+    ends = list(zip(pts[:20], pts[20:])) + [(pts[0], pts[0])]
+    for fracs in ([[0.2, 0.4, 0.6, 0.8]] * len(ends), [[]] * len(ends)):
+        got_pts, got_steps = space.chains(ends, fracs)
+        want_pts, want_steps = TargetSpace.chains(space, ends, fracs)
+        assert to_array(got_pts).tobytes() == to_array(want_pts).tobytes()
+        assert np.asarray(got_steps).tobytes() == np.array(want_steps).tobytes()
+
+
+@pytest.mark.parametrize("theta", [1.5 * math.pi, 2.5 * math.pi])
+def test_cone_array_forms_equal_the_point_methods_bit_for_bit(theta):
+    """`distance_arrays`, `distance_blocks` and `geodesics` (as (r, phi)
+    rows) of a flat cone are `distance` and `geodesic` per pair and per
+    fraction, byte for byte,
+    on random pairs and on pairs at the apex, at angular gaps of exactly pi
+    and above pi, and with an angle just below theta."""
+    cone = FlatCone(theta)
+    rng = np.random.default_rng(9)
+    apex, x = cone.point(0.0, 0.0), cone.point(0.7, 1.0)
+    P = [cone.random_point(rng) for _ in range(40)] + [
+        apex, x, apex, x, cone.point(1.0, 0.0), cone.point(0.4, 0.2),
+        cone.point(0.8, math.nextafter(theta, 0.0)),
+    ]
+    Q = [cone.random_point(rng) for _ in range(40)] + [
+        x, apex, apex, x, cone.point(0.5, math.pi), cone.point(0.9, 0.2 + 1.2 * math.pi),
+        cone.point(0.6, 0.1),
+    ]
+    want = np.array([cone.distance(p, q) for p, q in zip(P, Q)])
+    assert cone.distance_arrays(np.array(P, dtype=object), np.array(Q, dtype=object)).tobytes() == (
+        want.tobytes()
+    )
+    (block,) = cone.distance_blocks([(P, Q)])
+    assert block.tobytes() == np.array([[cone.distance(p, q) for q in Q] for p in P]).tobytes()
+    T = np.array([0.0, 1e-16, 0.1, 1.0 / 3.0, 0.5, 0.9, 1.0])
+    for p, q in zip(P, Q):
+        want = np.array([(g.r, g.phi) for g in (cone.geodesic(p, q, t) for t in T.tolist())])
+        assert cone.geodesics(p, q, T).tobytes() == want.tobytes()
+
+
+def test_cone_array_forms_check_their_points():
+    cone = FlatCone(1.5 * math.pi)
+    good = [cone.point(0.5, 0.1)]
+    for bad in (ConePoint(-0.1, 0.0), ConePoint(0.5, 1.5 * math.pi + 1e-9), (0.5, 0.1)):
+        with pytest.raises(BackendMismatchError):
+            cone.distance_arrays(good, [bad])
+        with pytest.raises(BackendMismatchError):
+            cone.distance_blocks([(good, [bad])])
+        with pytest.raises(BackendMismatchError):
+            cone.geodesics(good[0], bad, np.array([0.5]))
 
 
 class TestFlatCone:
