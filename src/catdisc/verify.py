@@ -337,7 +337,7 @@ class InducedGraphSpace:
     form on the tripod the corners span (`MetricTree.triangle_means`); it
     does not backtrack around branch points, which would inflate sampled
     lengths.  Both, and their distances, run on the backend's array
-    interface (`spaces`); cones go point by point.
+    interface (`spaces`); the cone interpolant goes point by point.
     """
 
     def __init__(self, mg: MappedGraph, steiner: int = 6):

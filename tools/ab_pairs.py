@@ -31,7 +31,8 @@ def run(checkout: Path, workload: str, seed: int) -> dict:
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"{checkout}: {' '.join(cmd[1:])} failed:\n{done.stderr}")
-    return json.loads(done.stdout.splitlines()[-1])["metrics"]
+    metrics = json.loads(done.stdout.splitlines()[-1])["metrics"]
+    return {m: metrics[m]["value"] for m in METRICS}
 
 
 def summary(parent: list[dict], change: list[dict]) -> dict:
