@@ -1,7 +1,8 @@
 """Sampled CAT(kappa) certification via comparison-triangle thinness.
 
-A space oracle exposes `distance` and `geodesic`; for each sampled triple a
-comparison triangle is built in the model surface and the distance between
+A space oracle exposes `distance_blocks` and `geodesics` (the `spaces`
+backends build them from `distance` and `geodesic`); for each sampled triple
+a comparison triangle is built in the model surface and the distance between
 points on two sides is compared against the model distance. Positive defects
 witness violations of the curvature bound.
 """

@@ -493,6 +493,25 @@ def test_cone_array_forms_equal_the_point_methods_bit_for_bit(theta):
         assert cone.geodesics(p, q, T).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
+def test_model_blocks_and_geodesics_equal_the_point_methods(kappa):
+    """`ModelSpace.geodesics` rows are `geodesic` per fraction, and
+    `distance_blocks` of points, of those rows and of both mixed is
+    `distance` per entry, byte for byte."""
+    sp = ModelSpace(kappa)
+    rng = np.random.default_rng(13)
+    pts = [sp.point(xy) for xy in rng.uniform(-0.6, 0.6, size=(6, 2))]
+    T = np.array([0.0, 0.25, 0.5, 1.0 / 3.0, 1.0])
+    rows = sp.geodesics(pts[0], pts[1], T)
+    as_points = [sp.geodesic(pts[0], pts[1], t) for t in T.tolist()]
+    assert rows.tobytes() == np.array([p.coords for p in as_points]).tobytes()
+    got = sp.distance_blocks([(pts[:2], pts[2:]), (pts[:1], rows), (rows, rows)])
+    for block, (A, B) in zip(got, [(pts[:2], pts[2:]), (pts[:1], as_points),
+                                   (as_points, as_points)]):
+        want = np.array([[sp.distance(a, b) for b in B] for a in A])
+        assert np.asarray(block).tobytes() == want.tobytes()
+
+
 def test_cone_array_forms_check_their_points():
     cone = FlatCone(1.5 * math.pi)
     good = [cone.point(0.5, 0.1)]
