@@ -633,6 +633,76 @@ def test_augmented_graphs_are_pinned(name, triple, want):
     assert csr_sha256(oracle._matrix()) == want
 
 
+# Per family: the map, its steiner count, kappa, the thinness triples and the
+# grid; then the sha256 of their `thinness_arrays` bytes and the first
+# triple's `geodesics` temporary-node positions, as float hex.  The tripod
+# triples hold vertex 4 or vertex 20, one fiber apart, where contour routes
+# beat graph paths; a triple holding both has a zero side and is skipped.
+THINNESS_CASES = {
+    "skew6": (lambda: skew_ruled_map(6), 4, 0.0, [(2, 40, 30), (45, 8, 24)], 4),
+    "sphere8": (lambda: _model_ruled_map(1.0, 8, 0.6 * math.pi, 0.75), 4, 1.0,
+                [(2, 70, 44), (60, 10, 33)], 4),
+    "hyperbolic6": (lambda: _model_ruled_map(-1.0, 6, 1.0, 0.5), 4, -1.0,
+                    [(2, 40, 30), (45, 8, 24)], 4),
+    "tripod6": (lambda: harmonic_tripod_map(6), 4, 0.0, [(4, 0, 2), (20, 8, 2)], 4),
+    "cone6": (lambda: cone_fan_map(6, 1.5 * math.pi), 3, 0.0, [(0, 2, 5)], 2),
+}
+PINNED_THINNESS = {
+    "skew6": ("e652497d4ba012c5fa0b72f2b1ae1470656b595dc954cb5f90c611d1b37106c8", [
+        "0x1.c7256cd1e4fbfp-2", "0x1.2a1c6a342e4dbp-3", "0x1.1aaa263c695f3p-1",
+        "0x1.357ae4d349354p-2", "0x1.4eebf7f0f5605p-1", "0x1.e12c065a2bbaap-2",
+        "0x1.7f3f47ba6f9f2p-1", "0x1.4b899c04c08e0p-1", "0x1.5555010e0d7bdp-2",
+        "0x1.11110659d70fcp-3", "0x1.555485f178db6p-2", "0x1.1110fe9dbad1bp-2",
+        "0x1.55548b73b6064p-2", "0x1.9999785af1d5bp-2", "0x1.55550463f3c7ap-2",
+        "0x1.11110958a374ep-1",
+    ]),
+    "sphere8": ("0acfc5f5eb1459593c325ac48da538a01ef12c8f960b31bd7d0eeee21a42f572", [
+        "0x1.a233e307bc49ep-2", "0x1.3dda50c6ef932p-3", "0x1.105bf650a5398p-1",
+        "0x1.48419ab757435p-2", "0x1.4711239693a3dp-1", "0x1.fb634e0ecd422p-2",
+        "0x1.7e5c7c621ed6ap-1", "0x1.5c09870500200p-1", "0x1.c5961fe534061p-2",
+        "0x1.36f0eddcfe428p-5", "0x1.369b4021f3172p-1", "0x1.b1dc6cc14f96ap-4",
+        "0x1.80bd9e4ee2950p-1", "0x1.a7ac3e3d25b01p-3", "0x1.c1da96e4bca1ap-1",
+        "0x1.5ac097129aa8bp-2",
+    ]),
+    "hyperbolic6": ("0f3073457b27b609e1e0a4761a8c778b152e5871e9b5d1f291cabce223f095e0", [
+        "0x1.b1523bcf937d6p-2", "0x1.5968eae5108afp-3", "0x1.0bba22e17343dp-1",
+        "0x1.5924a9f85d0e9p-2", "0x1.419c3076f1988p-1", "0x1.01f061602b979p-1",
+        "0x1.77806a7bd69f6p-1", "0x1.56c7ce79427c7p-1", "0x1.555419b50ba9ep-2",
+        "0x1.111110844d1d7p-3", "0x1.5552aecdf7542p-2", "0x1.111111095b869p-2",
+        "0x1.5553a9ae9507ap-2", "0x1.9999986f0e346p-2", "0x1.5553e79d809aep-2",
+        "0x1.1111111180a8cp-1",
+    ]),
+    "tripod6": ("2835c2c1ee5d9deb583803eb422871e4f8a8013bf87fb46b6930b9773ac66f82", [
+        "0x1.478d6127784f2p-1", "0x1.5555555555554p-2", "0x1.1cd5b06b87057p-2",
+        "0x1.ee5910f84f117p-2", "0x1.ddddddddddddep-3", "0x1.9f606b84a34c3p-4",
+        "0x1.9a92075fdd9a4p-4", "0x1.991d62b677993p-4", "0x1.9712b66bd5197p-1",
+        "0x1.46ab53355f7adp-2", "0x1.84dcd58e8ee22p-1", "0x1.93d274bb40a53p-2",
+        "0x1.5e81d7cf99269p-3", "0x1.84b5fcd596f14p-1", "0x1.7777777777778p-2",
+        "0x1.2aa35972103a0p-2",
+    ]),
+    "cone6": ("e577884450cd77f49236e6de6e42468e0f566859b4ec4a4eee7fb34e8685bb9d", [
+        "0x1.5555555555a6bp-3", "0x1.279a745903100p-2", "0x1.5555555555b64p-2",
+        "0x1.279a7459030abp-1", "-0x1.5555555555429p-3", "-0x1.279a745903321p-2",
+        "-0x1.555555555504cp-2", "-0x1.279a7459033abp-1",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(THINNESS_CASES))
+def test_induced_thinness_is_pinned(name):
+    """The query path end to end: every thinness sample field, bit for bit,
+    and where the geodesics put their temporary nodes."""
+    build, steiner, k, triples, grid = THINNESS_CASES[name]
+    oracle = InducedGraphSpace(build(), steiner=steiner)
+    got = thinness_arrays(oracle, Kappa(k), triples, grid)
+    p, q, r = triples[0]
+    fracs = np.arange(1, grid + 1) / (grid + 1)
+    oracle.geodesics(p, q, fracs)
+    oracle.geodesics(p, r, fracs)
+    temps = [x.hex() for x in np.ravel(oracle._temp)]
+    assert (hashlib.sha256(got.tobytes()).hexdigest(), temps) == PINNED_THINNESS[name]
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
