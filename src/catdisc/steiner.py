@@ -7,8 +7,9 @@ a length metric on a triangulated disc by shortest paths on one kind of graph
 (Lanthier, Maheshwari and Sack, Algorithmica 2001): the mesh vertices, a chain
 of Steiner nodes along every mesh edge, and a chord between every two boundary
 nodes of a triangle that do not share a side.  The caller says where the chain
-nodes sit, what each chain step weighs and how long a straight segment inside
-a triangle is.
+nodes sit (in the induced oracle, its `curves` component), what each chain
+step weighs and how long a straight segment inside a triangle is (in the
+induced oracle, its image at CHORD_SAMPLES equal steps).
 
 The interpolant fills a triangle with corners p0, p1, p2 at barycentrics
 (b0, b1, b2): take the point at fraction b1 / (b0 + b1) of the geodesic from
@@ -28,6 +29,10 @@ from scipy.sparse import coo_matrix
 
 # Chords per call of a caller's segment-length function.
 CHORD_BLOCK = 1024
+# Equal steps per straight disc segment when the induced oracle weighs it,
+# and a segment's sample fractions.
+CHORD_SAMPLES = 4
+_LAM = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)
 
 
 def _batch_geodesic(k: float, X, Y, T):

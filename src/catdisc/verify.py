@@ -16,13 +16,16 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import GeometryError, NonUniqueGeodesicError, TooLargeTriangleError
+from .curves import CurveRelaxation, TreeRoutes, _arcs, _reversed
+from .errors import GeometryError, NonUniqueGeodesicError
 from .mesh import MappedGraph
 from .model import Kappa, build_comparison_triangle
-from .spaces import MetricTree, TreePoint
+from .spaces import MetricTree
 from .steiner import (
     CHORD_BLOCK,
+    CHORD_SAMPLES,
     SteinerGraph,
+    _LAM,
     _batch_distance,
     _batch_geodesic,
     _row_sums,
@@ -33,21 +36,8 @@ from .steiner import (
 # Triples with a side below this are rejected as degenerate.
 MIN_SIDE = 1e-6
 
-# Equal steps per straight disc segment when the induced oracle weighs it.
-CHORD_SAMPLES = 4
-# Curve relaxation: at most RELAX_LEVELS probe-step levels of RELAX_PASSES
-# red-black passes each, the step shrinking by RELAX_SHRINK per level; each
-# point probes the RELAX_OFFSETS multiples of the step across its chord.
-RELAX_LEVELS, RELAX_PASSES, RELAX_SHRINK = 10, 2, 0.5
-RELAX_OFFSETS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 # Point-location raster cells to a bucket cell side.
 RASTER = 4
-# A chord's sample fractions; the weights of its interior sample points at
-# its start and its end, shaped to broadcast over (samples, xy); and the
-# signs of a left normal.
-_LAM = np.linspace(0.0, 1.0, CHORD_SAMPLES + 1)
-_INNER_FROM, _INNER_TO = (1.0 - _LAM[1:-1])[:, None], _LAM[1:-1, None]
-_LEFT = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -143,8 +133,9 @@ def thinness_defect(space, kappa: Kappa, triple, grid: int = 16):
     """Thinness samples of one triple on a grid x grid parameter lattice,
     as ThinnessSamples, from the space's `geodesics` and `distance_blocks`.
 
-    Returns None (a skipped-triple marker) when the triple is degenerate or,
-    for kappa > 0, when its perimeter reaches 2 R_kappa.
+    Returns None (a skipped-triple marker) when the triple is degenerate,
+    when, for kappa > 0, its perimeter reaches 2 R_kappa, or when a geodesic
+    it samples, in the space or on a comparison side, is not unique.
     """
     _require_grid(grid)
     p, q, r = triple
@@ -174,16 +165,16 @@ def thinness_defect(space, kappa: Kappa, triple, grid: int = 16):
     try:
         xs = space.geodesics(p, q, fracs)
         ys = space.geodesics(p, r, fracs)
+        arc_a, arc_b, measured = (
+            np.asarray(rows, dtype=float).ravel()
+            for rows in space.distance_blocks([([p], xs), ([p], ys), (xs, ys)])
+        )
+        _require_finite(np.concatenate([arc_a, arc_b, measured]), "measured", sides)
+        # The comparison points are computed once per fraction of each side.
+        fa, fb = np.minimum(arc_a / dpq, 1.0), np.minimum(arc_b / dpr, 1.0)
+        X, Y = _comparison_points(kappa, sides, fa, fb)
     except NonUniqueGeodesicError:
         return None
-    arc_a, arc_b, measured = (
-        np.asarray(rows, dtype=float).ravel()
-        for rows in space.distance_blocks([([p], xs), ([p], ys), (xs, ys)])
-    )
-    _require_finite(np.concatenate([arc_a, arc_b, measured]), "measured", sides)
-    # The comparison points are computed once per fraction of each side.
-    fa, fb = np.minimum(arc_a / dpq, 1.0), np.minimum(arc_b / dpr, 1.0)
-    X, Y = _comparison_points(kappa, sides, fa, fb)
     compared = _batch_distance(kappa.value, np.repeat(X, grid, axis=0), np.concatenate([Y] * grid))
     _require_finite(compared, "compared", sides)
     S, T = np.repeat(fa, grid), np.concatenate([fb] * grid)
@@ -318,19 +309,14 @@ class InducedGraphSpace:
     """Geodesic oracle for the induced length metric of a mapped disc graph.
 
     Distances are shortest paths on the Steiner graph of the mesh
-    (`steiner.SteinerGraph`) with `steiner` subdivision points per mesh edge,
-    plus exact breakpoints on tree targets: subsegments along mesh edges are
-    weighted by image geodesic chords, and chords between boundary nodes of
-    one triangle, or of two triangles sharing an edge, by the image polyline
-    length of the interpolated map along the straight disc segment.
-    Each vertex pair caches one disc polyline, and `geodesic(p, q, t)`
-    returns a temporary node at arclength fraction t along it.  On
-    Euclidean, M_kappa and cone targets that polyline is the graph shortest
-    path relaxed by curve shortening, and the distance is the smaller of
-    its length and the graph distance.  On tree targets, where relaxed
-    curves come out longer, nothing is relaxed: the polyline is the
-    shortest path itself, through the exact breakpoint nodes, or a contour
-    route that beats it, and its length is the distance.
+    (`steiner.SteinerGraph`) with `steiner` subdivision points per mesh edge:
+    subsegments along mesh edges are weighted by image geodesic chords, and
+    chords between boundary nodes of one triangle, or of two triangles
+    sharing an edge, by the image polyline length of the interpolated map
+    along the straight disc segment.  Each vertex pair caches one disc
+    polyline, and `geodesic(p, q, t)` returns a temporary node at arclength
+    fraction t along it.  Where chain nodes sit and which curves beat the
+    graph is up to one of the two `curves` components, chosen by target.
 
     The interpolant fills each triangle from its corner images: the one of
     `steiner` on Euclidean, M_kappa and cone targets, and on tree targets the
@@ -350,36 +336,23 @@ class InducedGraphSpace:
         # Both caches evict their oldest entry, in insertion order.
         self._cache: dict = {}
         self._curves: dict = {}
+        self.family = (TreeRoutes if isinstance(self.space, MetricTree) else CurveRelaxation)()
         self.clear_temp()
         self._build()
 
     # -- construction -----------------------------------------------------
 
     def _build(self):
-        mg = self.mg
-        mesh = mg.mesh
+        mesh, images, space = self.mg.mesh, self.mg.images, self.space
         self._build_tri_geometry(mesh)
-        images, space = mg.images, self.space
         fr = (np.arange(self.steiner) + 1.0) / (self.steiner + 1)
-        if isinstance(space, MetricTree):
-            # Place nodes exactly where the image geodesic crosses tree
-            # vertices: paths hugging a branch-point fiber then hop along
-            # exact branch-point nodes instead of paying a detour per edge
-            # crossing.
-            fracs = [
-                _chain_fracs([*fr.tolist(), *space.geodesic_breakpoints(images[u], images[v])])
-                for u, v in mesh.edges.tolist()
-            ]
-        else:
-            fracs = [_chain_fracs(fr.tolist())] * len(mesh.edges)
-        points, steps = space.chains(
-            [(images[u], images[v]) for u, v in mesh.edges.tolist()], fracs
-        )
+        fracs = self.family.edge_fracs(self, fr.tolist())
+        pairs = [(images[u], images[v]) for u, v in mesh.edges.tolist()]
+        points, steps = space.chains(pairs, fracs)
         self._core = SteinerGraph(mesh.n_vertices, mesh.edges, fracs, mesh.triangles)
         xy = mesh.coords[:, :2]
-        counts = self._core.counts
         f = np.concatenate([[], *fracs])[:, None]
-        ends = np.repeat(mesh.edges, counts, axis=0)
+        ends = np.repeat(mesh.edges, self._core.counts, axis=0)
         self.node_images = list(images) + list(points)
         self.node_xy = np.concatenate([xy, (1.0 - f) * xy[ends[:, 0]] + f * xy[ends[:, 1]]])
         self.n_vertices = mesh.n_vertices
@@ -405,26 +378,20 @@ class InducedGraphSpace:
         given by triangle and barycentrics."""
         return self.space.triangle_means(self._tables, tri_idx, bary)
 
-    def _chain_lengths(self, tri_idx, bary, chains):
-        """Image polyline lengths through disc points given by triangle and
-        barycentrics; row c of `chains` indexes the CHORD_SAMPLES + 1 points
-        of polyline c."""
-        return self.space.polyline_lengths(self._images_at(tri_idx, bary), chains)
-
     def _located_lengths(self, tri_idx, bary, chains):
-        """`_chain_lengths` of located points, their barycentrics clipped to
-        the triangle."""
+        """Image polyline lengths through located disc points, given by
+        triangle and barycentrics clipped to it; row c of `chains` indexes
+        the CHORD_SAMPLES + 1 points of polyline c."""
         bary = np.maximum(bary, 0.0)
         bary /= _row_sums(bary)[:, None]
-        return self._chain_lengths(tri_idx, bary, chains)
+        return self.space.polyline_lengths(self._images_at(tri_idx, bary), chains)
 
     def _chord_weights(self, tri_idx, S, E):
         """Image polyline lengths of straight segments between barycentric
         rows S and E of the triangles `tri_idx`."""
         B = (1.0 - _LAM)[None, :, None] * S[:, None, :] + _LAM[None, :, None] * E[:, None, :]
-        return self._chain_lengths(
-            np.repeat(tri_idx, CHORD_SAMPLES + 1), B.reshape(-1, 3), _runs(len(S))
-        )
+        points = self._images_at(np.repeat(tri_idx, CHORD_SAMPLES + 1), B.reshape(-1, 3))
+        return self.space.polyline_lengths(points, _runs(len(S)))
 
     def _quad_chords(self):
         """Chords spanning pairs of triangles that share an edge, as (rows,
@@ -616,132 +583,6 @@ class InducedGraphSpace:
         tri_idx, bary = self._locate_many(XY.reshape(-1, 2))
         return self._located_lengths(tri_idx, bary, _runs(len(S)))
 
-    # -- contour-following routes (tree targets) ---------------------------
-
-    def _node_images(self, nodes, tri, bary):
-        """Images of graph nodes, tree points; a temporary node's is the
-        interpolant at its barycentrics `bary` of its triangle `tri`, where it
-        lies, all of them from one `triangle_means` call."""
-        out = [self.node_images[n] if n < self.n_nodes else None for n in nodes]
-        temp = [i for i, n in enumerate(nodes) if n >= self.n_nodes]
-        if temp:
-            means = self._images_at(tri[temp], np.clip(bary[temp], 0.0, None))
-            for i, (e, o) in zip(temp, means.tolist()):
-                out[i] = TreePoint(*self.space.edges[int(e)][:2], o)
-        return out
-
-    def _edge_level_crossing(self, u, v, lam):
-        """Disc point on mesh edge (u, v) whose image is lam, if any.
-
-        The interpolant restricted to a mesh edge is the image geodesic
-        with edge-proportional parameter, so the crossing is exact.
-        """
-        fu, fv = self.mg.images[u], self.mg.images[v]
-        duv = self.space.distance(fu, fv)
-        if duv < 1e-14:
-            return None
-        du = self.space.distance(fu, lam)
-        if du > duv + 1e-9:
-            return None
-        dv = self.space.distance(lam, fv)
-        if du + dv > duv + 1e-9:
-            return None
-        t = min(max(du / duv, 0.0), 1.0)
-        return (1.0 - t) * self.node_xy[u] + t * self.node_xy[v]
-
-    def _walk_contour(self, start_tri, edge, cxy, lam, ty, y_xy, limit):
-        """March the level set lam from a crossing of mesh edge `edge` (an
-        edge id) toward triangle ty."""
-        mesh = self.mg.mesh
-        poly = [cxy]
-        prev_edge, cur = edge, _across(mesh, edge, start_tri)
-        for _ in range(limit):
-            if cur < 0:  # left the disc
-                return None
-            if cur == ty:
-                return np.array(poly)
-            cands = []
-            for e in mesh.tri_edges[cur].tolist():
-                if e == prev_edge:
-                    continue
-                xy2 = self._edge_level_crossing(*mesh.edges[e].tolist(), lam)
-                if xy2 is not None:
-                    cands.append((e, xy2))
-            if not cands:
-                return None
-            # Ambiguity (non-monotone level inside a triangle) is resolved
-            # toward y; any choice stays sound because every leg is measured.
-            e, xy2 = min(
-                cands, key=lambda c: float(np.linalg.norm(c[1] - y_xy))
-            )
-            poly.append(xy2)
-            prev_edge, cur = e, _across(mesh, e, cur)
-        return None
-
-    def _fiber_route(self, x, y):
-        """Shortest contour-following disc chain, with its arclengths, from
-        x to y, each given as (disc point, image, triangle); or None.
-
-        Follows the level set of x's image through the triangulation, then
-        hops to y inside y's triangle.  Graph paths and relaxed curves pay
-        for every excursion off a fiber of a tree target they hug (the
-        length functional is V-shaped transversally, not quadratic); the
-        marched contour has its kinks exactly on the mesh edges, so the
-        only cost left is the genuine level variation.  Every leg is a
-        straight disc segment sampled like any other chord, hence a sound
-        upper bound whenever the march reaches y.
-        """
-        (x_xy, x_img, tx), (y_xy, _, ty) = x, y
-        if tx == ty:
-            return None
-        mesh = self.mg.mesh
-        limit = 4 * len(mesh.triangles)
-        best = None
-        for e in mesh.tri_edges[tx].tolist():
-            cxy = self._edge_level_crossing(*mesh.edges[e].tolist(), x_img)
-            if cxy is None:
-                continue
-            poly = self._walk_contour(tx, e, cxy, x_img, ty, y_xy, limit)
-            if poly is None:
-                continue
-            chain = np.vstack([x_xy[None, :], poly, y_xy[None, :]])
-            arcs = _arcs(self._xy_segment_weights(chain[:-1], chain[1:]))
-            if best is None or arcs[-1] < best[1][-1]:
-                best = (chain, arcs)
-        return best
-
-    def _fiber_post(self, sources, targets, out):
-        """Improve measured rows with contour routes (tree targets only).
-
-        A route that shortens a pair of mesh vertices becomes that pair's
-        cached curve, so `geodesic` samples the curve `distance` reports.
-        """
-        if not isinstance(self.space, MetricTree):
-            return out
-        nodes = [int(n) for n in (*sources, *targets)]
-        xy = np.array([self._node_pos(n) for n in nodes])
-        tri, bary = self._locate_many(xy)
-        info = list(zip(xy, self._node_images(nodes, tri, bary), tri.tolist()))
-        for i, x in enumerate(info[:len(sources)]):
-            for j, y in enumerate(info[len(sources):]):
-                cur = out[i][j]
-                # Only entries at the 1-Lipschitz lower bound, up to
-                # rounding, are skipped: any slack left here shows up in
-                # full in geodesic samples and thinness defects.
-                if cur <= self.space.distance(x[1], y[1]) + 1e-12:
-                    continue
-                routes = [self._fiber_route(x, y), _reversed(self._fiber_route(y, x))]
-                routes = [r for r in routes if r is not None and r[1][-1] < cur]
-                if not routes:
-                    continue
-                route = min(routes, key=lambda r: r[1][-1])
-                out[i][j] = float(route[1][-1])
-                s, q = int(sources[i]), int(targets[j])
-                if max(s, q) < self.n_vertices:
-                    key = (min(s, q), max(s, q))
-                    self._keep_curve(key, *(route if s < q else _reversed(route)))
-        return out
-
     def _add_temp_point(self, xy) -> int:
         """Register a continuous disc point as a temporary graph node; it is
         wired (`_wire_temps`) when the augmented graph is next needed."""
@@ -837,27 +678,14 @@ class InducedGraphSpace:
         Every entry is the length of a genuine curve of the interpolated
         map, hence an upper bound on the induced distance.  A block of one
         source whose nodes are all mesh vertices measures each pair by the
-        curve it caches for `geodesic`.
-
-        On Euclidean, M_kappa and cone targets each entry is the smaller of
-        the graph distance and a relaxed-curve length, which strips the
-        lateral staircase excess of pure graph paths; the curves of every
-        block relax in one batch (`_relax_batch`).  A vertex pair relaxes
-        its graph path on its own schedule; any other block relaxes the
-        straight segments between its sources and targets, refined as far as
-        its longest segment needs.
-
-        On tree targets, where relaxed curves come out longer, nothing
-        relaxes: a vertex pair's curve is its base-graph shortest path, whose
-        breakpoint nodes keep its kinks exact at branch points, and any other
-        entry is the graph distance.  Contour routes (`_fiber_post`) then
-        shorten tree entries of either kind.
+        curve it caches for `geodesic`, capped by the graph where the
+        component says so; any other entry by the graph, or by the component's
+        block curve where shorter.  Queued curves relax in one batch.
         """
-        tree = isinstance(self.space, MetricTree)
+        family = self.family
         plans, groups, fresh, lengths = [], [], [], {}
         for sources, targets in blocks:
-            sources = [int(s) for s in sources]
-            targets = [int(q) for q in targets]
+            sources, targets = [int(s) for s in sources], [int(q) for q in targets]
             if len(sources) == 1 and max(sources + targets) < self.n_vertices:
                 p = sources[0]
                 for q in targets:
@@ -866,15 +694,12 @@ class InducedGraphSpace:
                         continue
                     if key in self._curves:
                         lengths[key] = float(self._curves[key][1][-1])
-                    elif tree:
-                        path, dist = self._graph_path(*key)
-                        lengths[key] = self._keep_curve(key, self.node_xy[path], dist[path])
-                    else:  # filled in after the batch
-                        lengths[key] = None
-                        fresh.append((key, len(groups)))
-                        groups.append(self._curve_start(*key))
-                # On trees a vertex pair measures exactly its cached curve.
-                dists = None if tree else [self._solve(p)[0]]
+                        continue
+                    curve = family.pair_curve(self, *key, groups)
+                    if curve is None:  # filled in after the batch
+                        fresh.append((key, len(groups) - 1))
+                    lengths[key] = None if curve is None else self._keep_curve(key, *curve)
+                dists = [self._solve(p)[0]] if family.graph_caps_pairs else None
                 plans.append((sources, targets, dists, [[q == p for q in targets]], None))
                 continue
             dists = [self._solve(s)[0] for s in sources]
@@ -883,43 +708,28 @@ class InducedGraphSpace:
             S = np.repeat(sxy, len(targets), axis=0)
             E = np.tile(txy, (len(sources), 1))
             same = np.linalg.norm(E - S, axis=1) < 1e-14
-            relax = not tree and len(S) > 0
-            plans.append((
-                sources, targets, dists, same.reshape(len(sources), len(targets)),
-                len(groups) if relax else None,
-            ))
-            if relax:
-                span = np.linalg.norm(E - S, axis=1).max()
-                n_target = int(np.clip(np.ceil(span / (0.75 * self._disc_h)), 8, 96))
-                lam = np.linspace(0.0, 1.0, min(8, n_target) + 1)
-                groups.append((
-                    (1.0 - lam)[None, :, None] * S[:, None, :]
-                    + lam[None, :, None] * E[:, None, :],
-                    n_target,
-                ))
-        relaxed = self._relax_lengths(groups)
+            group = family.block_group(self, S, E)
+            plans.append((sources, targets, dists, same.reshape(len(sources), len(targets)),
+                          None if group is None else len(groups)))
+            if group is not None:
+                groups.append(group)
+        relaxed = family.relax(self, groups) if groups else []
         for key, g in fresh:
             pts, seg = relaxed[g]
             lengths[key] = self._keep_curve(key, pts[0], _arcs(seg[0]))
         out = []
         for sources, targets, dists, same, g in plans:
             if g is None:  # vertex-pair curves, or graph distances alone
-                lens = [
-                    [lengths.get((min(s, q), max(s, q)), np.inf) for q in targets]
-                    for s in sources
-                ]
+                lens = [[lengths.get((min(s, q), max(s, q)), np.inf) for q in targets]
+                        for s in sources]
             else:
                 lens = relaxed[g][1].sum(axis=1).reshape(same.shape)
-            rows = [
-                [
-                    0.0 if same[i][j] else min(
-                        float(dists[i][q]) if dists else np.inf, float(lens[i][j])
-                    )
-                    for j, q in enumerate(targets)
-                ]
-                for i in range(len(sources))
-            ]
-            out.append(self._fiber_post(sources, targets, rows))
+            rows = []
+            for i in range(len(sources)):
+                graph = [float(dists[i][q]) for q in targets] if dists else [np.inf] * len(targets)
+                rows.append([0.0 if same[i][j] else min(graph[j], float(lens[i][j]))
+                             for j in range(len(targets))])
+            out.append(family.finish_rows(self, sources, targets, rows))
         return out
 
     def geodesics(self, p, q, T):
@@ -928,7 +738,7 @@ class InducedGraphSpace:
 
     def geodesic(self, p, q, t: float):
         """Temporary node at arclength fraction t of the cached p-q curve,
-        the curve whose length `distance(p, q)` reports on tree targets.
+        whose length `distance(p, q)` reports unless the graph is shorter.
 
         For 0 < t < 1 both endpoints must be mesh vertices.
         """
@@ -941,21 +751,14 @@ class InducedGraphSpace:
                 raise ValueError(f"geodesic endpoint {int(x)} is not a mesh vertex")
         xy, arcs = self._shorten_curve(int(p), int(q))
         target = t * float(arcs[-1])
-        idx = int(np.searchsorted(arcs, target))
-        idx = min(max(idx, 1), len(arcs) - 1)
+        idx = min(max(int(np.searchsorted(arcs, target)), 1), len(arcs) - 1)
         lam = (target - arcs[idx - 1]) / max(arcs[idx] - arcs[idx - 1], 1e-15)
         return self._add_temp_point((1.0 - lam) * xy[idx - 1] + lam * xy[idx])
 
     def _shorten_curve(self, p, q):
         """Disc polyline of the continuous p-q geodesic with its arclengths,
-        as `distance_blocks` caches it for the last 16 vertex pairs.
-
-        On Euclidean, M_kappa and cone targets the graph shortest path only
-        locates the geodesic to the Steiner spacing (its node chain
-        staircases); the polyline is therefore relaxed by curve shortening
-        of the sampled image length, which recovers the transverse position
-        to optimization resolution.  On tree targets it is the graph path
-        through the breakpoint nodes, or the contour route that beats it.
+        as `distance_blocks` caches it for the last 16 vertex pairs: the
+        component's curve of the pair (`pair_curve`), or one that beats it.
         """
         key, flip = ((p, q), False) if p <= q else ((q, p), True)
         if key not in self._curves:
@@ -976,13 +779,6 @@ class InducedGraphSpace:
         path.reverse()
         return path, dist
 
-    def _curve_start(self, a, b):
-        """Graph shortest path from vertex a to b, resampled to the coarse
-        stage, and the segment count it is refined to."""
-        path, dist = self._graph_path(a, b)
-        n_target = int(np.clip(np.ceil(float(dist[b]) / (0.5 * self._disc_h)), 8, 128))
-        return _resample(self.node_xy[path][None], min(8, n_target)), n_target
-
     def _keep_curve(self, key, xy, arcs):
         """Cache the disc polyline xy of a vertex pair, with its arclengths;
         its length."""
@@ -991,182 +787,9 @@ class InducedGraphSpace:
             del self._curves[next(iter(self._curves))]
         return float(arcs[-1])
 
-    def _relax_lengths(self, groups):
-        """Relax (pts, n_target) groups in one batch: each group's relaxed
-        polylines and their segments' image lengths, (curves, segments)."""
-        if not groups:
-            return []
-        relaxed = self._relax_batch([(pts, 0.5 * self._disc_h, n) for pts, n in groups])
-        seg = self._xy_segment_weights(
-            np.concatenate([pts[:, :-1].reshape(-1, 2) for pts in relaxed]),
-            np.concatenate([pts[:, 1:].reshape(-1, 2) for pts in relaxed]),
-        )
-        ends = np.cumsum([pts[:, 1:].size // 2 for pts in relaxed])[:-1]
-        return [
-            (pts, s.reshape(len(pts), -1)) for pts, s in zip(relaxed, np.split(seg, ends))
-        ]
-
-    def _relax_batch(self, groups):
-        """Relax groups of polylines, coarse to fine, in lockstep.
-
-        `groups` holds (pts, step0, n_target) triples, pts a batch of
-        polylines (curves, points, xy).  A group relaxes in stages of at
-        most RELAX_LEVELS probe-step levels, the first from step0, the step
-        shrinking by RELAX_SHRINK per level; a stage ends early after two
-        idle levels at a fine step.  While a group has fewer than n_target
-        segments, each stage is followed by a finer one at twice the
-        segments (at most n_target), resampled by arclength, from a quarter
-        of the disc spacing: pointwise transverse relaxation damps only short
-        lateral wavelengths, while the staircase bias of an initial graph
-        path is long-wavelength, and relaxing a coarse polyline first makes
-        those modes short relative to the spacing.
-
-        Groups do not interact.  Each keeps its own stage, step and idle
-        count, exactly as if relaxed alone, while one level of every
-        unfinished group runs in the same half-sweeps (`_half_sweep`) over
-        flat point rows.  Returns the relaxed pts of each group.
-        """
-        h = self._disc_h
-        state = [[pts, step0, n_target, 0, 0] for pts, step0, n_target in groups]
-        done = [None] * len(groups)
-        active = list(range(len(groups)))
-        shapes = plan = None
-        while active:
-            if shapes != tuple(state[g][0].shape for g in active):
-                shapes = tuple(state[g][0].shape for g in active)
-                plan = _sweep_plan(shapes)
-            P = np.concatenate([state[g][0].reshape(-1, 2) for g in active])
-            steps = np.array([state[g][1] for g in active])
-            moved = np.zeros(len(active), dtype=bool)
-            for _pass in range(RELAX_PASSES):
-                for rows, group, starts, chains in plan:
-                    moved |= self._half_sweep(P, rows, steps[group], starts, chains)
-            ends = np.cumsum([c * n for c, n, _ in shapes])[:-1]
-            still = []
-            for g, part, mv in zip(active, np.split(P, ends), moved):
-                pts, step, n_target, idle, level = state[g]
-                pts = part.reshape(pts.shape)
-                idle = 0 if mv else idle + 1
-                level += 1
-                # Two idle levels in a row at fine step: every point is
-                # within the smallest probe of its optimum; stop shrinking.
-                # At coarse steps idleness only means the probes overshoot
-                # the error.
-                if (idle >= 2 and step < 0.05 * h) or level == RELAX_LEVELS:
-                    n_seg = pts.shape[1] - 1
-                    if n_seg >= n_target:
-                        done[g] = pts
-                        continue
-                    pts = _resample(pts, min(2 * n_seg, n_target))
-                    # Finer stages only clean up what resampling reintroduced.
-                    step, idle, level = 0.25 * h, 0, 0
-                else:
-                    step *= RELAX_SHRINK
-                state[g] = [pts, step, n_target, idle, level]
-                still.append(g)
-            active = still
-        return done
-
-    def _half_sweep(self, P, rows, step, starts, chains):
-        """Move the points `rows` of the flat polyline points P, in place;
-        whether each group, rows from `starts` on, moved.
-
-        Each point is tested against the chord of its two neighbours (red-
-        black by index parity, so no two moved points are neighbours), at
-        its own probe step.  Moving m points probes 5m candidates and
-        measures the 10m segments joining them to the neighbours: it locates
-        the 2m neighbours, the 5m candidates and the 30m interior segment
-        samples, 37m distinct points, in one call and interpolates each
-        once, then locates the m over-relaxed moves in a second call.
-        """
-        n_off = len(RELAX_OFFSETS)
-        m = len(rows)
-        # The located points: previous and next neighbours, candidates
-        # (probe-major), then each probe segment's interior samples.
-        X = np.empty(((2 + n_off + 2 * n_off * (CHORD_SAMPLES - 1)) * m, 2))
-        prev, nxt, cands = X[:m], X[m:2 * m], X[2 * m:(2 + n_off) * m]
-        prev[:] = P[rows - 1]
-        nxt[:] = P[rows + 1]
-        base = P[rows]
-        chord = nxt - prev
-        norms = np.sqrt(chord[:, 0] * chord[:, 0] + chord[:, 1] * chord[:, 1])
-        nrm = chord[:, ::-1] * _LEFT
-        nrm /= np.maximum(norms, 1e-15)[:, None]
-        np.add(base, (RELAX_OFFSETS[:, None] * step)[:, :, None] * nrm,
-               out=cands.reshape(n_off, m, 2))
-        between = X[(2 + n_off) * m:].reshape(2, n_off, m, CHORD_SAMPLES - 1, 2)
-        ends = cands.reshape(n_off, m, 1, 2)
-        np.multiply(_INNER_TO, ends, out=between[0])
-        between[0] += _INNER_FROM * prev[:, None, :]
-        np.multiply(_INNER_FROM, ends, out=between[1])
-        between[1] += _INNER_TO * nxt[:, None, :]
-        tri_idx, bary = self._locate_many(X)
-        w = self._located_lengths(tri_idx, bary, chains)
-        half = n_off * m
-        vals = (w[:half] + w[half:]).reshape(n_off, m)
-        if np.isnan(vals).any():
-            raise GeometryError("NaN probe length in curve relaxation")
-        vals[~(_low(bary[2 * m:2 * m + half]) >= -1e-9).reshape(n_off, m)] = np.inf
-        best = np.argmin(vals, axis=0)
-        off = RELAX_OFFSETS[best] * step
-        # Sub-probe parabolic refinement; without it, corrections smaller
-        # than the probe spacing never happen and smooth lateral modes stall
-        # at the quantization floor.
-        inner = (best >= 1) & (best <= n_off - 2)
-        flat = vals.ravel()
-        bi = np.where(inner, best, 2) * m + np.arange(m)
-        vm, vb, vp = flat.take(bi - m), flat.take(bi), flat.take(bi + m)
-        finite = (vm < np.inf) & (vp < np.inf)
-        vm = np.where(finite, vm, 0.0)
-        vp = np.where(finite, vp, 0.0)
-        denom = vm - 2.0 * vb + vp
-        ok = inner & finite & (denom > 1e-18)
-        shift = np.where(ok, 0.5 * (vm - vp) / np.where(ok, denom, 1.0), 0.0)
-        probe = 0.5 * step  # probe spacing
-        off = off + np.minimum(np.maximum(shift * probe, -probe), probe)
-        off = np.where(vals.min(axis=0) < np.inf, off, 0.0)
-        # Over-relaxation: pointwise descent damps a lateral mode of
-        # wavelength w only at rate ~(spacing/w)^2 per sweep; SOR turns that
-        # into ~spacing/w. Scaled moves that leave the disc fall back to the
-        # probe-checked move.
-        sor = np.minimum(np.maximum(1.8 * off, -step), step)
-        _, sb = self._locate_many(base + sor[:, None] * nrm)
-        off = np.where(_low(sb) >= -1e-9, sor, off)
-        P[rows] = base + off[:, None] * nrm
-        return np.maximum.reduceat(np.abs(off), starts) > 1e-4 * self._disc_h
-
     def random_point(self, rng) -> int:
         # Sample among original mesh vertices only.
         return int(rng.integers(self.n_vertices))
-
-
-def _chain_fracs(fr):
-    """Chain-node fractions of one edge: those in (1e-9, 1 - 1e-9), sorted,
-    each more than 1e-9 above the one before."""
-    kept = []
-    for f in sorted(f for f in fr if 1e-9 < f < 1.0 - 1e-9):
-        if not kept or f - kept[-1] > 1e-9:
-            kept.append(f)
-    return kept
-
-
-def _across(mesh, e, t):
-    """The triangle across mesh edge e from triangle t, or -1."""
-    a, b = mesh.edge_tris[e].tolist()
-    return b if a == t else a
-
-
-def _arcs(seg):
-    """Arclengths at the points of a polyline with segment lengths seg."""
-    return np.concatenate([[0.0], np.cumsum(seg)])
-
-
-def _reversed(curve):
-    """A (disc polyline, arclengths) curve traversed backwards, or None."""
-    if curve is None:
-        return None
-    xy, arcs = curve
-    return xy[::-1], arcs[-1] - arcs[::-1]
 
 
 def _barycentrics(solvers, x, y):
@@ -1177,11 +800,6 @@ def _barycentrics(solvers, x, y):
     s0 = inv00 * dx + inv01 * dy
     s1 = inv10 * dx + inv11 * dy
     return 1.0 - (s0 + s1), s0, s1
-
-
-def _low(bary):
-    """The smallest of each row of barycentric coordinates."""
-    return np.minimum(np.minimum(bary[:, 0], bary[:, 1]), bary[:, 2])
 
 
 def _cell_index(pts, grid):
@@ -1203,61 +821,6 @@ def _cell_index(pts, grid):
 def _runs(n_chains):
     """`chains` rows of n_chains consecutive runs of CHORD_SAMPLES + 1 points."""
     return np.arange(n_chains * (CHORD_SAMPLES + 1)).reshape(n_chains, -1)
-
-
-def _probe_chains(m, n_probes):
-    """`chains` rows of the probe segments of a half-sweep of m points.
-
-    The located rows are the m previous neighbours, the m next neighbours,
-    the n_probes * m candidates (probe-major), then the CHORD_SAMPLES - 1
-    interior samples of each segment in turn: n_probes * m segments from a
-    previous neighbour to a candidate, then as many from a candidate to a
-    next neighbour.
-    """
-    c = n_probes * m
-    k = np.arange(c)
-    chains = np.empty((2 * c, CHORD_SAMPLES + 1), dtype=int)
-    chains[:, 0] = np.r_[k % m, 2 * m + k]
-    chains[:, -1] = np.r_[2 * m + k, m + k % m]
-    interior = np.arange(2 * c * (CHORD_SAMPLES - 1)).reshape(2 * c, -1)
-    chains[:, 1:-1] = 2 * m + c + interior
-    return chains
-
-
-def _sweep_plan(shapes):
-    """The two red-black half-sweeps, odd points first, of polyline groups
-    of the given (curves, points, 2) shapes laid out as consecutive flat
-    rows: per half-sweep the moved rows, each row's group, the first row of
-    each group among them, and the probe `chains`."""
-    firsts = np.cumsum([0] + [c * n for c, n, _ in shapes])
-    plan = []
-    for parity in (1, 0):
-        rows = []
-        for (c, n, _), first in zip(shapes, firsts):
-            idxs = np.arange(1, n - 1)
-            idxs = idxs[idxs % 2 == parity]
-            rows.append((first + n * np.arange(c)[:, None] + idxs).ravel())
-        sizes = [len(r) for r in rows]
-        plan.append((
-            np.concatenate(rows),
-            np.repeat(np.arange(len(shapes)), sizes),
-            np.cumsum([0] + sizes[:-1]),
-            _probe_chains(sum(sizes), len(RELAX_OFFSETS)),
-        ))
-    return plan
-
-
-def _resample(pts, n_seg):
-    """Arclength resampling of a batch of polylines (curves, points, xy) to
-    n_seg equal segments each."""
-    seg = np.linalg.norm(np.diff(pts, axis=1), axis=2)
-    s = np.concatenate([np.zeros((len(pts), 1)), np.cumsum(seg, axis=1)], axis=1)
-    new = np.empty((len(pts), n_seg + 1, 2))
-    for c in range(len(pts)):
-        s_new = np.linspace(0.0, s[c, -1], n_seg + 1)
-        new[c, :, 0] = np.interp(s_new, s[c], pts[c, :, 0])
-        new[c, :, 1] = np.interp(s_new, s[c], pts[c, :, 1])
-    return new
 
 
 def certify_induced(

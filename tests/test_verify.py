@@ -1,33 +1,39 @@
 """Thinness certification: self-consistency, cone controls, induced metrics."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
-from catdisc import verify
+from catdisc import curves, verify
 from catdisc.constructions import (
     HarmonicSpec,
     RuledDiscSpec,
     harmonic_relax,
     ruled_disc_map,
 )
-from catdisc.errors import GeometryError
+from catdisc.errors import GeometryError, NonUniqueGeodesicError
 from catdisc.mesh import DiscMesh, MappedGraph, grid_mesh, triangle_fan
 from catdisc.model import Kappa, build_comparison_triangle
 from catdisc.spaces import EuclideanSpace, FlatCone, MetricTree, ModelSpace
 from catdisc.steiner import _batch_distance, _batch_geodesic, append_nodes
-from catdisc.verify import (
-    CHORD_SAMPLES,
+from catdisc.curves import (
     RELAX_LEVELS,
     RELAX_PASSES,
     RELAX_SHRINK,
-    InducedGraphSpace,
+    CurveRelaxation,
+    TreeRoutes,
     _resample,
+)
+from catdisc.verify import (
+    CHORD_SAMPLES,
+    InducedGraphSpace,
     _compared_distances,
     certify_cat,
     certify_induced,
@@ -254,6 +260,25 @@ def test_degenerate_and_oversized_triples_skipped():
         space.point((-2.0 * math.pi / 3.0, 0.0)),
     )
     assert thinness_defect(space, Kappa(1.0), big, grid=4) is None
+
+
+def test_near_antipodal_comparison_side_is_a_skip(monkeypatch):
+    """Offsets 0, 0.4 L and L on a tree edge of length L = pi - 0.7e-9: the
+    perimeter 2 L is 4e-10 below the kappa = 1 skip bound 2 pi - 1e-9, but
+    the side of length L is within 1e-9 of antipodal, so its comparison
+    geodesic is not unique.  The triple is skipped and counted as skipped."""
+    L = math.pi - 0.7e-9
+    tree = MetricTree([("a", "b", L), ("b", "c", 1.0)])
+    a, b = tree.vertex_point("a"), tree.vertex_point("b")
+    triple = tuple(tree.geodesic(a, b, f) for f in (0.0, 0.4, 1.0))
+    assert 2.0 * L < 2.0 * math.pi - 1e-9
+    with pytest.raises(NonUniqueGeodesicError, match="comparison side"):
+        _compared_distances(Kappa(1.0), (0.6 * L, L, 0.4 * L), [0.5], [0.5])
+    assert thinness_defect(tree, Kappa(1.0), triple, grid=4) is None
+    draws = iter(triple)
+    monkeypatch.setattr(MetricTree, "random_point", lambda self, rng: next(draws))
+    report = certify_cat(tree, Kappa(1.0), triple_budget=1, grid=4)
+    assert (report.n_triples, report.n_skipped, report.verdict) == (0, 1, "inconclusive")
 
 
 def flat_identity_grid(n):
@@ -1121,6 +1146,7 @@ def test_relaxation_is_bit_identical_to_the_per_segment_sweep(target):
     else:  # per-point interpolant and curve length
         mg, n_curves = cone_fan_map(6, 1.5 * math.pi), 2
     oracle = InducedGraphSpace(mg, steiner=2)
+    relaxation = CurveRelaxation()  # also on the tripod, whose oracle never relaxes
     locate = table_locator(oracle)
     rng = np.random.default_rng(5)
     # Straight starts between mesh vertices: points on triangle corners and
@@ -1130,7 +1156,9 @@ def test_relaxation_is_bit_identical_to_the_per_segment_sweep(target):
     start = (1.0 - lam)[None, :, None] * ends[:, None, 0] + lam[None, :, None] * ends[:, None, 1]
     got, want = start.copy(), start.copy()
     for n_seg, step in ((8, 0.5), (16, 0.25)):
-        got = oracle._relax_batch([(_resample(got, n_seg), step * oracle._disc_h, n_seg)])[0]
+        got = relaxation._relax_batch(
+            oracle, [(_resample(got, n_seg), step * oracle._disc_h, n_seg)]
+        )[0]
         want = reference_relax_batch(oracle, locate, _resample(want, n_seg), step * oracle._disc_h)
         assert np.array_equal(got, want)
     assert not np.array_equal(got, _resample(start, 16))
@@ -1147,7 +1175,7 @@ class PerCallOracle(InducedGraphSpace):
     `reference_relax_batch`, one idle rule for its whole batch.
     `relaxations` records (n_target, levels of each stage) per relaxation.
     On tree targets nothing relaxes: a vertex pair measures its graph-path
-    curve, any other pair its graph distance, and `_fiber_post` shortens
+    curve, any other pair its graph distance, and `finish_rows` shortens
     both."""
 
     def __init__(self, mg, steiner):
@@ -1172,7 +1200,7 @@ class PerCallOracle(InducedGraphSpace):
             else min(float(dist[q]), float(self._shorten_curve(p, q)[1][-1]))
             for q in targets
         ]
-        return self._fiber_post([p], targets, [out])[0]
+        return self.family.finish_rows(self, [p], targets, [out])[0]
 
     def ref_distance_rows(self, sources, targets):
         sources = [int(s) for s in sources]
@@ -1199,7 +1227,7 @@ class PerCallOracle(InducedGraphSpace):
              for j in range(len(targets))]
             for i in range(len(sources))
         ]
-        return self._fiber_post(sources, targets, out)
+        return self.family.finish_rows(self, sources, targets, out)
 
     def _shorten_curve(self, p, q):
         key, flip = ((p, q), False) if p <= q else ((q, p), True)
@@ -1299,26 +1327,26 @@ def test_lockstep_groups_keep_their_own_schedules(monkeypatch):
     oracle = InducedGraphSpace(mg, steiner=2)
     assert np.array_equal(thinness_arrays(oracle, Kappa(0.0), triples, 3), want)
 
-    real_plan = verify._sweep_plan
+    real_plan = curves._sweep_plan
 
     def one_idle_rule(shapes):
         return [(rows, group, starts[:1], chains)
                 for rows, group, starts, chains in real_plan(shapes)]
 
-    monkeypatch.setattr(verify, "_sweep_plan", one_idle_rule)
+    monkeypatch.setattr(curves, "_sweep_plan", one_idle_rule)
     merged = InducedGraphSpace(mg, steiner=2)
     assert not np.array_equal(thinness_arrays(merged, Kappa(0.0), triples, 3), want)
 
 
 def test_thinness_relaxes_each_phase_in_one_batch(monkeypatch):
     batches = []
-    relax = InducedGraphSpace._relax_batch
+    relax = CurveRelaxation._relax_batch
 
-    def counted(self, groups):
+    def counted(self, oracle, groups):
         batches.append(len(groups))
-        return relax(self, groups)
+        return relax(self, oracle, groups)
 
-    monkeypatch.setattr(InducedGraphSpace, "_relax_batch", counted)
+    monkeypatch.setattr(CurveRelaxation, "_relax_batch", counted)
     oracle = InducedGraphSpace(flat_identity_grid(4), steiner=2)
     for triple in [(0, 12, 22), (3, 20, 9), (24, 5, 13)]:
         batches.clear()
@@ -1330,18 +1358,57 @@ def test_thinness_relaxes_each_phase_in_one_batch(monkeypatch):
 
 def test_tree_targets_never_relax_curves(monkeypatch):
     batches = []
-    relax = InducedGraphSpace._relax_batch
+    relax = CurveRelaxation._relax_batch
 
-    def counted(self, groups):
+    def counted(self, oracle, groups):
         batches.append(len(groups))
-        return relax(self, groups)
+        return relax(self, oracle, groups)
 
-    monkeypatch.setattr(InducedGraphSpace, "_relax_batch", counted)
+    monkeypatch.setattr(CurveRelaxation, "_relax_batch", counted)
     report = certify_induced(
         harmonic_tripod_map(6), Kappa(0.0), triple_budget=4, grid=4, seed=1, steiner=2
     )
     assert report.n_triples > 0
     assert batches == []
+
+
+@pytest.mark.parametrize("target", ["skew", "cone", "tripod"])
+def test_contour_routes_run_on_tree_targets_only(monkeypatch, target):
+    """The counterpart of `test_tree_targets_never_relax_curves`; the
+    tripod is the control on which contour routes do run."""
+    calls = []
+    route = TreeRoutes._fiber_route
+
+    def counted(self, oracle, x, y):
+        calls.append(1)
+        return route(self, oracle, x, y)
+
+    monkeypatch.setattr(TreeRoutes, "_fiber_route", counted)
+    build, budget, grid = {
+        "skew": (lambda: skew_ruled_map(6), 3, 3),
+        "cone": (lambda: cone_fan_map(6, 1.5 * math.pi), 2, 2),
+        "tripod": (lambda: harmonic_tripod_map(6), 3, 3),
+    }[target]
+    report = certify_induced(build(), Kappa(0.0), triple_budget=budget, grid=grid, seed=1,
+                             steiner=2)
+    assert report.n_triples > 0
+    assert (len(calls) > 0) == (target == "tripod")
+
+
+@pytest.mark.parametrize("target", ["skew", "tripod"])
+def test_a_dropped_oracle_is_freed_without_the_garbage_collector(target):
+    """Its curve component holds no reference back to it, so no cycle keeps
+    the graphs and caches of a dropped oracle alive until a collection."""
+    mg = skew_ruled_map(6) if target == "skew" else harmonic_tripod_map(6)
+    oracle = InducedGraphSpace(mg, steiner=2)
+    assert thinness_defect(oracle, Kappa(0.0), (2, 40, 30), grid=3) is not None
+    gone = weakref.ref(oracle)
+    gc.disable()
+    try:
+        del oracle
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_harmonic_tripod_8x8_passes_with_rounding_level_defect():
@@ -1460,7 +1527,8 @@ def test_temporary_node_images_are_the_triangle_means_of_their_triangle():
     nodes = [n for n in nodes if n >= oracle.n_nodes]
     assert len(nodes) >= 12
     tri, bary = oracle._locate_many(np.array([oracle._node_pos(n) for n in nodes]))
-    for got, t, b in zip(oracle._node_images(nodes, tri, bary), tri.tolist(), bary):
+    images = oracle.family._node_images(oracle, nodes, tri, bary)
+    for got, t, b in zip(images, tri.tolist(), bary):
         corners = [mg.images[v] for v in mg.mesh.triangles[t]]
         want = mg.space.barycenter_rows(corners, np.clip(b, 0.0, None)[None, :])[0]
         assert got == want
