@@ -1,5 +1,6 @@
 """Command-line scenarios: exit codes, report artifacts, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -297,3 +298,126 @@ def test_malformed_fields_exit_2(tmp_path, capsys, command, overrides, named):
     assert main([command, path]) == 2
     assert f"config error: {named}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# Frozen configs of every command, on all four targets, with exit-1 and
+# exit-2 paths.  None has an `outdir` field: the config hash, and with it
+# report.json, would then depend on the test's directory.
+R2 = {"backend": "euclidean", "dim": 2}
+R3 = {"backend": "euclidean", "dim": 3}
+SPHERE = {"backend": "model", "kappa": 1.0}
+TRIPOD = {"backend": "tree", "edges": [["o", "a", 1.0], ["o", "b", 1.0], ["o", "c", 1.0]]}
+TRIPOD_CORNERS = [["o", "a", 1.0], ["o", "b", 1.0], ["o", "c", 1.0], ["o", "a", 0.0]]
+SQUARE_CORNERS = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+SKEW = {"eta0": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "eta1": [[0.0, 1.0, 0.2], [1.0, 1.0, 0.0]]}
+CAP = {"eta0": [[0.0, 0.0], [0.5, 0.0]], "eta1": [[0.0, 0.5], [0.5, 0.6]]}
+PINNED = {
+    "ruled-euclid": ("verify-ruled", {
+        "target": R3, "kappa": 0.0, **SKEW, "refinements": [3, 4],
+        "budgets": {"triples": 4, "grid": 4, "steiner": 2}, "seed": 1}),
+    "ruled-sphere": ("verify-ruled", {
+        "target": SPHERE, "kappa": 1.0, **CAP, "refinements": [3],
+        "budgets": {"triples": 3, "grid": 3, "steiner": 2}, "seed": 1}),
+    "harmonic-tripod": ("verify-harmonic", {
+        "target": TRIPOD, "kappa": 0.0, "trace_corners": TRIPOD_CORNERS, "refinements": [4],
+        "budgets": {"triples": 1, "grid": 3}, "seed": 1}),
+    "harmonic-tripod-skipped": ("verify-harmonic", {
+        "target": TRIPOD, "kappa": 0.0, "trace_corners": TRIPOD_CORNERS, "refinements": [4],
+        "budgets": {"triples": 1, "grid": 3}, "seed": 2}),
+    "harmonic-sphere-wide": ("verify-harmonic", {
+        "target": SPHERE, "kappa": 1.0, "refinements": [2],
+        "trace_corners": [[-1.4, 0.0], [1.4, 0.0], [1.4, 0.1], [-1.4, 0.1]]}),
+    "minimize-euclid": ("minimize-graph", {
+        "target": R3, "kappa": 0.0, "construction": "ruled", **SKEW, "grid": 3}),
+    "minimize-tripod": ("minimize-graph", {
+        "target": TRIPOD, "kappa": 0.0, "construction": "harmonic",
+        "trace_corners": TRIPOD_CORNERS, "grid": 3, "preserve_domination": True}),
+    "poly-plane": ("build-polyhedral", {
+        "target": R2, "kappa": 0.0, "construction": "harmonic",
+        "trace_corners": SQUARE_CORNERS, "grid": 3, "epsilon": 0.8}),
+    "poly-sphere": ("build-polyhedral", {
+        "target": SPHERE, "kappa": 1.0, "construction": "ruled", **CAP, "grid": 2,
+        "epsilon": 0.5, "seed": 3}),
+    "poly-small-epsilon": ("build-polyhedral", {
+        "target": R2, "kappa": 0.0, "construction": "harmonic",
+        "trace_corners": SQUARE_CORNERS, "grid": 3, "epsilon": 0.1}),
+    "cat-cone": ("cat-check", {
+        "target": {"backend": "cone", "total_angle": 4.71238898038469}, "kappa": 0.0,
+        "budgets": {"triples": 30, "grid": 6}, "seed": 1}),
+    "cat-hyperbolic": ("cat-check", {
+        "target": {"backend": "model", "kappa": -1.0}, "kappa": -1.0,
+        "budgets": {"triples": 5, "grid": 4}, "seed": 2}),
+    "bool-tree-point": ("verify-harmonic", {
+        "target": TRIPOD, "kappa": 0.0,
+        "trace_corners": [["o", "a", 1.0], ["o", "b", True], ["o", "c", 1.0], ["o", "a", 0.0]]}),
+    "three-corners": ("build-polyhedral", {
+        "target": R2, "kappa": 0.0, "construction": "harmonic",
+        "trace_corners": [[0.0, 0.0]] * 3, "grid": 2, "epsilon": 0.5}),
+    "unknown-construction": ("minimize-graph", {
+        "target": R2, "kappa": 0.0, "construction": "origami"}),
+    "no-eta0": ("verify-ruled", {"target": R3, "kappa": 0.0, "eta1": SKEW["eta1"]}),
+    "bool-cone-angle": ("cat-check", {
+        "target": {"backend": "cone", "total_angle": True}, "kappa": 0.0}),
+}
+# Per config: exit code, last stderr line, and the sha256 of each file written.
+PINS = {
+    "ruled-euclid": (0, "", {
+        "defects.csv": "8f400e1ceb00cbe2476a045581a5dab6d0e6d3970610fa483fbf2abe32d0aff5",
+        "report.json": "41863e9e39cdea28b5502cc2cb82ac9ae24bef617fa6d61f8559254ff75a7552"}),
+    "ruled-sphere": (0, "", {
+        "defects.csv": "fc1ba149ad4034d38e7dc28d21e971fcf27fdbb3df5ceff0b324304208a4b59e",
+        "report.json": "27cc6dcfdb2e9b4399f51ffc91b13e21efc5a717c0a3fd3d5165c8690c994186"}),
+    "harmonic-tripod": (0, "", {
+        "defects.csv": "5b68d01b269b22045da9c8cfce824d49c7cf88c09e807c9030903fbc4c438da0",
+        "energy_trace.csv": "9bcfac2be550b45510cccfd5ccbc8f7c6f2846f5e0256e95cea30f79c768ecfd",
+        "report.json": "bad28f3d7fbaa576e66db028bf4f1bf6f85d298e5e775da7350414d5567df193"}),
+    "harmonic-tripod-skipped": (1, "", {
+        "defects.csv": "7ec350524195e69d34a180740c9682082e89eac6b4e1cb65d2c7a312dcf0c916",
+        "energy_trace.csv": "9bcfac2be550b45510cccfd5ccbc8f7c6f2846f5e0256e95cea30f79c768ecfd",
+        "report.json": "94560e2d7fbdd9f56b75d5d28979dc0728e6a1faf07f9e70dcf731a4b8ca0c4e"}),
+    "harmonic-sphere-wide": (1, "pipeline failure in build:2: stage build:2: points spread over"
+                                " a ball of radius >= R_kappa/2", {}),
+    "minimize-euclid": (0, "", {
+        "relax_trace.csv": "fe3d56d51226a95e618938317c16289d01d38c4d2c08eac68ec932d2f24914fe",
+        "report.json": "a6b9db5690574c83fd46a3ec296a6c4eac3b78455d3ce5d046909607c1c93880"}),
+    "minimize-tripod": (0, "", {
+        "relax_trace.csv": "c69fb3aecb8784b00c328d43059e56a7402a96d7237f571f3ca60b8477db4006",
+        "report.json": "9573a423404ecf001eb5a59b449a279b2e2bf9b280f96bcc86d4cb59479f8e74"}),
+    "poly-plane": (0, "", {
+        "complex.json": "4efc1db70f6cce094f38c78f286175400db756648d284c19480acd320838228a",
+        "net.svg": "13072088e964430740846fc6f28bcaf978c58c06712d58217fd6e6a6148f4fd8",
+        "report.json": "fbe3a782c56acb9da79307199a1ccb677ce9bbc34ce89f81a22d22e5620043b7"}),
+    "poly-sphere": (0, "", {
+        "complex.json": "ed1919bcd5d7c056f25abafb3a18240a039abbe8ffc67e61969b7dc323c60906",
+        "net.svg": "240bc1eb34092a0e7c65e2205852d33ff0e00a8c1bbd86dde1f116976215ce84",
+        "report.json": "51885c9c896aec6abd4b19822dd235227f1a59ca9ab57ac1bd0cc3ed4fdd73ef"}),
+    "poly-small-epsilon": (1, "pipeline failure in polyhedral-build: stage polyhedral-build:"
+                              " triangle 0 has image diameter 0.471405 > epsilon 0.1", {}),
+    "cat-cone": (1, "", {
+        "report.json": "af7f2ee4593dd98b801e608f9d1657a15853e3b77a687530de0f70227dcf6d69",
+        "samples.csv": "ce71bcae10b72ecf8582ce3f097417331a9be64b144d2c2f4da590e02708a281"}),
+    "cat-hyperbolic": (0, "", {
+        "report.json": "db36d159b55b6a0588868af21f82b6583cc039748966d9c65774228c900fe782",
+        "samples.csv": "cfb7dcbae13273abbc472dc6514c79071a2eadf7b3abad8f12e9a949f28e3dd9"}),
+    "bool-tree-point": (2, "config error: trace_corners[1][2]: expected a number, got True", {}),
+    "three-corners": (2, "config error: trace_corners: exactly four corner points required", {}),
+    "unknown-construction": (2, "config error: construction: unknown construction 'origami'", {}),
+    "no-eta0": (2, "config error: eta0: missing required field", {}),
+    "bool-cone-angle": (2, "config error: target.total_angle: expected a number, got True", {}),
+}
+
+
+def run_pinned(tmp_path, monkeypatch, capsys, name):
+    """Exit code, last stderr line and output sha256s of the config `name`."""
+    command, cfg = PINNED[name]
+    out = tmp_path / "out"
+    monkeypatch.setenv("CATDISC_OUTDIR", str(out))
+    code = main([command, write_config(tmp_path, "cfg.json", cfg)])
+    err = capsys.readouterr().err.strip().splitlines()
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*"))}
+    return code, err[-1] if err else "", files
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_command_outputs_are_pinned(tmp_path, monkeypatch, capsys, name):
+    assert run_pinned(tmp_path, monkeypatch, capsys, name) == PINS[name]
