@@ -421,3 +421,34 @@ def run_pinned(tmp_path, monkeypatch, capsys, name):
 @pytest.mark.parametrize("name", PINNED)
 def test_command_outputs_are_pinned(tmp_path, monkeypatch, capsys, name):
     assert run_pinned(tmp_path, monkeypatch, capsys, name) == PINS[name]
+
+
+def test_reruns_are_bit_identical_across_blas_threads(tmp_path):
+    """Fresh processes with one and with two BLAS threads write the same
+    bytes: the tripod's harmonic map, a kappa = 1 ruled disc and an R^3
+    minimizer."""
+    names = ("harmonic-tripod", "ruled-sphere", "minimize-euclid")
+    script = (
+        "import os, sys\nfrom catdisc.cli import main\n"
+        "for command, config, out in zip(*[iter(sys.argv[1:])] * 3):\n"
+        "    os.environ['CATDISC_OUTDIR'] = out\n"
+        "    print(main([command, config]))\n"
+    )
+    src = Path(catdisc.__file__).resolve().parents[1]
+    runs = []
+    for threads in ("1", "2"):
+        root = tmp_path / threads
+        argv = []
+        for name in names:
+            command, cfg = PINNED[name]
+            argv += [command, write_config(tmp_path, f"{name}.json", cfg), str(root / name)]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads),
+        )
+        files = {p.relative_to(root).as_posix(): p.read_bytes()
+                 for p in sorted(root.rglob("*")) if p.is_file()}
+        runs.append((done.stdout.split(), files))
+    assert runs[0][0] == ["0", "0", "0"]
+    assert len(runs[0][1]) == 7
+    assert runs[0] == runs[1]
