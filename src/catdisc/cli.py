@@ -9,11 +9,13 @@ every report embeds the config hash and seed so reruns are comparable.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,6 @@ from .constructions import (
     quadrangle_bound_check,
     ruled_disc_map,
     ruled_is_length_minimizing_check,
-    verify_pipeline,
 )
 from .errors import ConfigError, PipelineStageError
 from .mesh import grid_mesh
@@ -38,8 +39,8 @@ from .polyhedral import (
     lipschitz_check,
     short_loop_probe,
 )
-from .spaces import point_from_config, space_from_config
-from .verify import certify_cat, samples_csv
+from .spaces import EuclideanSpace, FlatCone, MetricTree, ModelSpace, TreePoint
+from .verify import certify_cat, certify_induced, samples_csv
 
 SCHEMA_VERSION = 1
 
@@ -119,18 +120,38 @@ def _section(cfg: dict, name: str, check) -> dict:
     return merged
 
 
+def _number(value, path: str):
+    """`value`, unless it is a boolean: `int` and `float` would read one as
+    0 or 1."""
+    if isinstance(value, bool):
+        raise ConfigError(path, f"expected a number, got {value!r}")
+    return value
+
+
 def _space(cfg: dict):
     """The target space; a missing, unknown or unreadable backend field is a
     config error."""
     target = _require(cfg, "target", dict)
+    backend = target.get("backend")
     try:
-        return space_from_config(target)
-    except ConfigError as exc:
-        raise ConfigError(f"target.{exc.field_path}", exc.message) from exc
+        if backend == "euclidean":
+            return EuclideanSpace(int(_number(target["dim"], "target.dim")))
+        if backend == "model":
+            return ModelSpace(float(_number(target["kappa"], "target.kappa")))
+        if backend == "tree":
+            return MetricTree([
+                (str(u), str(v), float(_number(w, f"target.edges[{i}]")))
+                for i, (u, v, w) in enumerate(target["edges"])
+            ])
+        if backend == "cone":
+            return FlatCone(float(_number(target["total_angle"], "target.total_angle")))
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"target.{exc.args[0]}", "missing required field") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError("target", str(exc)) from exc
+    raise ConfigError("target", f"unknown backend {backend!r}")
 
 
 def _common(cfg: dict):
@@ -162,134 +183,167 @@ def _emit_report(outdir: Path, payload: dict, digest: str, seed: int):
 
 
 def _points(cfg: dict, space, name: str) -> list:
-    """The target points listed at config field `name`."""
-    given = _require(cfg, name, list)
+    """The target points listed at config field `name`: coordinate lists, or
+    [u, v, offset] on a tree edge.  A point the target cannot read is a
+    config error."""
     points = []
-    for i, p in enumerate(given):
+    for i, p in enumerate(_require(cfg, name, list)):
         try:
-            points.append(point_from_config(space, p))
-        except ConfigError as exc:
-            raise ConfigError(f"{name}[{i}]{exc.field_path}", exc.message) from exc
+            if isinstance(space, MetricTree):
+                u, v, off = p
+                off = float(_number(off, f"{name}[{i}][2]"))
+                point = space._coerce(TreePoint(str(u), str(v), off))
+            else:
+                for j, x in enumerate(p):
+                    _number(x, f"{name}[{i}][{j}]")
+                if isinstance(space, EuclideanSpace):
+                    point = space._coerce(p)
+                elif isinstance(space, ModelSpace):
+                    point = space.point(p)
+                else:
+                    r, phi = p
+                    point = space.point(float(r), float(phi))
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(name, str(exc)) from exc
+        points.append(point)
     return points
 
 
-def _cmd_verify_ruled(cfg: dict, digest: str) -> int:
-    space, kappa, seed, budgets, tols = _common(cfg)
+@contextmanager
+def _stage(name: str):
+    """Re-raise an error of the enclosed stage as PipelineStageError; one
+    that already carries a stage passes unchanged."""
+    try:
+        yield
+    except PipelineStageError:
+        raise
+    except Exception as exc:
+        raise PipelineStageError(name, exc) from exc
+
+
+def _ruled(cfg: dict, space):
+    """build(n) of the ruled disc between the curves `eta0` and `eta1`."""
     eta0, eta1 = _points(cfg, space, "eta0"), _points(cfg, space, "eta1")
-    refinements = cfg.get("refinements", DEFAULTS["refinements"])
-    outdir = _outdir(cfg)
-    # The first refinement's spec and map, as the pipeline built them.
-    built = {}
 
-    def builder(n):
+    def build(n):
         spec = RuledDiscSpec(eta0, eta1, (n, n), space)
-        built[n] = spec, ruled_disc_map(spec)
-        return built[n][1]
+        return ruled_disc_map(spec), spec
 
-    bundle = verify_pipeline(
-        builder, kappa, refinements, triple_budget=budgets["triples"],
-        grid=budgets["grid"], tolerance=tols["defect"], seed=seed, steiner=budgets["steiner"],
-    )
-    spec0, mg0 = built[refinements[0]]
-    quad = quadrangle_bound_check(spec0, mg0)
-    minimality = ruled_is_length_minimizing_check(mg0)
-    _write(outdir, "defects.csv", bundle.defect_csv())
-    _emit_report(
-        outdir,
-        {
-            "construction": "ruled",
-            "kappa": kappa,
-            "passed": bundle.passed,
-            "reports": [json.loads(r.to_json()) for r in bundle.reports],
-            "quadrangle": {"rho": quad.rho, "empirical_l": quad.empirical_l, "ok": quad.ok},
-            "minimality": {
-                "max_length_defect": minimality.max_length_defect,
-                "max_proportionality_defect": minimality.max_proportionality_defect,
-                "ok": minimality.ok,
-            },
+    return build
+
+
+def _ruled_checks(built: list, outdir: Path):
+    """Quadrangle and minimality checks of the first refinement's disc."""
+    _n, mg, spec = built[0]
+    quad = quadrangle_bound_check(spec, mg)
+    minimality = ruled_is_length_minimizing_check(mg)
+    fields = {
+        "quadrangle": {"rho": quad.rho, "empirical_l": quad.empirical_l, "ok": quad.ok},
+        "minimality": {
+            "max_length_defect": minimality.max_length_defect,
+            "max_proportionality_defect": minimality.max_proportionality_defect,
+            "ok": minimality.ok,
         },
-        digest,
-        seed,
-    )
-    return 0 if bundle.passed and quad.ok and minimality.ok else 1
+    }
+    return fields, quad.ok and minimality.ok
 
 
-def _corners(cfg: dict, space) -> list:
-    """The four corner points of a harmonic boundary trace."""
+def _harmonic(cfg: dict, space):
+    """build(n) of the harmonic disc on grid_mesh(n) whose boundary trace
+    walks the four `trace_corners` by geodesics."""
     corners = _points(cfg, space, "trace_corners")
     if len(corners) != 4:
         raise ConfigError("trace_corners", "exactly four corner points required")
-    return corners
+
+    def build(n):
+        mesh = grid_mesh(n)
+        trace = {}
+        for v in np.flatnonzero(mesh.boundary):
+            a, t = mesh.coords[v]
+            # Walk the square boundary: geodesic interpolation along each side.
+            if t == 0.0:
+                trace[int(v)] = space.geodesic(corners[0], corners[1], a)
+            elif t == 1.0:
+                trace[int(v)] = space.geodesic(corners[3], corners[2], a)
+            elif a == 0.0:
+                trace[int(v)] = space.geodesic(corners[0], corners[3], t)
+            else:
+                trace[int(v)] = space.geodesic(corners[1], corners[2], t)
+        result = harmonic_relax(HarmonicSpec(mesh, trace, space))
+        return result.graph, result
+
+    return build
 
 
-def _harmonic_spec(corners: list, space, n: int):
-    """The harmonic problem on grid_mesh(n) whose boundary trace walks the
-    four corners by geodesics."""
-    mesh = grid_mesh(n)
-    trace = {}
-    for v in np.flatnonzero(mesh.boundary):
-        a, t = mesh.coords[v]
-        # Walk the square boundary: geodesic interpolation along each side.
-        if t == 0.0:
-            trace[int(v)] = space.geodesic(corners[0], corners[1], a)
-        elif t == 1.0:
-            trace[int(v)] = space.geodesic(corners[3], corners[2], a)
-        elif a == 0.0:
-            trace[int(v)] = space.geodesic(corners[0], corners[3], t)
-        else:
-            trace[int(v)] = space.geodesic(corners[1], corners[2], t)
-    return HarmonicSpec(mesh, trace, space)
+def _harmonic_checks(built: list, outdir: Path):
+    """Convergence at every refinement, the regularity trend (the largest
+    edge image per refinement) and the last refinement's energy trace."""
+    converged = all(result.converged for _n, _mg, result in built)
+    moduli = {n: float(mg.edge_lengths().max()) for n, mg, _result in built}
+    _write(outdir, "energy_trace.csv", built[-1][2].trace_csv())
+    return {"converged": converged, "edge_modulus": moduli}, converged
 
 
-def _cmd_verify_harmonic(cfg: dict, digest: str) -> int:
+# Each construction: a factory that reads its own config fields and returns
+# build(n) -> (MappedGraph, record), and the checks its verify command adds
+# over the (n, graph, record) of every refinement.  The record is the
+# RuledDiscSpec or the HarmonicResult.
+CONSTRUCTIONS = {
+    "ruled": (_ruled, _ruled_checks),
+    "harmonic": (_harmonic, _harmonic_checks),
+}
+
+
+def _cmd_verify(kind: str, cfg: dict, digest: str) -> int:
+    """Build the construction at each refinement n (stage `build:n`) and
+    certify its induced metric (stage `certify:n`)."""
     space, kappa, seed, budgets, tols = _common(cfg)
-    corners = _corners(cfg, space)
-    refinements = cfg.get("refinements", DEFAULTS["refinements"])
+    factory, checks = CONSTRUCTIONS[kind]
+    build = factory(cfg, space)
+    built, reports = [], []
+    for n in cfg.get("refinements", DEFAULTS["refinements"]):
+        with _stage(f"build:{n}"):
+            mg, record = build(n)
+        with _stage(f"certify:{n}"):
+            reports.append(certify_induced(
+                mg, Kappa(kappa), triple_budget=budgets["triples"], grid=budgets["grid"],
+                tolerance=tols["defect"], seed=seed, refinement=n, steiner=budgets["steiner"],
+            ))
+        built.append((n, mg, record))
     outdir = _outdir(cfg)
-    results = {}
-
-    def builder(n):
-        res = harmonic_relax(_harmonic_spec(corners, space, n))
-        results[n] = res
-        return res.graph
-
-    bundle = verify_pipeline(
-        builder, kappa, refinements, triple_budget=budgets["triples"],
-        grid=budgets["grid"], tolerance=tols["defect"], seed=seed, steiner=budgets["steiner"],
-    )
-    converged = all(results[n].converged for n in refinements)
-    # Regularity trend: max interior edge image distance per refinement.
-    moduli = {n: float(results[n].graph.edge_lengths().max()) for n in refinements}
-    _write(outdir, "defects.csv", bundle.defect_csv())
-    _write(outdir, "energy_trace.csv", results[refinements[-1]].trace_csv())
+    fields, ok = checks(built, outdir)
+    passed = ok and all(r.passed for r in reports)
+    rows = ["refinement,max_defect,mean_positive_defect"] + [
+        f"{r.refinement},{r.max_defect:.12g},{r.mean_positive_defect:.12g}" for r in reports
+    ]
+    _write(outdir, "defects.csv", "\n".join(rows) + "\n")
     _emit_report(
         outdir,
         {
-            "construction": "harmonic",
+            "construction": kind,
             "kappa": kappa,
-            "passed": bundle.passed and converged,
-            "converged": converged,
-            "edge_modulus": moduli,
-            "reports": [json.loads(r.to_json()) for r in bundle.reports],
+            "passed": passed,
+            "reports": [json.loads(r.to_json()) for r in reports],
+            **fields,
         },
         digest,
         seed,
     )
-    return 0 if bundle.passed and converged else 1
+    return 0 if passed else 1
 
 
-def _build_construction(cfg: dict, space):
-    """The config's construction on the grid of its `grid` field."""
+def _grid_graph(cfg: dict, space):
+    """The config's `construction` on the grid of its `grid` field, built as
+    stage `build:{grid}`."""
     kind = _require(cfg, "construction", str)
+    if kind not in CONSTRUCTIONS:
+        raise ConfigError("construction", f"unknown construction {kind!r}")
+    build = CONSTRUCTIONS[kind][0](cfg, space)
     n = cfg.get("grid", DEFAULTS["refinements"][0])
-    if kind == "ruled":
-        eta0, eta1 = _points(cfg, space, "eta0"), _points(cfg, space, "eta1")
-        return ruled_disc_map(RuledDiscSpec(eta0, eta1, (n, n), space))
-    if kind == "harmonic":
-        return harmonic_relax(_harmonic_spec(_corners(cfg, space), space, n)).graph
-    raise ConfigError("construction", f"unknown construction {kind!r}")
+    with _stage(f"build:{n}"):
+        return build(n)[0]
 
 
 def _cmd_minimize_graph(cfg: dict, digest: str) -> int:
@@ -297,11 +351,12 @@ def _cmd_minimize_graph(cfg: dict, digest: str) -> int:
     preserve = cfg.get("preserve_domination", False)
     if not isinstance(preserve, bool):
         raise ConfigError("preserve_domination", f"expected true or false, got {preserve!r}")
-    outdir = _outdir(cfg)
-    mg = _build_construction(cfg, space)
-    result = relax_graph(mg, RelaxConfig(preserve_domination=preserve))
+    mg = _grid_graph(cfg, space)
+    with _stage("relax"):
+        result = relax_graph(mg, RelaxConfig(preserve_domination=preserve))
     angles = vertex_angle_sums(result.graph)
     ok = result.converged and angles.min_total >= 2.0 * math.pi - 1e-4
+    outdir = _outdir(cfg)
     _write(outdir, "relax_trace.csv", result.trace_csv())
     _emit_report(
         outdir,
@@ -325,12 +380,9 @@ def _cmd_build_polyhedral(cfg: dict, digest: str) -> int:
     half_r = Kappa(kappa).r_kappa / 2.0
     if not epsilon < half_r:
         raise ConfigError("epsilon", f"{epsilon} outside (0, R_kappa/2 = {half_r})")
-    outdir = _outdir(cfg)
-    mg = _build_construction(cfg, space)
-    try:
+    mg = _grid_graph(cfg, space)
+    with _stage("polyhedral-build"):
         complex_, pair = build_polyhedral_disc(mg, epsilon, kappa)
-    except Exception as exc:
-        raise PipelineStageError("polyhedral-build", exc) from exc
     angle = interior_angle_check(complex_)
     lip = lipschitz_check(pair, complex_, samples=200, refinement=2, seed=seed)
     den = epsilon_density_check(pair, complex_, mg, epsilon, samples=100, refinement=2, seed=seed)
@@ -354,6 +406,7 @@ def _cmd_build_polyhedral(cfg: dict, digest: str) -> int:
         certified = angle.ok and lip.ok
     payload["certified_desk_scale"] = certified
     payload["passed"] = certified and den.ok
+    outdir = _outdir(cfg)
     _write(outdir, "complex.json", complex_.to_json() + "\n")
     _write(outdir, "net.svg", complex_.to_svg_net())
     _emit_report(outdir, payload, digest, seed)
@@ -373,8 +426,8 @@ def _cmd_cat_check(cfg: dict, digest: str) -> int:
 
 
 _COMMANDS = {
-    "verify-ruled": _cmd_verify_ruled,
-    "verify-harmonic": _cmd_verify_harmonic,
+    "verify-ruled": functools.partial(_cmd_verify, "ruled"),
+    "verify-harmonic": functools.partial(_cmd_verify, "harmonic"),
     "minimize-graph": _cmd_minimize_graph,
     "build-polyhedral": _cmd_build_polyhedral,
     "cat-check": _cmd_cat_check,

@@ -8,16 +8,13 @@ prescribed boundary trace.  Both feed the induced-metric certifier.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfConvexityError, PipelineStageError
+from .errors import OutOfConvexityError
 from .mesh import DiscMesh, MappedGraph, grid_index, grid_mesh
-from .model import Kappa
 from .spaces import MetricTree, TargetSpace, TreePoint
-from .verify import CertReport, certify_induced
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,67 +297,3 @@ def harmonic_relax(spec: HarmonicSpec) -> HarmonicResult:
         converged = any(sweep() < HARMONIC_TOL for _ in range(HARMONIC_MAX_SWEEPS))
     return HarmonicResult(MappedGraph(mesh, sp, images), converged, tuple(trace))
 
-
-@dataclass(frozen=True)
-class PipelineBundle:
-    """Reports of one construction certified across a refinement schedule."""
-
-    reports: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.reports)
-
-    def defect_csv(self) -> str:
-        lines = ["refinement,max_defect,mean_positive_defect"]
-        for r in self.reports:
-            mean = r.mean_positive_defect
-            lines.append(f"{r.refinement},{r.max_defect:.12g},{mean:.12g}")
-        return "\n".join(lines) + "\n"
-
-
-@contextmanager
-def _stage(name: str):
-    """Re-raise an error of the enclosed stage as PipelineStageError."""
-    try:
-        yield
-    except PipelineStageError:
-        raise
-    except Exception as exc:
-        raise PipelineStageError(name, exc) from exc
-
-
-def verify_pipeline(
-    builder,
-    kappa: float,
-    refinements,
-    triple_budget: int = 20,
-    grid: int = 8,
-    tolerance: float = 5e-3,
-    seed: int = 0,
-    steiner: int = 4,
-) -> PipelineBundle:
-    """Build a construction at each refinement and certify its induced metric.
-
-    `builder(n)` must return the MappedGraph at refinement n.  The stages of
-    refinement n are `build:{n}` (the builder) and `certify:{n}`
-    (`certify_induced`); an error in either propagates as
-    PipelineStageError tagged with its stage.
-    """
-    reports = []
-    for n in refinements:
-        with _stage(f"build:{n}"):
-            mg = builder(n)
-        with _stage(f"certify:{n}"):
-            report = certify_induced(
-                mg,
-                Kappa(kappa),
-                triple_budget=triple_budget,
-                grid=grid,
-                tolerance=tolerance,
-                seed=seed,
-                refinement=n,
-                steiner=steiner,
-            )
-        reports.append(report)
-    return PipelineBundle(tuple(reports))

@@ -24,7 +24,7 @@ from operator import mul, sub, truediv
 import numpy as np
 
 from . import model
-from .errors import BackendMismatchError, ConfigError, OutOfConvexityError
+from .errors import BackendMismatchError, OutOfConvexityError
 from .model import Kappa, ModelPoint, _mapped, _row_dots
 from .steiner import _batch_bary_interp, _batch_distance, _row_sums, tri_point
 
@@ -1107,56 +1107,3 @@ class FlatCone(TargetSpace):
         cost = lambda x: sum(wi * self.distance(x, p) for wi, p in zip(w, pts))
         return self._geodesic_descent(pts, cost)
 
-
-def space_from_config(cfg: dict) -> TargetSpace:
-    """Build a backend from its scenario-config description.
-
-    A boolean where a number belongs raises ConfigError naming the field:
-    `int` and `float` would read it as 0 or 1.
-    """
-
-    def number(name, value):
-        if isinstance(value, bool):
-            raise ConfigError(name, f"expected a number, got {value!r}")
-        return value
-
-    backend = cfg.get("backend")
-    if backend == "euclidean":
-        return EuclideanSpace(int(number("dim", cfg["dim"])))
-    if backend == "model":
-        return ModelSpace(float(number("kappa", cfg["kappa"])))
-    if backend == "tree":
-        return MetricTree([
-            (str(u), str(v), float(number(f"edges[{i}]", w)))
-            for i, (u, v, w) in enumerate(cfg["edges"])
-        ])
-    if backend == "cone":
-        return FlatCone(float(number("total_angle", cfg["total_angle"])))
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def point_from_config(space: TargetSpace, spec):
-    """Parse a point description matching the backend of `space`.
-
-    A boolean coordinate raises ConfigError naming its index, `[i]`, as
-    `space_from_config` does for the target's numbers.
-    """
-
-    def numbers(values, first=0):
-        for i, value in enumerate(values, first):
-            if isinstance(value, bool):
-                raise ConfigError(f"[{i}]", f"expected a number, got {value!r}")
-        return values
-
-    if isinstance(space, EuclideanSpace):
-        return space._coerce(numbers(spec))
-    if isinstance(space, ModelSpace):
-        return space.point(numbers(spec))
-    if isinstance(space, MetricTree):
-        u, v, off = spec
-        (off,) = numbers([off], first=2)
-        return TreePoint(str(u), str(v), float(off))
-    if isinstance(space, FlatCone):
-        r, phi = numbers(spec)
-        return space.point(float(r), float(phi))
-    raise ValueError(f"unsupported space {type(space).__name__}")

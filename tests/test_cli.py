@@ -7,10 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import catdisc
 from catdisc.cli import main
+from catdisc.induced import induced_length_metric, quotient_is_monotone
+from catdisc.mesh import MappedGraph, grid_mesh
+from catdisc.minimize import RelaxConfig, dominates, non_bubbling, relax_graph
+from catdisc.spaces import EuclideanSpace
 
 
 def write_config(tmp_path, name, payload):
@@ -358,6 +363,27 @@ PINNED = {
     "no-eta0": ("verify-ruled", {"target": R3, "kappa": 0.0, "eta1": SKEW["eta1"]}),
     "bool-cone-angle": ("cat-check", {
         "target": {"backend": "cone", "total_angle": True}, "kappa": 0.0}),
+    # A tree point on a missing edge, or off its edge, is a config error.
+    "tree-missing-edge": ("verify-harmonic", {
+        "target": TRIPOD, "kappa": 0.0, "refinements": [4],
+        "trace_corners": [["o", "z", 1.0], ["o", "b", 1.0], ["o", "c", 1.0], ["o", "a", 0.5]]}),
+    "tree-offset-outside": ("build-polyhedral", {
+        "target": TRIPOD, "kappa": 0.0, "construction": "harmonic", "grid": 2, "epsilon": 0.5,
+        "trace_corners": [["o", "a", 1.5], ["o", "b", 1.0], ["o", "c", 1.0], ["o", "a", 0.5]]}),
+    # Construction and relaxation errors are pipeline failures.
+    "minimize-build-failure": ("minimize-graph", {
+        "target": SPHERE, "kappa": 1.0, "construction": "harmonic", "grid": 2,
+        "trace_corners": [[-1.4, 0.0], [1.4, 0.0], [1.4, 0.1], [-1.4, 0.1]]}),
+    "minimize-relax-failure": ("minimize-graph", {
+        "target": SPHERE, "kappa": 1.0, "construction": "ruled", "grid": 2,
+        "eta0": [[0.0, 0.0], [0.1, 0.0]], "eta1": [[0.0, 3.1], [0.1, 3.1]]}),
+    "poly-build-failure": ("build-polyhedral", {
+        "target": SPHERE, "kappa": 1.0, "construction": "harmonic", "grid": 2, "epsilon": 1.0,
+        "trace_corners": [[-1.4, 0.0], [1.4, 0.0], [1.4, 0.1], [-1.4, 0.1]]}),
+    # One triple passes, but no column is rho-close, so the quadrangle check fails.
+    "ruled-unchecked-quadrangle": ("verify-ruled", {
+        "target": R3, "kappa": 0.0, "eta0": [[0.0, 0.0, 0.0]], "eta1": [[0.0, 1.0, 0.0]],
+        "refinements": [3], "budgets": {"triples": 6, "grid": 3, "steiner": 2}, "seed": 1}),
 }
 # Per config: exit code, last stderr line, and the sha256 of each file written.
 PINS = {
@@ -404,6 +430,18 @@ PINS = {
     "unknown-construction": (2, "config error: construction: unknown construction 'origami'", {}),
     "no-eta0": (2, "config error: eta0: missing required field", {}),
     "bool-cone-angle": (2, "config error: target.total_angle: expected a number, got True", {}),
+    "tree-missing-edge": (2, "config error: trace_corners: no edge o-z in this tree", {}),
+    "tree-offset-outside": (2, "config error: trace_corners: offset 1.5 outside edge of length"
+                               " 1.0", {}),
+    "minimize-build-failure": (1, "pipeline failure in build:2: stage build:2: points spread over"
+                                  " a ball of radius >= R_kappa/2", {}),
+    "minimize-relax-failure": (1, "pipeline failure in relax: stage relax: points spread over a"
+                                  " ball of radius >= R_kappa/2", {}),
+    "poly-build-failure": (1, "pipeline failure in build:2: stage build:2: points spread over a"
+                              " ball of radius >= R_kappa/2", {}),
+    "ruled-unchecked-quadrangle": (1, "", {
+        "defects.csv": "444658e4f3a3badf950b80fecca8ef644214865e6ae4bf8256279353735621b8",
+        "report.json": "b27a59fdc37290e6e9d9a0e18ebcbca95c03586fd2e38ae99368ceeebffabac9"}),
 }
 
 
@@ -452,3 +490,76 @@ def test_reruns_are_bit_identical_across_blas_threads(tmp_path):
     assert runs[0][0] == ["0", "0", "0"]
     assert len(runs[0][1]) == 7
     assert runs[0] == runs[1]
+
+
+def test_verify_ruled_report_passes_only_when_the_exit_code_does(tmp_path, monkeypatch, capsys):
+    code, _err, _files = run_pinned(tmp_path, monkeypatch, capsys, "ruled-unchecked-quadrangle")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert code == 1
+    assert report["passed"] is False
+    assert report["quadrangle"]["ok"] is False
+    assert [(r["n_triples"], r["verdict"]) for r in report["reports"]] == [(1, "pass")]
+
+
+def test_verify_ruled_identity_square_passes(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "square.json", {
+        "target": R2, "kappa": 0.0, "eta0": [[0.0, 0.0], [1.0, 0.0]],
+        "eta1": [[0.0, 1.0], [1.0, 1.0]], "refinements": [2, 3],
+        "budgets": {"triples": 6, "grid": 4}, "seed": 0, "outdir": str(out),
+    })
+    assert main(["verify-ruled", cfg]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is True
+    assert [r["refinement"] for r in report["reports"]] == [2, 3]
+    rows = (out / "defects.csv").read_text().splitlines()
+    assert rows[0] == "refinement,max_defect,mean_positive_defect"
+    assert [row.split(",")[0] for row in rows[1:]] == ["2", "3"]
+    # The identity map's quotient is monotone, and the domination-preserving
+    # relaxation of it dominates it without bubbling.
+    for n in (2, 3):
+        mesh = grid_mesh(n)
+        mg = MappedGraph(mesh, EuclideanSpace(2), [np.array(c) for c in mesh.coords])
+        assert quotient_is_monotone(mg, induced_length_metric(mg))
+        res = relax_graph(mg, RelaxConfig(preserve_domination=True, max_iters=200))
+        assert dominates(mg, res.graph).holds
+        assert non_bubbling(res.graph).ok
+
+
+@pytest.mark.parametrize(
+    "command, overrides, stage",
+    [
+        # The boundary trace spreads too far for a unique barycenter.
+        ("verify-harmonic", {"target": SPHERE, "kappa": 1.0,
+                             "trace_corners": PINNED["harmonic-sphere-wide"][1]["trace_corners"]},
+         "build:3"),
+        # The comparison kernel overflows at this curvature.
+        ("verify-ruled", {"kappa": -1e300}, "certify:3"),
+    ],
+    ids=["build", "certify"],
+)
+def test_verify_tags_failing_stage(tmp_path, capsys, command, overrides, stage):
+    cfg = write_config(tmp_path, "cfg.json", ruled_config(str(tmp_path / "out"), **overrides))
+    assert main([command, cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"pipeline failure in {stage}: ")
+
+
+@pytest.mark.parametrize(
+    "target, eta0, eta1, rho",
+    [
+        (R3, [[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]], [[0.0, 0.0, 1.0]], 25.0),
+        # From the middle of leg a through o to the end of leg b: length 1.5.
+        (TRIPOD, [["o", "a", 0.5], ["o", "b", 1.0]], [["o", "c", 1.0]], 7.5),
+    ],
+    ids=["euclidean", "tree"],
+)
+def test_config_points_round_trip(tmp_path, target, eta0, eta1, rho):
+    """rho is ten times the largest boundary step, here half of eta0."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "target": target, "kappa": 0.0, "eta0": eta0, "eta1": eta1, "refinements": [2],
+        "budgets": {"triples": 1, "grid": 2, "steiner": 1}, "outdir": str(out),
+    })
+    main(["verify-ruled", cfg])
+    report = json.loads((out / "report.json").read_text())
+    assert abs(report["quadrangle"]["rho"] - rho) <= 1e-12

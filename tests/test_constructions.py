@@ -7,19 +7,15 @@ import pytest
 
 from catdisc.constructions import (
     HarmonicSpec,
-    PipelineBundle,
     RuledDiscSpec,
     discrete_energy,
     harmonic_relax,
     quadrangle_bound_check,
     ruled_disc_map,
     ruled_is_length_minimizing_check,
-    verify_pipeline,
 )
-from catdisc.errors import OutOfConvexityError, PipelineStageError
-from catdisc.induced import induced_length_metric, quotient_is_monotone
+from catdisc.errors import OutOfConvexityError
 from catdisc.mesh import MappedGraph, grid_index, grid_mesh
-from catdisc.minimize import RelaxConfig, dominates, non_bubbling, relax_graph
 from catdisc.spaces import EuclideanSpace, MetricTree, ModelSpace
 from reference_sweeps import barycenter_sweep
 
@@ -347,54 +343,3 @@ def test_discrete_energy_closed_form_and_optimality():
         for v in mesh.interior_vertices():
             imgs[v] = imgs[v] + 0.05 * rng.normal(size=2)
         assert discrete_energy(res.graph.with_images(imgs)) > base
-
-
-def identity_builder(n):
-    sp = EuclideanSpace(2)
-    mesh = grid_mesh(n)
-    return MappedGraph(mesh, sp, [np.array(c) for c in mesh.coords])
-
-
-def test_verify_pipeline_flat_instance_passes():
-    bundle = verify_pipeline(
-        identity_builder,
-        kappa=0.0,
-        refinements=[2, 3],
-        triple_budget=6,
-        grid=4,
-        seed=0,
-    )
-    assert isinstance(bundle, PipelineBundle)
-    assert bundle.passed
-    assert [r.refinement for r in bundle.reports] == [2, 3]
-    rows = bundle.defect_csv().splitlines()
-    assert rows[0] == "refinement,max_defect,mean_positive_defect"
-    assert [row.split(",")[0] for row in rows[1:]] == ["2", "3"]
-    # The identity map's quotient is monotone, and the domination-preserving
-    # relaxation of it dominates it without bubbling.
-    for n in (2, 3):
-        mg = identity_builder(n)
-        assert quotient_is_monotone(mg, induced_length_metric(mg))
-        res = relax_graph(mg, RelaxConfig(preserve_domination=True, max_iters=200))
-        assert dominates(mg, res.graph).holds
-        assert non_bubbling(res.graph).ok
-
-
-def test_verify_pipeline_tags_failing_stage():
-    def broken(n):
-        raise ValueError("no mesh for you")
-
-    with pytest.raises(PipelineStageError) as exc:
-        verify_pipeline(broken, 0.0, [2])
-    assert exc.value.stage == "build:2"
-
-    def wrong_backend(n):
-        sp = EuclideanSpace(2)
-        mesh = grid_mesh(n)
-        # Images of the wrong dimension surface when certification first
-        # measures them.
-        return MappedGraph(mesh, sp, [np.zeros(3)] * mesh.n_vertices)
-
-    with pytest.raises(PipelineStageError) as exc2:
-        verify_pipeline(wrong_backend, 0.0, [2])
-    assert exc2.value.stage == "certify:2"

@@ -20,8 +20,6 @@ from catdisc.spaces import (
     ModelSpace,
     TargetSpace,
     TreePoint,
-    point_from_config,
-    space_from_config,
 )
 from catdisc.steiner import tri_point
 
@@ -598,23 +596,6 @@ def test_cone_barycenter_of_a_narrow_fan_reaches_the_planar_one():
     cone = FlatCone(2.5 * math.pi)
     pts, plane, base = unfolded_sector(cone, [(1.0, 4.0), (0.7, 4.9), (0.9, 5.8)])
     assert sector_error(cone, cone.barycenter(pts), plane.mean(axis=0), base) <= 1e-7
-
-
-class TestConfig:
-    def test_round_trip_backends(self):
-        sp = space_from_config({"backend": "euclidean", "dim": 3})
-        assert isinstance(sp, EuclideanSpace)
-        p = point_from_config(sp, [1.0, 2.0, 3.0])
-        assert np.allclose(p, [1.0, 2.0, 3.0])
-        tree = space_from_config(
-            {"backend": "tree", "edges": [["o", "a", 1.0], ["o", "b", 1.0]]}
-        )
-        tp = point_from_config(tree, ["o", "a", 0.5])
-        assert abs(tree.distance(tp, tree.vertex_point("a")) - 0.5) <= 1e-12
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            space_from_config({"backend": "nope"})
 
 
 @settings(max_examples=100, deadline=None)
