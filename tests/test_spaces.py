@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catdisc import model, spaces
+from catdisc import cli, model, spaces
 from catdisc.constructions import HarmonicSpec, harmonic_relax
-from catdisc.errors import BackendMismatchError, OutOfConvexityError
+from catdisc.errors import BackendMismatchError, ConfigError, OutOfConvexityError
 from catdisc.mesh import MappedGraph, grid_mesh
 from catdisc.minimize import relax_graph
 from catdisc.spaces import (
@@ -596,6 +596,15 @@ def test_cone_barycenter_of_a_narrow_fan_reaches_the_planar_one():
     cone = FlatCone(2.5 * math.pi)
     pts, plane, base = unfolded_sector(cone, [(1.0, 4.0), (0.7, 4.9), (0.9, 5.8)])
     assert sector_error(cone, cone.barycenter(pts), plane.mean(axis=0), base) <= 1e-7
+
+
+class TestConfig:
+    def test_unknown_backend(self):
+        with pytest.raises(ConfigError) as err:
+            cli._space({"target": {"backend": "nope"}})
+        assert isinstance(err.value, ValueError)
+        assert err.value.field_path == "target"
+        assert "unknown backend 'nope'" in err.value.message
 
 
 @settings(max_examples=100, deadline=None)
