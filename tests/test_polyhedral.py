@@ -24,6 +24,7 @@ from catdisc.polyhedral import (
     short_loop_probe,
 )
 from catdisc.spaces import EuclideanSpace, FlatCone, ModelSpace
+from catdisc.steiner import _batch_distance, append_nodes
 from catdisc.verify import InducedGraphSpace
 
 
@@ -225,12 +226,18 @@ def model_grid(k, n, scale):
     return MappedGraph(mesh, sp, imgs)
 
 
+# Mapped discs, each with the epsilon and kappa its complex is glued with.
+MAPS = {
+    "identity-grid": lambda: (identity_square(2), 0.8, None),
+    "cone-3-fan": lambda: (equilateral_fan(3), 1.5, None),
+    "cone-6-fan": lambda: (equilateral_fan(6), 1.5, None),
+    "sphere-cap": lambda: (model_grid(1.0, 3, 0.8), 1.0, 1.0),
+    "hyperbolic": lambda: (model_grid(-1.0, 3, 1.5), 2.0, None),
+    "flat-3x3": lambda: (identity_square(3), 0.5, None),
+}
 COMPLEXES = {
-    "identity-grid": lambda: build_polyhedral_disc(identity_square(2), epsilon=0.8)[0],
-    "cone-3-fan": lambda: build_polyhedral_disc(equilateral_fan(3), epsilon=1.5)[0],
-    "cone-6-fan": lambda: build_polyhedral_disc(equilateral_fan(6), epsilon=1.5)[0],
-    "sphere-cap": lambda: build_polyhedral_disc(model_grid(1.0, 3, 0.8), 1.0, kappa=1.0)[0],
-    "hyperbolic": lambda: build_polyhedral_disc(model_grid(-1.0, 3, 1.5), 2.0)[0],
+    name: (lambda m=m: build_polyhedral_disc(*m())[0])
+    for name, m in MAPS.items() if name != "flat-3x3"
 }
 
 
@@ -294,3 +301,68 @@ def test_q_uses_the_induced_oracle_interpolant():
     for ti, b, w in zip(tri_idx, bary, want):
         got = pair.q(ComplexPoint(int(ti), tuple(b)))
         assert np.abs(got.coords - w).max() <= 1e-12
+
+
+class BothWaysSteinerComplexGraph(SteinerComplexGraph):
+    """Reference wiring: every query point joined both ways to its cell's
+    boundary nodes and to every other query point in its cell, and one
+    undirected Dijkstra over the grown graph."""
+
+    def distance_rows(self, sources, targets):
+        pts = list(sources) + list(targets)
+        n = self.n_nodes
+        cells = np.array([pt.cell for pt in pts], dtype=int)
+        P = self._chart_points(cells, np.array([pt.bary for pt in pts]))
+        owner, rows = self._core.gather(cells)
+        to_nodes = _batch_distance(
+            self._k, P[owner], self._chart_points(cells[owner], self._core.bary[rows])
+        )
+        i, j = np.nonzero(np.tril(cells[:, None] == cells[None, :], -1))
+        mat = append_nodes(
+            self.graph, len(pts),
+            np.r_[n + owner, n + i], np.r_[self._core.nodes[rows], n + j],
+            np.r_[to_nodes, _batch_distance(self._k, P[i], P[j])],
+        )
+        dist = dijkstra(mat, directed=False, indices=np.arange(n, n + len(sources)))
+        return dist[:, n + len(sources):]
+
+
+@pytest.mark.parametrize("name", list(COMPLEXES))
+@pytest.mark.parametrize("refinement", [0, 2, 4])
+def test_distance_rows_match_both_ways_wiring_on_interior_points(name, refinement):
+    W = COMPLEXES[name]()
+    rng = np.random.default_rng(40 + refinement)
+    sources, targets = _sample_points(W, 100, rng), _sample_points(W, 100, rng)
+    got = SteinerComplexGraph(W, refinement).distance_rows(sources, targets)
+    want = BothWaysSteinerComplexGraph(W, refinement).distance_rows(sources, targets)
+    assert np.all(np.isfinite(want))
+    assert np.array_equal(got, want)
+
+
+# repr of lipschitz_check(samples=300) and epsilon_density_check at seed 1.
+REPORT_PINS = {
+    "flat-3x3": (
+        "LipschitzReport(n_pairs=300, max_ratio=1.0000000000000018, max_edge_shortfall=0.0,"
+        " tol=0.001)",
+        "DensityReport(epsilon=0.5, slack=0.09428090415820635, max_gap=0.2200309213995576)",
+    ),
+    "sphere-cap": (
+        "LipschitzReport(n_pairs=300, max_ratio=1.000000000000001, max_edge_shortfall=0.0,"
+        " tol=0.001)",
+        "DensityReport(epsilon=1.0, slack=0.11784494060665854, max_gap=0.1749743538130329)",
+    ),
+    "hyperbolic": (
+        "LipschitzReport(n_pairs=300, max_ratio=1.0000000000000049, max_edge_shortfall=0.0,"
+        " tol=0.001)",
+        "DensityReport(epsilon=2.0, slack=0.2316979353377447, max_gap=0.3666253845574116)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["flat-3x3", "sphere-cap", "hyperbolic"])
+def test_check_reports_are_pinned(name):
+    mg, epsilon, kappa = MAPS[name]()
+    W, pair = build_polyhedral_disc(mg, epsilon, kappa)
+    lip = lipschitz_check(pair, W, samples=300, seed=1)
+    den = epsilon_density_check(pair, W, mg, epsilon, seed=1)
+    assert (repr(lip), repr(den)) == REPORT_PINS[name]
