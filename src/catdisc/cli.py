@@ -121,9 +121,9 @@ def _section(cfg: dict, name: str, check) -> dict:
 
 
 def _number(value, path: str):
-    """`value`, unless it is a boolean: `int` and `float` would read one as
-    0 or 1."""
-    if isinstance(value, bool):
+    """`value`, if it is an `int` or a `float`: `int` and `float` would read
+    a boolean as 0 or 1 and a numeric string as its number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     return value
 
@@ -135,7 +135,7 @@ def _space(cfg: dict):
     backend = target.get("backend")
     try:
         if backend == "euclidean":
-            return EuclideanSpace(int(_number(target["dim"], "target.dim")))
+            return EuclideanSpace(_count(target["dim"], "target.dim", 1))
         if backend == "model":
             return ModelSpace(float(_number(target["kappa"], "target.kappa")))
         if backend == "tree":
@@ -186,8 +186,10 @@ def _points(cfg: dict, space, name: str) -> list:
     """The target points listed at config field `name`: coordinate lists, or
     [u, v, offset] on a tree edge.  A point the target cannot read is a
     config error."""
-    points = []
-    for i, p in enumerate(_require(cfg, name, list)):
+    points, given = [], _require(cfg, name, list)
+    if not given:
+        raise ConfigError(name, "expected a non-empty list")
+    for i, p in enumerate(given):
         try:
             if isinstance(space, MetricTree):
                 u, v, off = p

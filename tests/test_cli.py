@@ -259,7 +259,7 @@ def test_malformed_counts_exit_2(tmp_path, capsys, field, value, named):
         ("verify-ruled", {"target": {"backend": "euclidean"}}, "target.dim"),
         ("verify-ruled", {"target": {"backend": "torus", "dim": 3}}, "target"),
         ("verify-ruled", {"target": {"dim": 3}}, "target"),
-        ("verify-ruled", {"target": {"backend": "euclidean", "dim": "x"}}, "target"),
+        ("verify-ruled", {"target": {"backend": "euclidean", "dim": "x"}}, "target.dim"),
         ("verify-ruled", {"tolerances": [1]}, "tolerances"),
         ("verify-ruled", {"tolerances": {"defect": True}}, "tolerances.defect"),
         ("verify-ruled", {"tolerances": {"defekt": 1e-3}}, "tolerances.defekt"),
@@ -290,12 +290,24 @@ def test_malformed_counts_exit_2(tmp_path, capsys, field, value, named):
         ("verify-harmonic", {"target": {"backend": "cone", "total_angle": 7.0},
                              "trace_corners": [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0],
                                                [True, 3.0]]}, "trace_corners[3][0]"),
+        ("verify-ruled", {"target": {"backend": "euclidean", "dim": 2.5}}, "target.dim"),
+        ("verify-ruled", {"target": {"backend": "model", "kappa": "1.0"}}, "target.kappa"),
+        ("verify-ruled", {"target": {"backend": "cone", "total_angle": "7.0"}},
+         "target.total_angle"),
+        ("verify-ruled", {"target": {"backend": "tree", "edges": [["o", "a", 1.0],
+                                                                  ["o", "b", "1.5"]]}},
+         "target.edges[1]"),
+        ("verify-ruled", {"eta1": [[0.0, 1.0, 0.2], [1.0, "1.0", 0.0]]}, "eta1[1][1]"),
+        ("verify-ruled", {"eta0": []}, "eta0"),
+        ("verify-harmonic", {"trace_corners": []}, "trace_corners"),
     ],
     ids=["no-dim", "unknown-backend", "no-backend", "bad-dim", "tolerance-list",
          "bool-tolerance", "unknown-tolerance", "bool-kappa", "string-flag",
          "short-point", "three-corners", "zero-epsilon", "epsilon-past-half-r",
          "bool-dim", "bool-target-kappa", "bool-total-angle", "bool-edge-weight",
-         "bool-euclidean-point", "bool-model-point", "bool-tree-point", "bool-cone-point"],
+         "bool-euclidean-point", "bool-model-point", "bool-tree-point", "bool-cone-point",
+         "fractional-dim", "string-target-kappa", "string-total-angle", "string-edge-weight",
+         "string-euclidean-point", "empty-eta0", "empty-corners"],
 )
 def test_malformed_fields_exit_2(tmp_path, capsys, command, overrides, named):
     cfg = ruled_config(str(tmp_path / "out"), **overrides)
@@ -380,6 +392,8 @@ PINNED = {
     "poly-build-failure": ("build-polyhedral", {
         "target": SPHERE, "kappa": 1.0, "construction": "harmonic", "grid": 2, "epsilon": 1.0,
         "trace_corners": [[-1.4, 0.0], [1.4, 0.0], [1.4, 0.1], [-1.4, 0.1]]}),
+    # An empty boundary curve is a config error.
+    "empty-eta0": ("verify-ruled", {"target": R3, "kappa": 0.0, "eta0": [], "eta1": SKEW["eta1"]}),
     # One triple passes, but no column is rho-close, so the quadrangle check fails.
     "ruled-unchecked-quadrangle": ("verify-ruled", {
         "target": R3, "kappa": 0.0, "eta0": [[0.0, 0.0, 0.0]], "eta1": [[0.0, 1.0, 0.0]],
@@ -439,6 +453,7 @@ PINS = {
                                   " ball of radius >= R_kappa/2", {}),
     "poly-build-failure": (1, "pipeline failure in build:2: stage build:2: points spread over a"
                               " ball of radius >= R_kappa/2", {}),
+    "empty-eta0": (2, "config error: eta0: expected a non-empty list", {}),
     "ruled-unchecked-quadrangle": (1, "", {
         "defects.csv": "444658e4f3a3badf950b80fecca8ef644214865e6ae4bf8256279353735621b8",
         "report.json": "b27a59fdc37290e6e9d9a0e18ebcbca95c03586fd2e38ae99368ceeebffabac9"}),
