@@ -35,7 +35,7 @@ def _edge_weight_matrix(mg: MappedGraph):
 
 def vertex_distance_table(mg: MappedGraph) -> np.ndarray:
     """All-pairs shortest-path distances with image-distance edge weights."""
-    dist = dijkstra(_edge_weight_matrix(mg), directed=False)
+    dist = dijkstra(_edge_weight_matrix(mg), directed=True)
     if np.isinf(dist).any():
         raise NotLengthConnectedError("graph is disconnected")
     return dist

@@ -14,16 +14,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import EpsilonBoundError
+from .errors import EpsilonBoundError, GeometryError
 from .mesh import MappedGraph
 from .model import ComparisonTriangle, Kappa, build_comparison_triangle
 from .steiner import (
     SteinerGraph,
     _batch_bary_interp,
     _batch_distance,
-    append_nodes,
     tri_point,
 )
 
@@ -332,28 +332,27 @@ class SteinerComplexGraph:
         )
 
     def distance_rows(self, sources, targets) -> np.ndarray:
-        """Upper-bound intrinsic distances between complex points.
-
-        Temporary nodes for every point are appended to the graph, wired to
-        the boundary nodes of their cells and to the other points in their
-        cells by in-chart distances.
-        """
-        pts = list(sources) + list(targets)
-        n = self.n_nodes
+        """Upper-bound intrinsic distances between complex points, through
+        one-way temporary nodes weighed in their cells' charts: a source sends
+        to its cell's boundary nodes and same-cell targets, a target receives
+        from its cell's boundary nodes.  Each cell is a convex chart triangle
+        with chords between its boundary nodes, so no path through another
+        point would be the shorter."""
+        pts, ns, n = list(sources) + list(targets), len(sources), self.n_nodes
         cells = np.array([pt.cell for pt in pts], dtype=int)
         P = self._chart_points(cells, np.array([pt.bary for pt in pts]))
         owner, rows = self._core.gather(cells)
         to_nodes = _batch_distance(
             self._k, P[owner], self._chart_points(cells[owner], self._core.bary[rows])
         )
-        i, j = np.nonzero(np.tril(cells[:, None] == cells[None, :], -1))
-        mat = append_nodes(
-            self.graph, len(pts),
-            np.r_[n + owner, n + i], np.r_[self._core.nodes[rows], n + j],
-            np.r_[to_nodes, _batch_distance(self._k, P[i], P[j])],
-        )
-        dist = dijkstra(mat, directed=False, indices=np.arange(n, n + len(sources)))
-        return dist[:, n + len(sources):]
+        i, j = np.nonzero(cells[:ns, None] == cells[None, ns:])
+        node, sends, base = self._core.nodes[rows], owner < ns, self.graph.tocoo()
+        mat = coo_matrix((
+            np.r_[base.data, to_nodes, _batch_distance(self._k, P[i], P[ns + j])],
+            (np.r_[base.row, np.where(sends, n + owner, node), n + i],
+             np.r_[base.col, np.where(sends, node, n + owner), n + ns + j]),
+        ), shape=(n + len(pts),) * 2).tocsr()
+        return dijkstra(mat, directed=True, indices=np.arange(n, n + ns))[:, n + ns:]
 
 
 @functools.lru_cache(maxsize=4)
@@ -409,7 +408,7 @@ def lipschitz_check(
     pts_b = _sample_points(complex_, samples, rng)
     graph = _complex_graph(complex_, refinement)
     max_ratio = 0.0
-    chunk = 100
+    chunk = 50
     for lo in range(0, samples, chunk):
         sa = pts_a[lo : lo + chunk]
         sb = pts_b[lo : lo + chunk]
@@ -417,6 +416,8 @@ def lipschitz_check(
         for i, (p1, p2) in enumerate(zip(sa, sb)):
             dy = pair.mg.space.distance(pair.q(p1), pair.q(p2))
             w = float(dw[i, i])
+            if not math.isfinite(dy + w):
+                raise GeometryError(f"non-finite distances: target {dy}, Steiner {w}")
             if w > 1e-12:
                 max_ratio = max(max_ratio, dy / w)
             elif dy > 1e-9:
@@ -457,6 +458,8 @@ def epsilon_density_check(
     anchors = [pair.p[v] for v in sorted(pair.p)]
     graph = _complex_graph(complex_, refinement)
     gaps = graph.distance_rows(pts, anchors).min(axis=1)
+    if not np.isfinite(gaps).all():
+        raise GeometryError(f"non-finite gap {gaps[~np.isfinite(gaps)][0]} to the anchors")
     max_side = max(complex_._side_len.values(), default=0.0)
     return DensityReport(
         epsilon=float(epsilon),
@@ -493,7 +496,7 @@ def short_loop_probe(complex_: PolyComplex, seed: int = 0) -> LoopProbeReport:
     if not math.isfinite(threshold):
         return LoopProbeReport(0, math.inf, threshold)
     graph = _complex_graph(complex_, LOOP_REFINEMENT)
-    dist = dijkstra(graph.graph, directed=False)
+    dist = dijkstra(graph.graph, directed=True)
     rng = np.random.default_rng(seed)
     n = complex_.mesh.n_vertices
     shortest = math.inf

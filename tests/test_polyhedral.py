@@ -8,7 +8,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from catdisc.errors import EpsilonBoundError
+from catdisc.errors import EpsilonBoundError, GeometryError
 from catdisc.mesh import MappedGraph, grid_mesh, triangle_fan
 from catdisc.model import geodesic_point, model_distance
 from catdisc.polyhedral import (
@@ -366,3 +366,61 @@ def test_check_reports_are_pinned(name):
     lip = lipschitz_check(pair, W, samples=300, seed=1)
     den = epsilon_density_check(pair, W, mg, epsilon, seed=1)
     assert (repr(lip), repr(den)) == REPORT_PINS[name]
+
+
+def corner_points(W):
+    """Every cell's three corners, as points of that cell."""
+    return [ComplexPoint(c, tuple(np.eye(3)[k])) for c in range(len(W.cells)) for k in range(3)]
+
+
+# Distances from 100 interior points to the anchors p(v), as
+# epsilon_density_check reads them at refinement 4, that lie above the
+# both-ways wiring's; out of 100 x (number of mesh vertices): 900, 400, 700,
+# 1600, 1600 and 1600.
+ANCHOR_ROWS_RAISED = {
+    "identity-grid": 6, "cone-3-fan": 0, "cone-6-fan": 3,
+    "sphere-cap": 27, "hyperbolic": 52, "flat-3x3": 12,
+}
+
+
+@pytest.mark.parametrize("name", list(MAPS))
+def test_distances_to_corner_points_rise_by_a_few_ulp_at_most(name):
+    """A corner point shares its position with a mesh vertex, and the charts
+    of the cells around that vertex round it differently, so a path through
+    another query point there could undercut the direct one by an ulp."""
+    mg, epsilon, kappa = MAPS[name]()
+    W, pair = build_polyhedral_disc(mg, epsilon, kappa)
+    inner = _sample_points(W, 100, np.random.default_rng(8))
+    anchors = [pair.p[v] for v in sorted(pair.p)]
+    ulps = 2 if W.kappa.value == 0.0 else 4
+    raised = []
+    for sources, targets in ((inner, anchors), (inner, corner_points(W)),
+                             (corner_points(W), inner)):
+        got = SteinerComplexGraph(W, 4).distance_rows(sources, targets)
+        want = BothWaysSteinerComplexGraph(W, 4).distance_rows(sources, targets)
+        assert np.all(want <= got)
+        assert np.all(got - want <= ulps * np.spacing(want.max()))
+        raised.append(int((got != want).sum()))
+    assert raised[0] == ANCHOR_ROWS_RAISED[name]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_checks_refuse_non_finite_steiner_distances(monkeypatch, value):
+    mg = identity_square(3)
+    W, pair = build_polyhedral_disc(mg, epsilon=0.5)
+    monkeypatch.setattr(
+        SteinerComplexGraph, "distance_rows",
+        lambda self, sources, targets: np.full((len(sources), len(targets)), value),
+    )
+    with pytest.raises(GeometryError, match="non-finite"):
+        lipschitz_check(pair, W, samples=10)
+    with pytest.raises(GeometryError, match="non-finite"):
+        epsilon_density_check(pair, W, mg, epsilon=0.5, samples=10)
+
+
+def test_lipschitz_check_refuses_a_nan_target_distance(monkeypatch):
+    mg = identity_square(3)
+    W, pair = build_polyhedral_disc(mg, epsilon=0.5)
+    monkeypatch.setattr(mg.space, "distance", lambda p, q: math.nan)
+    with pytest.raises(GeometryError, match="non-finite"):
+        lipschitz_check(pair, W, samples=10)
