@@ -651,7 +651,7 @@ class InducedGraphSpace:
         (source, temp count) keys; `base` ignores the temporary nodes."""
         key = (int(source), 0 if base else len(self._temp))
         if key not in self._cache:
-            # Undirected: curves read these predecessors, whose ties follow the search order.
+            # Undirected: curves read predecessors, and a directed search may break ties otherwise.
             self._cache[key] = dijkstra(
                 self.graph if base else self._matrix(), directed=False,
                 indices=key[0], return_predecessors=True,
